@@ -1,6 +1,8 @@
 #include "base/strings.h"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 
 namespace ldl {
@@ -65,6 +67,24 @@ std::string_view StripWhitespace(std::string_view text) {
     --end;
   }
   return text.substr(begin, end - begin);
+}
+
+bool ParseUnsigned(std::string_view text, uint64_t* out) {
+  const char* end = text.data() + text.size();
+  uint64_t value = 0;
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return false;
+  *out = value;
+  return true;
+}
+
+bool ParseDouble(std::string_view text, double* out) {
+  const char* end = text.data() + text.size();
+  double value = 0;
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value)) return false;
+  *out = value;
+  return true;
 }
 
 }  // namespace ldl

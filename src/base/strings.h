@@ -1,6 +1,7 @@
 #ifndef LDLOPT_BASE_STRINGS_H_
 #define LDLOPT_BASE_STRINGS_H_
 
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -93,6 +94,16 @@ std::string JsonEscape(std::string_view text);
 
 /// Removes leading and trailing ASCII whitespace.
 std::string_view StripWhitespace(std::string_view text);
+
+/// Parses all of `text` as a base-10 unsigned integer. Returns false, and
+/// leaves `*out` untouched, on empty input, a sign, surrounding whitespace,
+/// trailing characters or overflow.
+bool ParseUnsigned(std::string_view text, uint64_t* out);
+
+/// Parses all of `text` as a finite decimal double. Returns false, and
+/// leaves `*out` untouched, on empty input, trailing characters, overflow,
+/// inf or nan.
+bool ParseDouble(std::string_view text, double* out);
 
 }  // namespace ldl
 

@@ -12,12 +12,11 @@ namespace ldl {
 // its arguments plus the passed-in Substitution — no mutable static or
 // global state (audited; the only function-local statics in the evaluation
 // stack are immutable empty-collection singletons with thread-safe
-// initialization, in term.cc and relation.cc). Parallel fixpoint workers
-// and concurrently evaluating LdlSystem instances may therefore call these
-// from any number of threads, as long as each Substitution is
-// thread-private (they always are: one per RuleEvaluator, which is one per
-// task). Pinned by tests/parallel_engine_test.cc's concurrent-systems TSan
-// case.
+// initialization, in term.cc and relation.cc). Concurrently evaluating
+// LdlSystem instances may therefore call these from any number of threads,
+// as long as each Substitution is thread-private (they always are: one per
+// RuleEvaluator). Pinned by LdlSystemTest.ConcurrentIndependentSystems in
+// tests/ldl_test.cc, which the TSan CI leg runs.
 
 /// Outcome of attempting one builtin literal under a substitution.
 enum class BuiltinOutcome {

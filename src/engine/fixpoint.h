@@ -8,7 +8,6 @@
 
 #include "ast/program.h"
 #include "base/status.h"
-#include "engine/parallel.h"
 #include "engine/rule_eval.h"
 #include "obs/context.h"
 #include "storage/database.h"
@@ -49,13 +48,6 @@ struct FixpointOptions {
   /// rewrite, and the rewritten rounds should be attributed to the method,
   /// not the machinery). Empty = use the raw fixpoint discipline.
   std::string method_label;
-  /// Parallel engine knobs. num_threads = 1 (default) runs the original
-  /// sequential code path unchanged; > 1 hash-partitions each round across
-  /// a worker pool with a deterministic sharded merge barrier. Answers are
-  /// identical at every thread count (rounds use frozen snapshots, so the
-  /// *round trajectory* of semi-naive may differ from sequential, which
-  /// sees same-round inserts early — both converge to the same fixpoint).
-  EngineOptions engine;
 };
 
 /// One fixpoint round of one clique — the convergence curve of the chosen

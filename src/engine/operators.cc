@@ -173,10 +173,4 @@ Relation SemiJoin(Relation& left, Relation& right, const JoinKeys& keys,
   return out;
 }
 
-std::vector<Relation> HashPartition(const Relation& rel, size_t parts,
-                                    EvalCounters* counters) {
-  if (counters != nullptr) counters->tuples_examined += rel.size();
-  return HashPartitionRelation(rel, parts);
-}
-
 }  // namespace ldl

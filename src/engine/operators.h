@@ -48,14 +48,6 @@ Relation Difference(const Relation& a, const Relation& b,
 Relation SemiJoin(Relation& left, Relation& right, const JoinKeys& keys,
                   EvalCounters* counters);
 
-/// Hash partition for the parallel engine: splits `rel` into `parts`
-/// relations by TupleHash modulo. Together with the sharded merge barrier
-/// this is the exchange operator of the partitioned semi-naive loop; every
-/// tuple lands in exactly one partition, and partition order is a pure
-/// function of contents (schedule-independent).
-std::vector<Relation> HashPartition(const Relation& rel, size_t parts,
-                                    EvalCounters* counters);
-
 }  // namespace ldl
 
 #endif  // LDLOPT_ENGINE_OPERATORS_H_

@@ -249,10 +249,6 @@ Result<QueryResult> EvaluateQuery(const Program& program, Database* base,
   if (span.active()) {
     span.AddArg("goal", goal.ToString());
     span.AddArg("method", RecursionMethodToString(method));
-    if (options.fixpoint.engine.num_threads > 1) {
-      span.AddArg("threads",
-                  std::to_string(options.fixpoint.engine.num_threads));
-    }
   }
   if (options.fixpoint.trace.metrics != nullptr) {
     options.fixpoint.trace.Count(

@@ -31,14 +31,12 @@ void EvalCounters::ExportTo(MetricsRegistry* metrics) const {
 namespace {
 
 /// Backtracking join over the rule body. Holds evaluation state so the
-/// recursive walk stays readable. Templated on the output sink: a Relation
-/// for sequential evaluation, a TupleBatch for parallel worker tasks (both
-/// expose `bool Insert(Tuple)` returning whether the tuple was new).
-template <typename Sink>
+/// recursive walk stays readable.
 class RuleEvaluator {
  public:
-  RuleEvaluator(const Rule& rule, const RelationResolver& resolve, Sink* out,
-                EvalCounters* counters, const RuleEvalOptions& options)
+  RuleEvaluator(const Rule& rule, const RelationResolver& resolve,
+                Relation* out, EvalCounters* counters,
+                const RuleEvalOptions& options)
       : rule_(rule),
         resolve_(resolve),
         out_(out),
@@ -198,26 +196,6 @@ class RuleEvaluator {
       return st;
     };
 
-    if (options_.concurrent_reads) {
-      // Parallel-round mode: `rel` is frozen, so references are stable and
-      // index maintenance is forbidden (it would race with other readers).
-      // Use the const lookup path; when no index was pre-built, scan —
-      // try_tuple re-checks every column against the bound patterns anyway.
-      if (!bound_cols.empty()) {
-        const std::vector<uint32_t>* ids = rel->FindPostings(bound_cols, key);
-        if (ids != nullptr) {
-          for (uint32_t id : *ids) {
-            LDL_RETURN_NOT_OK(try_tuple(rel->tuple(id)));
-          }
-          return Status::OK();
-        }
-      }
-      for (const Tuple& t : rel->tuples()) {
-        LDL_RETURN_NOT_OK(try_tuple(t));
-      }
-      return Status::OK();
-    }
-
     // Copy posting lists / iterate by index: `rel` may be the relation the
     // rule is inserting into (direct recursion), so references into it can
     // be invalidated by inserts made deeper in the recursion.
@@ -238,7 +216,7 @@ class RuleEvaluator {
 
   const Rule& rule_;
   const RelationResolver& resolve_;
-  Sink* out_;
+  Relation* out_;
   EvalCounters* counters_;
   const RuleEvalOptions& options_;
   std::vector<size_t> order_;
@@ -252,14 +230,7 @@ class RuleEvaluator {
 Result<size_t> EvaluateRule(const Rule& rule, const RelationResolver& resolve,
                             Relation* out, EvalCounters* counters,
                             const RuleEvalOptions& options) {
-  RuleEvaluator<Relation> evaluator(rule, resolve, out, counters, options);
-  return evaluator.Run();
-}
-
-Result<size_t> EvaluateRule(const Rule& rule, const RelationResolver& resolve,
-                            TupleBatch* out, EvalCounters* counters,
-                            const RuleEvalOptions& options) {
-  RuleEvaluator<TupleBatch> evaluator(rule, resolve, out, counters, options);
+  RuleEvaluator evaluator(rule, resolve, out, counters, options);
   return evaluator.Run();
 }
 

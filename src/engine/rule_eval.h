@@ -10,7 +10,6 @@
 #include "obs/metrics.h"
 #include "obs/resource.h"
 #include "storage/database.h"
-#include "storage/sharded.h"
 
 namespace ldl {
 
@@ -61,14 +60,6 @@ struct RuleEvalOptions {
   /// Per-query work meter; examined/derived tuples are flushed into it at
   /// check-points (not per tuple) to keep the hot loop cheap.
   ResourceAccountant* accountant = nullptr;
-  /// Parallel-round mode: every relation the resolver returns is frozen for
-  /// the duration of the call (no other thread mutates it, and this
-  /// evaluation writes only to its private sink). The evaluator then uses
-  /// the const index path (Relation::FindPostings, falling back to a scan
-  /// when no index was pre-built) and iterates tuples by reference instead
-  /// of copying them — lazily building indexes or assuming self-insertion
-  /// would be a data race / wasted work respectively.
-  bool concurrent_reads = false;
 };
 
 /// Evaluates one rule bottom-up: enumerates all substitutions satisfying
@@ -84,14 +75,6 @@ struct RuleEvalOptions {
 /// Returns the number of *new* tuples added to `out`.
 Result<size_t> EvaluateRule(const Rule& rule, const RelationResolver& resolve,
                             Relation* out, EvalCounters* counters,
-                            const RuleEvalOptions& options = {});
-
-/// Batch-sink overload: emits head tuples into a thread-local TupleBatch
-/// instead of a Relation. This is the worker-task entry point of the
-/// parallel engine — combined with `options.concurrent_reads` it performs
-/// no writes to any shared structure.
-Result<size_t> EvaluateRule(const Rule& rule, const RelationResolver& resolve,
-                            TupleBatch* out, EvalCounters* counters,
                             const RuleEvalOptions& options = {});
 
 /// Convenience resolver reading every literal from `db` (creating empty

@@ -218,7 +218,6 @@ Result<QueryAnswer> LdlSystem::Query(const Literal& goal) {
     eval_options.fixpoint.trace = trace;
     eval_options.fixpoint.record_iterations =
         options_.record_fixpoint_iterations;
-    eval_options.fixpoint.engine = options_.engine;
     eval_options.sips = answer.plan.sips;
     eval_options.fixpoint.rule_orders.insert(answer.plan.rule_orders.begin(),
                                              answer.plan.rule_orders.end());
@@ -422,9 +421,7 @@ SafetyReport LdlSystem::CheckSafety(std::string_view goal_text) {
 
 Result<QueryResult> LdlSystem::EvaluateUnoptimized(const Literal& goal,
                                                    RecursionMethod method) {
-  QueryEvalOptions eval_options;
-  eval_options.fixpoint.engine = options_.engine;
-  return EvaluateQuery(program_, &db_, goal, method, eval_options);
+  return EvaluateQuery(program_, &db_, goal, method);
 }
 
 }  // namespace ldl

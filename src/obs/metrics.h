@@ -54,11 +54,12 @@ class Gauge {
 /// power-of-two buckets, enough to see the shape of per-round delta sizes
 /// or per-call optimization times without storing samples.
 ///
-/// Record() is lock-free: it sits on per-tuple paths, and under the future
-/// parallel engine a mutex here would serialize every worker. Each field is
-/// an independent atomic updated with CAS loops, so concurrent readers see
-/// each field exactly but the fields only mutually consistent once writers
-/// quiesce — the right trade for monitoring data.
+/// Record() is lock-free: it sits on per-round engine paths, while the
+/// time-series sampler and stats-server threads read the same histogram
+/// concurrently, and a mutex would make every recording pay for those
+/// readers. Each field is an independent atomic updated with CAS loops, so
+/// concurrent readers see each field exactly but the fields only mutually
+/// consistent once writers quiesce — the right trade for monitoring data.
 class Histogram {
  public:
   static constexpr size_t kBuckets = 32;  ///< bucket i holds v in [2^i-1, 2^i)

@@ -42,13 +42,15 @@ struct QueryLimits {
 /// serving layer needs (one tenant's budget, the process's budget, or the
 /// query's own budget can each be the binding constraint).
 ///
-/// All mutators are relaxed atomics: the parallel engine's workers charge
-/// this concurrently (each flushes locally accumulated work at
-/// check-points), so totals are exact under any schedule — no charge is
+/// All mutators are relaxed atomics: the time-series sampler and the stats
+/// server read these meters from their own threads while a query charges
+/// them, and a session-level parent may be charged by queries running on
+/// several threads. Totals are exact under any interleaving — no charge is
 /// lost or double-counted. peak_bytes is maintained with a CAS loop and is
-/// exact up to check-point granularity. Configuration (set_budget, the
-/// parent link) must be fixed before evaluation starts and not changed
-/// while workers are running; readers may sample meters at any time.
+/// exact up to check-point granularity (the evaluator flushes locally
+/// accumulated work at check-points). Configuration (set_budget, the parent
+/// link) must be fixed before evaluation starts and not changed while a
+/// query runs; readers may sample meters at any time.
 class ResourceAccountant {
  public:
   explicit ResourceAccountant(ResourceAccountant* parent = nullptr)
@@ -153,10 +155,11 @@ class ResourceAccountant {
 /// Concurrency: Check() and RequestCancel() are safe from any number of
 /// threads (the cancel flag and check counter are atomics; the accountant
 /// chain is itself thread-safe). The deadline and accountant pointer are
-/// configuration — set them before evaluation fans out (LdlSystem does this
-/// during query setup) and leave them fixed while workers poll. Parallel
-/// fixpoint tasks each poll the same token every kCheckIntervalTuples, so
-/// a mid-round abort is observed by every worker within one interval.
+/// configuration — set them before evaluation starts (LdlSystem does this
+/// during query setup) and leave them fixed while the query polls. A cancel
+/// requested from another thread (a serving thread, or a session token
+/// shared by several queries) is observed by the evaluator within one
+/// kCheckIntervalTuples interval.
 class CancellationToken {
  public:
   /// Tuples examined between consecutive budget/deadline checks inside the

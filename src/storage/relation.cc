@@ -99,22 +99,8 @@ size_t Relation::InsertBatch(std::vector<Tuple> batch) {
   return added;
 }
 
-void Relation::AppendUnchecked(Tuple t, size_t hash) {
-  assert(t.size() == arity_ && "tuple arity mismatch");
-  assert(!ContainsHashed(t, hash) && "AppendUnchecked requires a new tuple");
-  dedup_[hash].push_back(static_cast<uint32_t>(tuples_.size()));
-  if (accountant_ != nullptr) {
-    ChargeDelta(ApproxTupleBytes(t) + kDedupEntryBytes, 0);
-  }
-  tuples_.push_back(std::move(t));
-}
-
 bool Relation::Contains(const Tuple& t) const {
-  return ContainsHashed(t, TupleHash{}(t));
-}
-
-bool Relation::ContainsHashed(const Tuple& t, size_t hash) const {
-  auto it = dedup_.find(hash);
+  auto it = dedup_.find(TupleHash{}(t));
   if (it == dedup_.end()) return false;
   for (uint32_t id : it->second) {
     if (tuples_[id] == t) return true;
@@ -130,8 +116,8 @@ void Relation::Clear() {
 }
 
 namespace {
-// Shared "no match" posting list. Immutable after thread-safe static init,
-// so concurrent FindPostings callers may all point at it.
+// Shared "no match" posting list that Lookup returns by reference. Leaked
+// on purpose so the reference stays valid through static destruction.
 const std::vector<uint32_t>& EmptyPostings() {
   static const auto* empty = new std::vector<uint32_t>();
   return *empty;
@@ -144,21 +130,6 @@ const std::vector<uint32_t>& Relation::Lookup(const std::vector<int>& cols,
   if (index.built_upto < tuples_.size()) ExtendIndex(cols, &index);
   auto it = index.postings.find(key);
   return it == index.postings.end() ? EmptyPostings() : it->second;
-}
-
-void Relation::PrepareIndex(const std::vector<int>& cols) {
-  Index& index = indexes_[cols];
-  if (index.built_upto < tuples_.size()) ExtendIndex(cols, &index);
-}
-
-const std::vector<uint32_t>* Relation::FindPostings(
-    const std::vector<int>& cols, const Tuple& key) const {
-  auto it = indexes_.find(cols);
-  if (it == indexes_.end() || it->second.built_upto < tuples_.size()) {
-    return nullptr;  // no current index; caller must scan
-  }
-  auto pit = it->second.postings.find(key);
-  return pit == it->second.postings.end() ? &EmptyPostings() : &pit->second;
 }
 
 void Relation::ExtendIndex(const std::vector<int>& cols, Index* index) {

@@ -116,17 +116,7 @@ class Relation {
   /// Returns the number of new tuples.
   size_t InsertBatch(std::vector<Tuple> batch);
 
-  /// Appends a tuple the caller guarantees is NOT already present, with its
-  /// precomputed TupleHash. The fast path of the parallel engine's
-  /// partition/merge operators: the dedup probe was already done (by a
-  /// sharded merge or because the source relation is duplicate-free), so
-  /// only the bucket append remains.
-  void AppendUnchecked(Tuple t, size_t hash);
-
   bool Contains(const Tuple& t) const;
-  /// Contains with a precomputed TupleHash (batch callers hash once and
-  /// reuse it for partitioning, shard routing, and membership).
-  bool ContainsHashed(const Tuple& t, size_t hash) const;
 
   void Clear();
 
@@ -135,21 +125,6 @@ class Relation {
   /// on demand.
   const std::vector<uint32_t>& Lookup(const std::vector<int>& cols,
                                       const Tuple& key);
-
-  /// Builds (or catches up) the index on `cols` so that subsequent
-  /// FindPostings calls for it succeed. The parallel engine calls this from
-  /// the coordinating thread before a round fans out, so workers never
-  /// mutate shared index state.
-  void PrepareIndex(const std::vector<int>& cols);
-
-  /// Const lookup for concurrent readers: returns the posting list when an
-  /// index on `cols` exists AND covers every stored tuple, a pointer to an
-  /// empty list when the index is current but has no match, and nullptr
-  /// when there is no current index (callers fall back to a scan). Never
-  /// builds or extends indexes, so any number of threads may call it
-  /// concurrently as long as no thread mutates the relation.
-  const std::vector<uint32_t>* FindPostings(const std::vector<int>& cols,
-                                            const Tuple& key) const;
 
   /// Number of distinct values in column `col` (over current contents).
   size_t DistinctCount(size_t col) const;

@@ -81,14 +81,6 @@ void RecordAnswers(Harness* h, DiffOutcome* out, const std::string& config,
   out->configs.push_back(std::move(cr));
 }
 
-Result<QueryResult> EvalDirect(const Program& program, Database* db,
-                               const Literal& goal, RecursionMethod method,
-                               size_t num_threads = 1) {
-  QueryEvalOptions options;
-  options.fixpoint.engine.num_threads = num_threads;
-  return EvaluateQuery(program, db, goal, method, options);
-}
-
 /// LdlSystem::Query under the given options, shaped like a QueryResult.
 Result<QueryResult> EvalOptimized(LdlSystem* sys, const Literal& goal,
                                   OptimizerOptions options) {
@@ -152,8 +144,8 @@ void RunMetamorphic(Harness* h, const DiffTestOptions& options,
       Database grown_db;
       Status st = grown.BuildDatabase(&grown_db);
       auto grown_result =
-          st.ok() ? EvalDirect(h->program, &grown_db, h->prog.query,
-                               RecursionMethod::kSemiNaive)
+          st.ok() ? EvaluateQuery(h->program, &grown_db, h->prog.query,
+                                  RecursionMethod::kSemiNaive)
                   : Result<QueryResult>(st);
       if (!grown_result.ok()) {
         out->metamorphic_violation = true;
@@ -187,8 +179,8 @@ void RunMetamorphic(Harness* h, const DiffTestOptions& options,
       free_args.push_back(Term::MakeVariable(StrCat("Qf", i)));
     }
     Literal free_goal = q.WithArgs(std::move(free_args));
-    auto free_result = EvalDirect(h->program, &h->db, free_goal,
-                                  RecursionMethod::kSemiNaive);
+    auto free_result = EvaluateQuery(h->program, &h->db, free_goal,
+                                     RecursionMethod::kSemiNaive);
     if (!free_result.ok()) {
       out->metamorphic_violation = true;
       StrAppend(&out->detail, "meta:bound-free: free query failed: ",
@@ -213,8 +205,8 @@ void RunMetamorphic(Harness* h, const DiffTestOptions& options,
     std::vector<Term> args(q.args().begin(), q.args().end());
     args[0] = h->ref_canonical.front()[0];
     Literal bound_goal = q.WithArgs(std::move(args));
-    auto bound_result = EvalDirect(h->program, &h->db, bound_goal,
-                                   RecursionMethod::kMagic);
+    auto bound_result = EvaluateQuery(h->program, &h->db, bound_goal,
+                                      RecursionMethod::kMagic);
     if (!bound_result.ok()) {
       out->metamorphic_violation = true;
       StrAppend(&out->detail, "meta:free-bound: bound instance failed: ",
@@ -285,8 +277,8 @@ DiffOutcome RunDifferential(const GeneratedProgram& prog,
     return out;
   }
 
-  auto ref = EvalDirect(h.program, &h.db, prog.query,
-                        RecursionMethod::kSemiNaive);
+  auto ref = EvaluateQuery(h.program, &h.db, prog.query,
+                           RecursionMethod::kSemiNaive);
   if (!ref.ok()) {
     out.reference_failed = true;
     out.detail = StrCat("reference (seminaive) failed: ",
@@ -308,18 +300,18 @@ DiffOutcome RunDifferential(const GeneratedProgram& prog,
   // --- direct engine methods ----------------------------------------------
   if (options.run_naive) {
     RecordAnswers(&h, &out, "eval:naive",
-                  EvalDirect(h.program, &h.db, prog.query,
-                             RecursionMethod::kNaive));
+                  EvaluateQuery(h.program, &h.db, prog.query,
+                                RecursionMethod::kNaive));
   }
   if (options.run_magic) {
     RecordAnswers(&h, &out, "eval:magic",
-                  EvalDirect(h.program, &h.db, prog.query,
-                             RecursionMethod::kMagic));
+                  EvaluateQuery(h.program, &h.db, prog.query,
+                                RecursionMethod::kMagic));
   }
   if (options.run_counting) {
     RecordAnswers(&h, &out, "eval:counting",
-                  EvalDirect(h.program, &h.db, prog.query,
-                             RecursionMethod::kCounting));
+                  EvaluateQuery(h.program, &h.db, prog.query,
+                                RecursionMethod::kCounting));
   }
 
   // --- optimized path per join-order strategy ------------------------------
@@ -382,48 +374,6 @@ DiffOutcome RunDifferential(const GeneratedProgram& prog,
     }
   }
 
-  // --- parallel engine (par:N axis) ----------------------------------------
-  // The concurrency-aware half of the oracle: the same method and strategy
-  // matrix re-run with the hash-partitioned engine at each requested thread
-  // count, pinned to the sequential reference fingerprint. Answer sets must
-  // be bit-identical regardless of schedule; CI additionally runs this axis
-  // under TSan so data races fail even when answers happen to agree.
-  if (!options.thread_counts.empty()) {
-    LdlSystem par_sys;
-    Status par_load = par_sys.LoadProgram(prog.ToLdl());
-    for (size_t threads : options.thread_counts) {
-      RecordAnswers(&h, &out, StrCat("par:", threads, ":eval:seminaive"),
-                    EvalDirect(h.program, &h.db, prog.query,
-                               RecursionMethod::kSemiNaive, threads));
-      if (options.run_naive) {
-        RecordAnswers(&h, &out, StrCat("par:", threads, ":eval:naive"),
-                      EvalDirect(h.program, &h.db, prog.query,
-                                 RecursionMethod::kNaive, threads));
-      }
-      if (options.run_magic) {
-        RecordAnswers(&h, &out, StrCat("par:", threads, ":eval:magic"),
-                      EvalDirect(h.program, &h.db, prog.query,
-                                 RecursionMethod::kMagic, threads));
-      }
-      if (options.run_counting) {
-        RecordAnswers(&h, &out, StrCat("par:", threads, ":eval:counting"),
-                      EvalDirect(h.program, &h.db, prog.query,
-                                 RecursionMethod::kCounting, threads));
-      }
-      if (par_load.ok()) {
-        for (SearchStrategy strategy : options.strategies) {
-          OptimizerOptions o;
-          o.strategy = strategy;
-          o.engine.num_threads = threads;
-          RecordAnswers(&h, &out,
-                        StrCat("par:", threads, ":opt:",
-                               SearchStrategyToString(strategy)),
-                        EvalOptimized(&par_sys, prog.query, o));
-        }
-      }
-    }
-  }
-
   // --- processing-tree interpreter (MP axis) -------------------------------
   if (options.run_tree_interpreter) {
     Statistics stats = Statistics::Collect(h.db);
@@ -442,8 +392,8 @@ DiffOutcome RunDifferential(const GeneratedProgram& prog,
     auto mutant_program = mutant.BuildProgram();
     if (mutant_program.ok()) {
       RecordAnswers(&h, &out, "fault:flip-join",
-                    EvalDirect(*mutant_program, &h.db, mutant.query,
-                               RecursionMethod::kSemiNaive));
+                    EvaluateQuery(*mutant_program, &h.db, mutant.query,
+                                  RecursionMethod::kSemiNaive));
     }
   }
 

@@ -67,15 +67,6 @@ struct DiffTestOptions {
   /// evaluates the mutated program and must be flagged as a mismatch —
   /// end-to-end proof the oracle can see and the shrinker can minimize.
   Fault fault = Fault::kNone;
-  /// Parallel-engine axis: for each N here, re-run every enabled direct
-  /// method ("par:N:eval:<method>") and every join-order strategy
-  /// ("par:N:opt:<strategy>") with EngineOptions::num_threads = N, against
-  /// the same sequential reference fingerprint. N = 1 pins that the
-  /// parallel plumbing leaves the sequential path untouched; N > 1 pins
-  /// that hash-partitioned rounds and the sharded merge barrier are answer-
-  /// identical under real concurrency (run under TSan in CI for the data-
-  /// race half of that claim). Empty = axis off.
-  std::vector<size_t> thread_counts;
 };
 
 /// One configuration's outcome.

@@ -87,6 +87,49 @@ TEST(StringsTest, StripWhitespace) {
   EXPECT_EQ(StripWhitespace("x"), "x");
 }
 
+TEST(StringsTest, ParseUnsignedAcceptsWholeNumbers) {
+  uint64_t v = 7;
+  EXPECT_TRUE(ParseUnsigned("0", &v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(ParseUnsigned("18446744073709551615", &v));
+  EXPECT_EQ(v, UINT64_MAX);
+}
+
+TEST(StringsTest, ParseUnsignedRejectsMalformedInput) {
+  uint64_t v = 7;
+  EXPECT_FALSE(ParseUnsigned("", &v));                      // empty
+  EXPECT_FALSE(ParseUnsigned("12x", &v));                   // trailing junk
+  EXPECT_FALSE(ParseUnsigned("abc", &v));                   // no digits
+  EXPECT_FALSE(ParseUnsigned(" 12", &v));                   // whitespace
+  EXPECT_FALSE(ParseUnsigned("12 ", &v));
+  EXPECT_FALSE(ParseUnsigned("18446744073709551616", &v));  // overflow
+  EXPECT_FALSE(ParseUnsigned("-1", &v));                    // negative
+  EXPECT_FALSE(ParseUnsigned("+1", &v));
+  EXPECT_EQ(v, 7u) << "a failed parse must not write the output";
+}
+
+TEST(StringsTest, ParseDoubleAcceptsFiniteNumbers) {
+  double v = 0;
+  EXPECT_TRUE(ParseDouble("2.5", &v));
+  EXPECT_EQ(v, 2.5);
+  EXPECT_TRUE(ParseDouble("-0.25", &v));
+  EXPECT_EQ(v, -0.25);
+  EXPECT_TRUE(ParseDouble("1e3", &v));
+  EXPECT_EQ(v, 1000.0);
+}
+
+TEST(StringsTest, ParseDoubleRejectsMalformedInput) {
+  double v = 7;
+  EXPECT_FALSE(ParseDouble("", &v));       // empty
+  EXPECT_FALSE(ParseDouble("zz", &v));     // no digits
+  EXPECT_FALSE(ParseDouble("1.5ms", &v));  // trailing junk
+  EXPECT_FALSE(ParseDouble(" 1", &v));     // whitespace
+  EXPECT_FALSE(ParseDouble("1e999", &v));  // overflow
+  EXPECT_FALSE(ParseDouble("inf", &v));
+  EXPECT_FALSE(ParseDouble("nan", &v));
+  EXPECT_EQ(v, 7.0) << "a failed parse must not write the output";
+}
+
 TEST(RngTest, DeterministicBySeed) {
   Rng a(42), b(42), c(43);
   EXPECT_EQ(a.Next(), b.Next());

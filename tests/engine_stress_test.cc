@@ -64,22 +64,6 @@ TEST_P(RandomDagTest, MethodsAgreeOnRandomDags) {
         << query << " seed " << seed;
     EXPECT_EQ(Sorted(semi->answers), Sorted(magic->answers))
         << query << " seed " << seed;
-    // The hash-partitioned engine must reproduce the sequential answers at
-    // every thread count, for every method, on every random shape.
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
-      QueryEvalOptions par = options;
-      par.fixpoint.engine.num_threads = threads;
-      par.fixpoint.engine.min_partition_tuples = 1;
-      for (RecursionMethod method :
-           {RecursionMethod::kSemiNaive, RecursionMethod::kNaive,
-            RecursionMethod::kMagic}) {
-        auto result = EvaluateQuery(p, &db, goal, method, par);
-        ASSERT_TRUE(result.ok()) << query << " seed " << seed << " threads "
-                                 << threads << ": " << result.status();
-        EXPECT_EQ(Sorted(result->answers), Sorted(semi->answers))
-            << query << " seed " << seed << " threads " << threads;
-      }
-    }
   }
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
+#include <utility>
 
 #include "testing/workloads.h"
 
@@ -216,6 +218,57 @@ TEST(LdlSystemTest, MultipleCliquesAndStrata) {
   auto answer = sys.Query("same_scc(1, Y)");
   ASSERT_TRUE(answer.ok()) << answer.status();
   EXPECT_EQ(answer->answers.size(), 2u);  // 1 and 2
+}
+
+// Two fully independent LdlSystem instances evaluated from two OS threads:
+// the TSan pin for the reentrancy contract in engine/builtins.h (no mutable
+// static state anywhere on the evaluation path).
+TEST(LdlSystemTest, ConcurrentIndependentSystems) {
+  constexpr const char* kSg = R"(
+    sg(X, Y) <- flat(X, Y).
+    sg(X, Y) <- up(X, X1), sg(X1, Y1), dn(Y1, Y).
+  )";
+  auto worker = [kSg](size_t fanout, size_t* rows, bool* ok) {
+    LdlSystem sys;
+    *ok = sys.LoadProgram(kSg).ok();
+    if (!*ok) return;
+    testing::MakeSameGenerationData(fanout, 3, sys.database());
+    sys.RefreshStatistics();
+    for (int i = 0; i < 8; ++i) {
+      auto answer = sys.Query("sg(X, Y)");
+      if (!answer.ok() || answer->answers.empty()) {
+        *ok = false;
+        return;
+      }
+      *rows = answer->answers.size();
+    }
+  };
+  size_t rows_a = 0;
+  size_t rows_b = 0;
+  bool ok_a = false;
+  bool ok_b = false;
+  std::thread ta(worker, 2, &rows_a, &ok_a);
+  std::thread tb(worker, 3, &rows_b, &ok_b);
+  ta.join();
+  tb.join();
+  ASSERT_TRUE(ok_a);
+  ASSERT_TRUE(ok_b);
+
+  // Cross-check each concurrent result against a quiet single-threaded
+  // evaluation of the same workload.
+  auto program = ParseProgram(kSg);
+  ASSERT_TRUE(program.ok()) << program.status();
+  auto goal = ParseLiteral("sg(X, Y)");
+  ASSERT_TRUE(goal.ok());
+  for (auto [fanout, rows] : {std::pair<size_t, size_t>{2, rows_a},
+                              std::pair<size_t, size_t>{3, rows_b}}) {
+    Database db;
+    testing::MakeSameGenerationData(fanout, 3, &db);
+    auto quiet = EvaluateQuery(*program, &db, *goal,
+                               RecursionMethod::kSemiNaive, {});
+    ASSERT_TRUE(quiet.ok()) << quiet.status();
+    EXPECT_EQ(rows, quiet->answers.size()) << "fanout " << fanout;
+  }
 }
 
 }  // namespace

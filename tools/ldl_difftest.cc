@@ -18,11 +18,6 @@
 //   --no-feedback        skip the opt:feedback configuration (planning
 //                        under the blended measured-statistics overlay a
 //                        warm pass accumulated; see obs/feedback.h)
-//   --threads LIST       comma-separated thread counts (e.g. 1,2,4): re-run
-//                        every enabled method and strategy configuration
-//                        with the hash-partitioned parallel engine at each
-//                        count ("par:N:..." configs) against the sequential
-//                        reference fingerprint (default: off)
 //   --repro-dir DIR      where repro-*.ldl files are written (default ".")
 //   --max-shrink-evals N shrinker budget per failure (default 2000)
 //   --skip N             generate and discard the first N programs per seed
@@ -36,14 +31,15 @@
 //
 // Exit status: 0 all iterations mismatch-free (or, with --inject-fault,
 // every effective fault detected); 1 mismatch/metamorphic violation found
-// (repros written); 2 usage error.
+// (repros written); 2 usage error (including a numeric flag whose value is
+// not a whole number).
 
-#include <cstdio>
-#include <cstdlib>
 #include <chrono>
+#include <cstdio>
 #include <functional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/rng.h"
@@ -60,25 +56,30 @@ int Usage() {
       "                    [--methods naive,magic,counting] [--no-tree]\n"
       "                    [--no-metamorphic] [--no-analysis] "
       "[--no-feedback]\n"
-      "                    [--threads 1,2,4] [--repro-dir DIR]\n"
-      "                    [--max-shrink-evals N] [--inject-fault] "
-      "[--verbose]\n");
+      "                    [--repro-dir DIR] [--max-shrink-evals N]\n"
+      "                    [--inject-fault] [--verbose]\n");
   return 2;
 }
 
-bool ParseSeeds(const std::string& arg, std::vector<uint64_t>* out) {
+int BadValue(const std::string& flag, const char* value) {
+  std::fprintf(stderr, "ldl_difftest: bad value for %s: '%s'\n",
+               flag.c_str(), value);
+  return Usage();
+}
+
+bool ParseSeeds(std::string_view arg, std::vector<uint64_t>* out) {
   size_t dots = arg.find("..");
-  char* end = nullptr;
-  if (dots == std::string::npos) {
-    uint64_t s = std::strtoull(arg.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0') return false;
+  if (dots == std::string_view::npos) {
+    uint64_t s = 0;
+    if (!ldl::ParseUnsigned(arg, &s)) return false;
     out->push_back(s);
     return true;
   }
-  uint64_t lo = std::strtoull(arg.substr(0, dots).c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  uint64_t hi = std::strtoull(arg.substr(dots + 2).c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || hi < lo || hi - lo > 10000) {
+  uint64_t lo = 0;
+  uint64_t hi = 0;
+  if (!ldl::ParseUnsigned(arg.substr(0, dots), &lo) ||
+      !ldl::ParseUnsigned(arg.substr(dots + 2), &hi) || hi < lo ||
+      hi - lo > 10000) {
     return false;
   }
   for (uint64_t s = lo; s <= hi; ++s) out->push_back(s);
@@ -118,10 +119,10 @@ int main(int argc, char** argv) {
   using ldl::testing::GeneratedProgram;
 
   std::vector<uint64_t> seeds;
-  size_t iters = 100;
-  size_t skip = 0;
+  uint64_t iters = 100;
+  uint64_t skip = 0;
   bool dump = false;
-  size_t max_shrink_evals = 2000;
+  uint64_t max_shrink_evals = 2000;
   std::string repro_dir = ".";
   DiffTestOptions options;
   bool inject_fault = false;
@@ -136,7 +137,9 @@ int main(int argc, char** argv) {
         return Usage();
       }
     } else if (arg == "--iters" && i + 1 < argc) {
-      iters = static_cast<size_t>(std::strtoull(argv[++i], nullptr, 10));
+      if (!ldl::ParseUnsigned(argv[++i], &iters)) {
+        return BadValue(arg, argv[i]);
+      }
     } else if (arg == "--shape" && i + 1 < argc) {
       if (!ldl::testing::ParseEdbShape(argv[++i], &options.gen.shape)) {
         std::fprintf(stderr, "ldl_difftest: bad --shape %s\n", argv[i]);
@@ -164,30 +167,6 @@ int main(int argc, char** argv) {
         }
         pos = comma + 1;
       }
-    } else if (arg == "--threads" && i + 1 < argc) {
-      options.thread_counts.clear();
-      std::string list = argv[++i];
-      size_t pos = 0;
-      bool ok = !list.empty();
-      while (ok && pos <= list.size()) {
-        size_t comma = list.find(',', pos);
-        if (comma == std::string::npos) comma = list.size();
-        std::string n = list.substr(pos, comma - pos);
-        char* end = nullptr;
-        size_t threads =
-            static_cast<size_t>(std::strtoull(n.c_str(), &end, 10));
-        if (n.empty() || end == nullptr || *end != '\0' || threads == 0 ||
-            threads > 64) {
-          ok = false;
-          break;
-        }
-        options.thread_counts.push_back(threads);
-        pos = comma + 1;
-      }
-      if (!ok) {
-        std::fprintf(stderr, "ldl_difftest: bad --threads %s\n", list.c_str());
-        return Usage();
-      }
     } else if (arg == "--no-tree") {
       options.run_tree_interpreter = false;
     } else if (arg == "--no-metamorphic") {
@@ -199,10 +178,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--repro-dir" && i + 1 < argc) {
       repro_dir = argv[++i];
     } else if (arg == "--max-shrink-evals" && i + 1 < argc) {
-      max_shrink_evals =
-          static_cast<size_t>(std::strtoull(argv[++i], nullptr, 10));
+      if (!ldl::ParseUnsigned(argv[++i], &max_shrink_evals)) {
+        return BadValue(arg, argv[i]);
+      }
     } else if (arg == "--skip" && i + 1 < argc) {
-      skip = static_cast<size_t>(std::strtoull(argv[++i], nullptr, 10));
+      if (!ldl::ParseUnsigned(argv[++i], &skip)) {
+        return BadValue(arg, argv[i]);
+      }
     } else if (arg == "--dump") {
       dump = true;
     } else if (arg == "--inject-fault") {

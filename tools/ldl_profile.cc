@@ -37,10 +37,6 @@
 //                        query over budget aborts with ResourceExhausted.
 //   --budget-tuples N    per-query cap on tuples examined.
 //   --deadline-ms X      per-query wall-clock deadline (DeadlineExceeded).
-//   --threads N          evaluate fixpoints with the hash-partitioned
-//                        parallel engine at N worker threads (default 1 =
-//                        the sequential code path; answers are identical
-//                        at every N, see DESIGN.md section 16).
 //   --query-log FILE     execute each query through the instrumented
 //                        lifecycle path and append one structured JSONL
 //                        record per query (replayable with ldl_replay).
@@ -62,13 +58,14 @@
 //   --stats-import FILE  seed the feedback statistics catalog from a
 //                        previously exported JSON file before the run
 //                        (decay-merged into anything already harvested).
-//   --sample-ms X        time-series sampling period (default 200).
+//   --sample-ms N        time-series sampling period (default 200).
 //   --repeat K           execute the query set K times (EXPLAIN output is
 //                        printed once); keeps a --stats-port run alive and
 //                        busy long enough to scrape.
 //
 // Exit status: 0 success, 1 any query failed (parse, optimize, unsafe plan,
-// or execution error — details on stderr), 2 usage error.
+// or execution error — details on stderr), 2 usage error (including a
+// numeric flag whose value is not a whole number).
 
 #include <fstream>
 #include <iostream>
@@ -97,10 +94,9 @@ struct CliOptions {
   uint64_t budget_bytes = 0;
   uint64_t budget_tuples = 0;
   double deadline_ms = 0;
-  size_t threads = 1;
   int stats_port = -1;  ///< -1 = no server; 0 = ephemeral
-  int sample_ms = 200;
-  int repeat = 1;
+  uint64_t sample_ms = 200;
+  uint64_t repeat = 1;
   bool feedback = false;
   std::string stats_export;
   std::string stats_import;
@@ -122,10 +118,15 @@ int Usage() {
                "[--calibration-json FILE] [--search-json FILE] "
                "[--fixpoint-json FILE] [--dot FILE] [--prune] "
                "[--budget-bytes N] [--budget-tuples N] [--deadline-ms X] "
-               "[--threads N] "
-               "[--query-log FILE] [--stats-port N] [--sample-ms X] "
+               "[--query-log FILE] [--stats-port N] [--sample-ms N] "
                "[--repeat K] [--feedback] [--stats-export FILE] "
                "[--stats-import FILE] file.ldl | -\n";
+  return 2;
+}
+
+int BadValue(const std::string& flag, const char* value) {
+  std::cerr << "ldl_profile: bad value for " << flag << ": '" << value
+            << "'\n";
   return 2;
 }
 
@@ -173,25 +174,34 @@ int main(int argc, char** argv) {
     } else if (arg == "--prune") {
       cli.prune = true;
     } else if (arg == "--budget-bytes" && i + 1 < argc) {
-      cli.budget_bytes = std::stoull(argv[++i]);
+      if (!ldl::ParseUnsigned(argv[++i], &cli.budget_bytes)) {
+        return BadValue(arg, argv[i]);
+      }
     } else if (arg == "--budget-tuples" && i + 1 < argc) {
-      cli.budget_tuples = std::stoull(argv[++i]);
+      if (!ldl::ParseUnsigned(argv[++i], &cli.budget_tuples)) {
+        return BadValue(arg, argv[i]);
+      }
     } else if (arg == "--deadline-ms" && i + 1 < argc) {
-      cli.deadline_ms = std::stod(argv[++i]);
-    } else if (arg == "--threads" && i + 1 < argc) {
-      cli.threads = std::stoull(argv[++i]);
-      if (cli.threads == 0 || cli.threads > 64) {
-        std::cerr << "ldl_profile: --threads must be in 1..64\n";
-        return 2;
+      if (!ldl::ParseDouble(argv[++i], &cli.deadline_ms) ||
+          cli.deadline_ms < 0) {
+        return BadValue(arg, argv[i]);
       }
     } else if (arg == "--query-log" && i + 1 < argc) {
       cli.query_log = argv[++i];
     } else if (arg == "--stats-port" && i + 1 < argc) {
-      cli.stats_port = std::stoi(argv[++i]);
+      uint64_t port = 0;
+      if (!ldl::ParseUnsigned(argv[++i], &port) || port > 65535) {
+        return BadValue(arg, argv[i]);
+      }
+      cli.stats_port = static_cast<int>(port);
     } else if (arg == "--sample-ms" && i + 1 < argc) {
-      cli.sample_ms = std::stoi(argv[++i]);
+      if (!ldl::ParseUnsigned(argv[++i], &cli.sample_ms)) {
+        return BadValue(arg, argv[i]);
+      }
     } else if (arg == "--repeat" && i + 1 < argc) {
-      cli.repeat = std::stoi(argv[++i]);
+      if (!ldl::ParseUnsigned(argv[++i], &cli.repeat)) {
+        return BadValue(arg, argv[i]);
+      }
     } else if (arg == "--feedback") {
       cli.feedback = true;
     } else if (arg == "--stats-export" && i + 1 < argc) {
@@ -244,7 +254,6 @@ int main(int argc, char** argv) {
     options.analyze_reachability = true;
     options.eliminate_dead_rules = true;
   }
-  options.engine.num_threads = cli.threads;
   options.limits.budget_bytes = cli.budget_bytes;
   options.limits.budget_tuples = cli.budget_tuples;
   options.limits.deadline_ms = cli.deadline_ms;
@@ -334,7 +343,7 @@ int main(int argc, char** argv) {
                                !cli.query_log.empty() ||
                                options.limits.any() || cli.repeat > 1 ||
                                cli.stats_port >= 0 || use_feedback;
-  for (int rep = 0; rep < cli.repeat; ++rep) {
+  for (uint64_t rep = 0; rep < cli.repeat; ++rep) {
     // Only the first pass prints; later passes re-execute the queries so a
     // --stats-port scrape sees a live, moving workload.
     const bool verbose = rep == 0;

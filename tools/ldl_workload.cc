@@ -23,12 +23,13 @@
 //   --top N          records in the top-by-tuples section (default 5).
 //
 // Exit status: 0 clean, 1 unreadable log or gated finding under --check,
-// 2 usage error.
+// 2 usage error (including a numeric flag whose value is not a number).
 
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "base/strings.h"
 #include "obs/query_log.h"
 #include "obs/workload.h"
 
@@ -40,11 +41,17 @@ int Usage() {
   return 2;
 }
 
+int BadValue(const std::string& flag, const char* value) {
+  std::cerr << "ldl_workload: bad value for " << flag << ": '" << value
+            << "'\n";
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   bool check = false;
-  size_t top_n = 5;
+  uint64_t top_n = 5;
   ldl::WorkloadThresholds thresholds;
   std::vector<std::string> files;
   for (int i = 1; i < argc; ++i) {
@@ -52,11 +59,17 @@ int main(int argc, char** argv) {
     if (arg == "--check") {
       check = true;
     } else if (arg == "--threshold" && i + 1 < argc) {
-      thresholds.latency_pct = std::stod(argv[++i]);
+      if (!ldl::ParseDouble(argv[++i], &thresholds.latency_pct)) {
+        return BadValue(arg, argv[i]);
+      }
     } else if (arg == "--min-ms" && i + 1 < argc) {
-      thresholds.min_ms = std::stod(argv[++i]);
+      if (!ldl::ParseDouble(argv[++i], &thresholds.min_ms)) {
+        return BadValue(arg, argv[i]);
+      }
     } else if (arg == "--top" && i + 1 < argc) {
-      top_n = std::stoul(argv[++i]);
+      if (!ldl::ParseUnsigned(argv[++i], &top_n)) {
+        return BadValue(arg, argv[i]);
+      }
     } else if (arg == "--help" || arg == "-h") {
       Usage();
       return 0;
