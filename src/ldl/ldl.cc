@@ -50,16 +50,21 @@ Status LdlSystem::AddClause(std::string_view text) {
 }
 
 Status LdlSystem::Ingest(Program parsed) {
+  // Check everything before changing anything: a rejected clause leaves
+  // the rules, the facts and the statistics as they were.
+  for (const Literal& fact : parsed.facts()) {
+    LDL_RETURN_NOT_OK(Database::CheckFact(fact));
+  }
+  if (!parsed.rules().empty() || !parsed.queries().empty()) {
+    Program next = program_;
+    for (const Rule& rule : parsed.rules()) next.AddRule(rule);
+    for (const QueryForm& query : parsed.queries()) next.AddQuery(query);
+    LDL_RETURN_NOT_OK(next.Validate());
+    program_ = std::move(next);
+  }
   for (const Literal& fact : parsed.facts()) {
     LDL_RETURN_NOT_OK(db_.AddFact(fact));
   }
-  for (const Rule& rule : parsed.rules()) {
-    program_.AddRule(rule);
-  }
-  for (const QueryForm& query : parsed.queries()) {
-    program_.AddQuery(query);
-  }
-  LDL_RETURN_NOT_OK(program_.Validate());
   stats_dirty_ = true;
   return Status::OK();
 }
@@ -67,10 +72,18 @@ Status LdlSystem::Ingest(Program parsed) {
 void LdlSystem::RefreshStatistics() {
   // The epoch survives recollection: it numbers statistics *generations*,
   // so a logged plan can be traced to the catalog state that shaped it.
-  const uint64_t next_epoch = stats_.epoch() + 1;
-  stats_ = Statistics::Collect(db_);
-  stats_.set_epoch(next_epoch);
+  Statistics fresh = Statistics::Collect(db_);
+  fresh.set_epoch(stats_.epoch() + 1);
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    stats_ = std::move(fresh);
+  }
   stats_dirty_ = false;
+}
+
+Statistics LdlSystem::StatisticsSnapshot() const {
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  return stats_;
 }
 
 const Statistics& LdlSystem::statistics() {
@@ -308,9 +321,15 @@ void LdlSystem::ObserveFeedback(
 
 void LdlSystem::FeedbackDriftCheck() {
   if (feedback_catalog_ == nullptr) return;
-  if (drift_detector_ != nullptr &&
-      drift_detector_->Check(*feedback_catalog_, &stats_,
-                             options_.trace.metrics) > 0) {
+  size_t tripped = 0;
+  if (drift_detector_ != nullptr) {
+    // Check may bump the epoch in place: a write that StatisticsSnapshot
+    // readers must not see half done.
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    tripped = drift_detector_->Check(*feedback_catalog_, &stats_,
+                                     options_.trace.metrics);
+  }
+  if (tripped > 0) {
     // The detector bumped the epoch: mark the statistics dirty so the next
     // query re-collects instead of planning under the drifted generation.
     stats_dirty_ = true;

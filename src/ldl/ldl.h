@@ -2,6 +2,7 @@
 #define LDLOPT_LDL_LDL_H_
 
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -88,9 +89,17 @@ class LdlSystem {
   /// Recomputes catalog statistics from the current fact base (bumping the
   /// statistics epoch that query-log records carry). Called automatically
   /// on the first query after loading; call explicitly after bulk updates
-  /// through database().
+  /// through database(). Costs O(relations x arity + rows added since the
+  /// last refresh): Relation::DistinctCount counts incrementally.
   void RefreshStatistics();
+  /// The live statistics, refreshed first if a write dirtied them. Like
+  /// every other member, for the thread that drives the system only.
   const Statistics& statistics();
+
+  /// A copy of the current statistics, consistent (never a refresh or an
+  /// epoch bump half done) and safe to take from any thread while another
+  /// thread drives the system: what the stats server renders.
+  Statistics StatisticsSnapshot() const;
 
   /// Installs a structured query log: every Query() call appends one
   /// QueryLogRecord (on success AND on typed failure). Also engages
@@ -212,6 +221,9 @@ class LdlSystem {
   OptimizerOptions options_;
   Program program_;
   Database db_;
+  // Written only by the driving thread, under stats_mu_; read without the
+  // lock by that thread and under it by StatisticsSnapshot.
+  mutable std::mutex stats_mu_;
   Statistics stats_;
   bool stats_dirty_ = true;
   QueryLog* query_log_ = nullptr;

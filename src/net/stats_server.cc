@@ -194,8 +194,11 @@ bool StatsServer::HandlePath(const std::string& path, std::string* body,
 }
 
 std::string StatsServer::RenderStats() {
-  return RenderStatsJson(options_.feedback, options_.drift,
-                         options_.statistics);
+  if (!options_.statistics) {
+    return RenderStatsJson(options_.feedback, options_.drift, nullptr);
+  }
+  const Statistics snapshot = options_.statistics();
+  return RenderStatsJson(options_.feedback, options_.drift, &snapshot);
 }
 
 std::string StatsServer::RenderMetrics() {
@@ -226,8 +229,8 @@ std::string StatsServer::RenderStatusz() {
        << "\"git\":\"" << JsonEscape(info.git) << "\","
        << "\"sanitizer\":\"" << JsonEscape(info.sanitizer) << "\"}";
   }
-  if (options_.statistics != nullptr) {
-    os << ",\"stats_epoch\":" << options_.statistics->epoch();
+  if (options_.statistics) {
+    os << ",\"stats_epoch\":" << options_.statistics().epoch();
   }
   if (options_.drift != nullptr) {
     char q[40];

@@ -31,11 +31,13 @@ struct StatsServerOptions {
   ProcessMetricsSource* process = nullptr; ///< uptime + build info
   size_t log_tail = 8;                     ///< query-log records on /statusz
   /// Feedback loop surfaces (/stats, plus the epoch/drift section of
-  /// /statusz). `statistics` is read for the live epoch and per-predicate
-  /// estimates; the owner must keep it alive and stable-addressed.
+  /// /statusz). `statistics` returns a consistent copy of the live
+  /// statistics (epoch and per-predicate estimates) and is called on the
+  /// server thread once per request, so it must be safe to call while the
+  /// owner keeps querying — LdlSystem::StatisticsSnapshot is. May be empty.
   const StatisticsCatalog* feedback = nullptr;
   const DriftDetector* drift = nullptr;
-  const Statistics* statistics = nullptr;
+  std::function<Statistics()> statistics;
   /// Invoked before rendering /metrics or /statusz (refresh process gauges,
   /// flush deferred exports...). May be empty.
   std::function<void()> refresh;

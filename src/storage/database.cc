@@ -34,21 +34,23 @@ const Relation* Database::Find(const PredicateId& pred) const {
   return it == relations_.end() ? nullptr : it->second.get();
 }
 
-Status Database::AddFact(const Literal& fact) {
+Status Database::CheckFact(const Literal& fact) {
   if (fact.IsBuiltin() || fact.negated()) {
     return Status::InvalidArgument(
         StrCat("not a storable fact: ", fact.ToString()));
   }
-  Tuple t;
-  t.reserve(fact.args().size());
   for (const Term& a : fact.args()) {
     if (!a.IsGround()) {
       return Status::InvalidArgument(
           StrCat("non-ground fact: ", fact.ToString()));
     }
-    t.push_back(a);
   }
-  GetOrCreate(fact.predicate())->Insert(std::move(t));
+  return Status::OK();
+}
+
+Status Database::AddFact(const Literal& fact) {
+  LDL_RETURN_NOT_OK(CheckFact(fact));
+  GetOrCreate(fact.predicate())->Insert(Tuple(fact.args()));
   return Status::OK();
 }
 

@@ -43,6 +43,10 @@ class Database {
   /// Inserts a ground fact literal, creating the relation on demand.
   Status AddFact(const Literal& fact);
 
+  /// OK iff AddFact would accept `fact`: a positive, ground, non-builtin
+  /// literal.
+  static Status CheckFact(const Literal& fact);
+
   /// All predicates with a (possibly empty) relation, sorted by name.
   std::vector<PredicateId> Predicates() const;
 

@@ -1,7 +1,7 @@
 #include "storage/relation.h"
 
+#include <algorithm>
 #include <cassert>
-#include <set>
 #include <sstream>
 
 namespace ldl {
@@ -38,6 +38,19 @@ namespace {
 // Per-tuple overhead of the dedup map entry (hash key + one posting id).
 constexpr size_t kDedupEntryBytes = sizeof(size_t) + sizeof(uint32_t);
 
+// An unused DistinctSet slot (row ids are below 2^32 - 1).
+constexpr uint32_t kEmptySlot = ~uint32_t{0};
+
+// Smallest DistinctSet table; tables double when half full.
+constexpr size_t kMinDistinctSlots = 16;
+
+// Home slot of `value` in a table of `mask + 1` slots. Term::Hash of an
+// integer is a cheap combine of the value, so multiply to spread the low
+// bits linear probing uses.
+size_t DistinctHome(const Term& value, size_t mask) {
+  return (value.Hash() * 0x9e3779b97f4a7c15ULL >> 32) & mask;
+}
+
 }  // namespace
 
 uint64_t Relation::EstimateBytes() const {
@@ -47,6 +60,9 @@ uint64_t Relation::EstimateBytes() const {
     for (const auto& [key, postings] : index.postings) {
       n += ApproxTupleBytes(key) + postings.size() * sizeof(uint32_t);
     }
+  }
+  for (const DistinctSet& set : distinct_) {
+    n += set.slots.size() * sizeof(uint32_t);
   }
   return n;
 }
@@ -113,6 +129,7 @@ void Relation::Clear() {
   tuples_.clear();
   dedup_.clear();
   indexes_.clear();
+  distinct_.clear();
 }
 
 namespace {
@@ -148,9 +165,44 @@ void Relation::ExtendIndex(const std::vector<int>& cols, Index* index) {
 }
 
 size_t Relation::DistinctCount(size_t col) const {
-  std::set<Term> values;
-  for (const Tuple& t : tuples_) values.insert(t[col]);
-  return values.size();
+  assert(col < arity_ && "column out of range");
+  if (distinct_.empty()) distinct_.resize(arity_);
+  DistinctSet& set = distinct_[col];
+  if (set.built_upto < tuples_.size()) ExtendDistinct(col, &set);
+  return set.count;
+}
+
+void Relation::ExtendDistinct(size_t col, DistinctSet* set) const {
+  const size_t old_slots = set->slots.size();
+  for (size_t row = set->built_upto; row < tuples_.size(); ++row) {
+    // Keep the load factor at or below one half so probes stay short.
+    if (2 * (set->count + 1) > set->slots.size()) {
+      std::vector<uint32_t> old = std::move(set->slots);
+      set->slots.assign(std::max(kMinDistinctSlots, 2 * old.size()),
+                        kEmptySlot);
+      set->count = 0;
+      for (uint32_t id : old) {
+        if (id != kEmptySlot) AddDistinct(col, id, set);
+      }
+    }
+    AddDistinct(col, static_cast<uint32_t>(row), set);
+  }
+  set->built_upto = tuples_.size();
+  ChargeDelta((set->slots.size() - old_slots) * sizeof(uint32_t), 0);
+}
+
+void Relation::AddDistinct(size_t col, uint32_t row, DistinctSet* set) const {
+  const Term& value = tuples_[row][col];
+  const size_t mask = set->slots.size() - 1;
+  for (size_t i = DistinctHome(value, mask);; i = (i + 1) & mask) {
+    uint32_t& slot = set->slots[i];
+    if (slot == kEmptySlot) {
+      slot = row;
+      ++set->count;
+      return;
+    }
+    if (tuples_[slot][col] == value) return;
+  }
 }
 
 std::string Relation::ToString(size_t max_tuples) const {

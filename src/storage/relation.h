@@ -39,6 +39,7 @@ class Relation {
         tuples_(other.tuples_),
         dedup_(other.dedup_),
         indexes_(other.indexes_),
+        distinct_(other.distinct_),
         accountant_(other.accountant_) {
     charged_bytes_ = 0;
     ChargeDelta(other.charged_bytes_, 0);
@@ -51,6 +52,7 @@ class Relation {
     tuples_ = other.tuples_;
     dedup_ = other.dedup_;
     indexes_ = other.indexes_;
+    distinct_ = other.distinct_;
     accountant_ = other.accountant_;
     charged_bytes_ = 0;
     ChargeDelta(other.charged_bytes_, 0);
@@ -62,6 +64,7 @@ class Relation {
         tuples_(std::move(other.tuples_)),
         dedup_(std::move(other.dedup_)),
         indexes_(std::move(other.indexes_)),
+        distinct_(std::move(other.distinct_)),
         accountant_(other.accountant_),
         charged_bytes_(other.charged_bytes_) {
     // The charge moves with the data: the source no longer owes anything.
@@ -69,6 +72,7 @@ class Relation {
     other.tuples_.clear();
     other.dedup_.clear();
     other.indexes_.clear();
+    other.distinct_.clear();
   }
   Relation& operator=(Relation&& other) noexcept {
     if (this == &other) return *this;
@@ -78,12 +82,14 @@ class Relation {
     tuples_ = std::move(other.tuples_);
     dedup_ = std::move(other.dedup_);
     indexes_ = std::move(other.indexes_);
+    distinct_ = std::move(other.distinct_);
     accountant_ = other.accountant_;
     charged_bytes_ = other.charged_bytes_;
     other.charged_bytes_ = 0;
     other.tuples_.clear();
     other.dedup_.clear();
     other.indexes_.clear();
+    other.distinct_.clear();
     return *this;
   }
 
@@ -127,6 +133,10 @@ class Relation {
                                       const Tuple& key);
 
   /// Number of distinct values in column `col` (over current contents).
+  /// Exact and incremental: each column keeps a table of one representative
+  /// row id per value, extended from its high-water mark, so a call after k
+  /// inserts costs O(k). Like Lookup, it mutates that cache, so concurrent
+  /// callers on one relation need outside synchronization.
   size_t DistinctCount(size_t col) const;
 
   std::string ToString(size_t max_tuples = 20) const;
@@ -140,13 +150,30 @@ class Relation {
 
   void ExtendIndex(const std::vector<int>& cols, Index* index);
 
-  /// Fresh estimate of tuple + dedup + index storage from current contents.
+  /// The distinct values of one column: an open-addressing (linear probing)
+  /// table of row ids, one per value, hashed by Term::Hash and compared
+  /// through tuples_[row][col], so no Term is copied. Rows are only ever
+  /// appended until Clear, so the table stays valid and is extended from
+  /// `built_upto`, exactly like an Index.
+  struct DistinctSet {
+    std::vector<uint32_t> slots;  // row id or kEmptySlot; size 0 or 2^k
+    size_t count = 0;             // occupied slots = distinct values
+    size_t built_upto = 0;        // tuples_[0, built_upto) are counted
+  };
+
+  void ExtendDistinct(size_t col, DistinctSet* set) const;
+  /// Inserts row `row`'s value of column `col` into `set` unless an equal
+  /// value is already there. `set` must have a free slot.
+  void AddDistinct(size_t col, uint32_t row, DistinctSet* set) const;
+
+  /// Fresh estimate of tuple, dedup, index and distinct-table storage from
+  /// current contents.
   uint64_t EstimateBytes() const;
 
   /// Adjusts charged_bytes_ and forwards the delta to the accountant.
   /// No-op without an accountant: unattached relations track nothing, so
   /// the common (un-instrumented) path costs one branch.
-  void ChargeDelta(uint64_t add, uint64_t release) {
+  void ChargeDelta(uint64_t add, uint64_t release) const {
     if (accountant_ == nullptr) return;
     charged_bytes_ += add;
     charged_bytes_ = charged_bytes_ >= release ? charged_bytes_ - release : 0;
@@ -161,8 +188,12 @@ class Relation {
   std::unordered_map<size_t, std::vector<uint32_t>> dedup_;
   // Secondary indexes keyed by the (sorted) column list.
   std::map<std::vector<int>, Index> indexes_;
+  // Per-column distinct-value tables, built by the first DistinctCount.
+  // Mutable (with charged_bytes_, which charges them) because counting is
+  // a const read that caches, the way Statistics::Collect uses it.
+  mutable std::vector<DistinctSet> distinct_;
   ResourceAccountant* accountant_ = nullptr;
-  uint64_t charged_bytes_ = 0;
+  mutable uint64_t charged_bytes_ = 0;
 };
 
 }  // namespace ldl

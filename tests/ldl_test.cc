@@ -6,6 +6,8 @@
 #include <thread>
 #include <utility>
 
+#include "base/rng.h"
+#include "base/strings.h"
 #include "testing/workloads.h"
 
 namespace ldl {
@@ -218,6 +220,80 @@ TEST(LdlSystemTest, MultipleCliquesAndStrata) {
   auto answer = sys.Query("same_scc(1, Y)");
   ASSERT_TRUE(answer.ok()) << answer.status();
   EXPECT_EQ(answer->answers.size(), 2u);  // 1 and 2
+}
+
+PredicateId Pred(const char* literal) {
+  return ParseLiteral(literal)->predicate();
+}
+
+// A clause the program rejects must change nothing: not the rules (or every
+// later clause fails with the same error), not the facts, and not the
+// statistics (which would otherwise go stale over the extra rows).
+TEST(LdlSystemTest, RejectedClauseChangesNothing) {
+  LdlSystem sys;
+  ASSERT_TRUE(sys.LoadProgram("q(a). q(b). p(X) <- q(X).").ok());
+  EXPECT_EQ(sys.statistics().Get(Pred("q(X)")).cardinality, 2);
+  const size_t rules = sys.program().rules().size();
+
+  const Status bad = sys.AddClause("q(c). p(X, Y) <- q(X), q(Y).");
+  EXPECT_EQ(bad.code(), StatusCode::kInvalidArgument) << bad;
+  EXPECT_EQ(sys.program().rules().size(), rules);
+  EXPECT_EQ(sys.database()->Find(Pred("q(X)"))->size(), 2u);
+  EXPECT_FALSE(sys.AddClause("q(e). p(X, Y)?").ok());  // bad query form
+  EXPECT_EQ(sys.pending_queries().size(), 0u);
+  EXPECT_EQ(sys.database()->Find(Pred("q(X)"))->size(), 2u);
+
+  ASSERT_TRUE(sys.AddClause("q(d).").ok());
+  const Relation* q = sys.database()->Find(Pred("q(X)"));
+  EXPECT_EQ(q->size(), 3u);
+  EXPECT_FALSE(q->Contains({Term::MakeSymbol("c")}));
+  EXPECT_EQ(sys.statistics().Get(Pred("q(X)")).cardinality, 3);
+  auto answer = sys.Query("p(X)");
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  EXPECT_EQ(answer->answers.size(), 3u);
+}
+
+void ExpectSameStatistics(const Statistics& got, const Statistics& want) {
+  ASSERT_EQ(got.Predicates(), want.Predicates());
+  for (const PredicateId& pred : want.Predicates()) {
+    EXPECT_EQ(got.Get(pred).cardinality, want.Get(pred).cardinality)
+        << pred.ToString();
+    EXPECT_EQ(got.Get(pred).distinct, want.Get(pred).distinct)
+        << pred.ToString();
+  }
+}
+
+// Statistics maintained across single-fact writes equal a fresh collection
+// over the same facts, and each refresh bumps the epoch by exactly one.
+TEST(LdlSystemTest, StatisticsAfterWritesMatchFreshCollect) {
+  const std::string rules =
+      "sg(X, Y) <- flat(X, Y).\n"
+      "sg(X, Y) <- up(X, X1), sg(X1, Y1), dn(Y1, Y).\n";
+  std::string facts = "flat(a, b). up(c, a). dn(b, d).\n";
+  LdlSystem sys;
+  ASSERT_TRUE(sys.LoadProgram(rules + facts).ok());
+  uint64_t epoch = sys.statistics().epoch();
+  EXPECT_EQ(epoch, 1u);
+  Rng rng(42);
+  for (int k = 0; k < 60; ++k) {
+    const char* preds[] = {"up", "dn", "flat"};
+    const std::string fact =
+        StrCat(preds[rng.Uniform(3)], "(n", rng.Uniform(12), ", n",
+               rng.Uniform(12), ").");  // repeats some facts
+    ASSERT_TRUE(sys.AddClause(fact).ok()) << fact;
+    facts += fact + "\n";
+    if (k % 3 == 0) continue;  // let some writes batch into one refresh
+    if (k % 3 == 1) {
+      ASSERT_TRUE(sys.Query("sg(n1, Y)").ok());
+    }
+    EXPECT_EQ(sys.statistics().epoch(), ++epoch) << "after write " << k;
+    EXPECT_EQ(sys.statistics().epoch(), epoch) << "no write, no refresh";
+
+    LdlSystem fresh;
+    ASSERT_TRUE(fresh.LoadProgram(rules + facts).ok());
+    ExpectSameStatistics(sys.statistics(),
+                         Statistics::Collect(*fresh.database()));
+  }
 }
 
 // Two fully independent LdlSystem instances evaluated from two OS threads:

@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "storage/database.h"
 #include "storage/statistics.h"
 #include "ast/parser.h"
+#include "base/rng.h"
 
 namespace ldl {
 namespace {
@@ -74,6 +81,140 @@ TEST(RelationTest, DistinctCount) {
   for (int64_t i = 0; i < 30; ++i) r.Insert(Pair(i % 3, i));
   EXPECT_EQ(r.DistinctCount(0), 3u);
   EXPECT_EQ(r.DistinctCount(1), 30u);
+}
+
+// A random ground value from small domains, so inserts collide often: ints,
+// reals, symbols and strings with the same spelling (distinct kinds), and
+// function terms nesting them.
+Term RandomValue(Rng* rng) {
+  const std::string name = "v" + std::to_string(rng->Uniform(6));
+  switch (rng->Uniform(6)) {
+    case 0:
+      return Term::MakeInt(rng->UniformInt(-3, 8));
+    case 1:
+      return Term::MakeReal(static_cast<double>(rng->Uniform(6)) / 2);
+    case 2:
+      return Term::MakeSymbol(name);
+    case 3:
+      return Term::MakeString(name);
+    case 4:
+      return Term::MakeFunction("f", {Term::MakeInt(rng->UniformInt(0, 3))});
+    default:
+      return Term::MakeFunction(
+          rng->Uniform(2) == 0 ? "f" : "g",
+          {Term::MakeSymbol(name), Term::MakeInt(rng->UniformInt(0, 2))});
+  }
+}
+
+// The reference: a relation's rows under set semantics, counted with the
+// std::set walk that DistinctCount replaced.
+struct ModelRelation {
+  std::vector<Tuple> rows;
+
+  void Insert(const Tuple& t) {
+    if (std::find(rows.begin(), rows.end(), t) == rows.end()) {
+      rows.push_back(t);
+    }
+  }
+  size_t DistinctCount(size_t col) const {
+    std::set<Term> values;
+    for (const Tuple& t : rows) values.insert(t[col]);
+    return values.size();
+  }
+};
+
+void ExpectMatchesModel(const Relation& r, const ModelRelation& model,
+                        const std::string& where) {
+  ASSERT_EQ(r.size(), model.rows.size()) << where;
+  for (size_t c = 0; c < r.arity(); ++c) {
+    ASSERT_EQ(r.DistinctCount(c), model.DistinctCount(c))
+        << where << " column " << c;
+  }
+}
+
+// Incremental distinct counts stay exact across every way a relation's rows
+// change or move: duplicate and new inserts, Clear, copy and move
+// construction and assignment, and std::swap, with counts taken after every
+// step so tables are extended from every possible high-water mark.
+TEST(RelationTest, DistinctCountMatchesSetReferenceUnderMutation) {
+  constexpr size_t kArity = 3;
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    Rng rng(seed);
+    Relation a("a", kArity);
+    Relation b("b", kArity);
+    ModelRelation ma;
+    ModelRelation mb;
+    for (int step = 0; step < 600; ++step) {
+      const bool on_a = rng.Uniform(2) == 0;
+      Relation& x = on_a ? a : b;
+      Relation& y = on_a ? b : a;
+      ModelRelation& mx = on_a ? ma : mb;
+      ModelRelation& my = on_a ? mb : ma;
+      const uint64_t op = rng.Uniform(20);
+      if (op < 14) {
+        // A burst of inserts, often of rows already present.
+        for (uint64_t n = rng.Uniform(4) + 1; n > 0; --n) {
+          Tuple t;
+          for (size_t c = 0; c < kArity; ++c) t.push_back(RandomValue(&rng));
+          if (rng.Uniform(4) == 0 && !mx.rows.empty()) {
+            t = mx.rows[rng.Uniform(mx.rows.size())];
+          }
+          x.Insert(t);
+          mx.Insert(t);
+        }
+      } else if (op == 14) {
+        x.Clear();
+        mx.rows.clear();
+      } else if (op == 15) {
+        Relation copy(x);
+        ExpectMatchesModel(copy, mx, "copy-constructed");
+        copy.Insert({Term::MakeInt(100), Term::MakeInt(100),
+                     Term::MakeInt(step)});
+        ExpectMatchesModel(x, mx, "copy source after copy grew");
+      } else if (op == 16) {
+        y = x;
+        my = mx;
+      } else if (op == 17) {
+        // Over a live relation whose tables may be built.
+        y = std::move(x);
+        my = mx;
+        mx.rows.clear();
+        ExpectMatchesModel(x, mx, "moved-from by assignment");
+      } else if (op == 18) {
+        Relation moved(std::move(x));
+        ExpectMatchesModel(x, ModelRelation{}, "moved-from by construction");
+        x = std::move(moved);
+      } else {
+        std::swap(a, b);
+        std::swap(ma, mb);
+      }
+      const std::string where =
+          "seed " + std::to_string(seed) + " step " + std::to_string(step);
+      ExpectMatchesModel(a, ma, where + " a");
+      ExpectMatchesModel(b, mb, where + " b");
+    }
+  }
+}
+
+// The distinct-value tables are charged like index postings, and released
+// with the rest of the relation.
+TEST(RelationTest, DistinctTablesAreChargedAndReleased) {
+  ResourceAccountant accountant;
+  {
+    Relation r("edge", 2);
+    r.set_accountant(&accountant);
+    for (int64_t i = 0; i < 1000; ++i) r.Insert(Pair(i % 7, i));
+    const uint64_t before = r.charged_bytes();
+    EXPECT_EQ(r.DistinctCount(0), 7u);
+    EXPECT_EQ(r.DistinctCount(1), 1000u);
+    EXPECT_GT(r.charged_bytes(), before);
+    EXPECT_EQ(accountant.current_bytes(), r.charged_bytes());
+    r.Clear();
+    EXPECT_EQ(accountant.current_bytes(), 0u);
+    r.Insert(Pair(1, 2));
+    EXPECT_EQ(r.DistinctCount(1), 1u);
+  }
+  EXPECT_EQ(accountant.current_bytes(), 0u);
 }
 
 TEST(DatabaseTest, GetOrCreateAndFacts) {

@@ -186,6 +186,66 @@ TEST(StatsServerTest, ConcurrentScrapesSeeMonotoneCounters) {
   sampler.Stop();
 }
 
+// /stats and /statusz render the live statistics while another thread
+// writes facts and queries with the feedback loop attached, so every query
+// re-collects statistics and the drift detector bumps the epoch: scrapes
+// must see a consistent snapshot (TSan CI runs this) with a monotone epoch.
+TEST(StatsServerTest, ConcurrentScrapesSeeConsistentStatistics) {
+  LdlSystem sys;
+  ASSERT_TRUE(sys.LoadProgram("parent(a, b).\n"
+                              "anc(X, Y) <- parent(X, Y).\n"
+                              "anc(X, Y) <- parent(X, Z), anc(Z, Y).\n")
+                  .ok());
+  StatisticsCatalog catalog;
+  // A measurement far from the real size of parent/2: the detector trips
+  // against every new statistics generation.
+  catalog.Observe(ParseLiteral("parent(X, Y)")->predicate(),
+                  Adornment::AllFree(2), 1e6, 0);
+  DriftDetector detector;
+  sys.set_feedback(&catalog, &detector);
+
+  StatsServerOptions options;
+  options.port = 0;
+  options.feedback = &catalog;
+  options.drift = &detector;
+  options.statistics = [&sys] { return sys.StatisticsSnapshot(); };
+  StatsServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+
+  std::atomic<bool> done{false};
+  std::thread worker([&] {
+    for (int i = 0; i < 40; ++i) {
+      EXPECT_TRUE(sys.AddClause("parent(n" + std::to_string(i) + ", a).")
+                      .ok());
+      EXPECT_TRUE(sys.Query("anc(n0, Y)").ok());
+    }
+    done.store(true);
+  });
+
+  auto epoch_of = [](const std::string& body) -> long {
+    const std::string key = "\"stats_epoch\":";
+    const size_t pos = body.find(key);
+    if (pos == std::string::npos) return -1;
+    return std::strtol(body.c_str() + pos + key.size(), nullptr, 10);
+  };
+  long last = 0;
+  int scrapes = 0;
+  while (!done.load() || scrapes < 2) {
+    for (const char* route : {"/stats", "/statusz"}) {
+      const long epoch = epoch_of(Body(HttpGet(server.port(), route)));
+      ASSERT_GE(epoch, last) << route << ": stats epoch went backwards";
+      last = epoch;
+    }
+    ++scrapes;
+  }
+  worker.join();
+  EXPECT_GT(detector.drift_events(), 0u);
+  EXPECT_EQ(epoch_of(Body(HttpGet(server.port(), "/stats"))),
+            static_cast<long>(sys.StatisticsSnapshot().epoch()));
+  server.Stop();
+  sys.set_feedback(nullptr, nullptr);
+}
+
 TEST(StatsServerTest, StopIsIdempotentAndRestartable) {
   MetricsRegistry metrics;
   StatsServerOptions options;
@@ -226,7 +286,7 @@ TEST(StatsServerTest, ServesFeedbackCatalogOnStatsRoute) {
   options.port = 0;
   options.feedback = &catalog;
   options.drift = &detector;
-  options.statistics = &stats;
+  options.statistics = [&stats] { return stats; };
   StatsServer server(options);
   ASSERT_TRUE(server.Start().ok());
 

@@ -317,7 +317,7 @@ int main(int argc, char** argv) {
   server_options.process = &process_metrics;
   server_options.refresh = [&process_metrics] { process_metrics.Refresh(); };
   if (!cli.query_log.empty()) server_options.query_log = &query_log;
-  server_options.statistics = &sys.statistics();
+  server_options.statistics = [&sys] { return sys.StatisticsSnapshot(); };
   if (use_feedback) {
     server_options.feedback = &catalog;
     server_options.drift = &detector;
