@@ -76,22 +76,16 @@ void PrintExperiment() {
     Table table({"slice", "configs", "ms", "iters/s"});
     struct Slice {
       const char* name;
-      bool methods, strategies, tree, metamorphic;
+      bool methods, strategies, metamorphic;
     };
-    for (const Slice& s : {Slice{"reference only", false, false, false, false},
-                           Slice{"+ recursion methods", true, false, false,
-                                 false},
-                           Slice{"+ optimizer strategies", true, true, false,
-                                 false},
-                           Slice{"+ processing trees", true, true, true,
-                                 false},
-                           Slice{"full (+ metamorphic)", true, true, true,
-                                 true}}) {
+    for (const Slice& s : {Slice{"reference only", false, false, false},
+                           Slice{"+ recursion methods", true, false, false},
+                           Slice{"+ optimizer strategies", true, true, false},
+                           Slice{"full (+ metamorphic)", true, true, true}}) {
       testing::DiffTestOptions options;
       options.run_naive = options.run_magic = options.run_counting =
           s.methods;
       if (!s.strategies) options.strategies.clear();
-      options.run_tree_interpreter = s.tree;
       options.run_metamorphic = s.metamorphic;
       SweepResult r = Sweep(options, kSeed, kIters);
       table.AddRow({s.name, std::to_string(r.configs), Fmt(r.ms, "%.1f"),

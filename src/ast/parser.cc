@@ -353,8 +353,36 @@ class Parser {
     }
   }
 
+  /// Deepest nesting the parser accepts: function terms, parentheses,
+  /// unary minus, `not`, and chained binary operators (each one nests its
+  /// left operand a level deeper). Deeper input gets a typed error instead
+  /// of overflowing the stack here or in a later recursive term walk. List
+  /// length does not count: list items are parsed side by side.
+  static constexpr size_t kMaxNesting = 1024;
+
+  /// The levels one parse call descends, given back when the call returns.
+  class Nesting {
+   public:
+    explicit Nesting(size_t* depth) : depth_(depth), entry_(*depth) {}
+    ~Nesting() { *depth_ = entry_; }
+    Nesting(const Nesting&) = delete;
+    Nesting& operator=(const Nesting&) = delete;
+    /// One level deeper; false once past kMaxNesting.
+    bool Descend() { return ++*depth_ <= kMaxNesting; }
+
+   private:
+    size_t* depth_;
+    size_t entry_;
+  };
+
+  Status TooDeep() const {
+    return Err(StrCat("nesting deeper than ", kMaxNesting, " levels"));
+  }
+
   // literal := "not" atom | atom | expr relop expr
   Result<Literal> ParseLiteralInternal() {
+    Nesting nesting(&depth_);
+    if (!nesting.Descend()) return TooDeep();
     if (Peek().kind == TokenKind::kNot) {
       Advance();
       LDL_ASSIGN_OR_RETURN(Literal lit, ParseLiteralInternal());
@@ -382,9 +410,11 @@ class Parser {
 
   // expr := addend (("+"|"-") addend)*
   Result<Term> ParseExpr() {
+    Nesting nesting(&depth_);
     LDL_ASSIGN_OR_RETURN(Term lhs, ParseAddend());
     while (Peek().kind == TokenKind::kPlus ||
            Peek().kind == TokenKind::kMinus) {
+      if (!nesting.Descend()) return TooDeep();
       std::string op = Peek().kind == TokenKind::kPlus ? "+" : "-";
       Advance();
       LDL_ASSIGN_OR_RETURN(Term rhs, ParseAddend());
@@ -395,10 +425,12 @@ class Parser {
 
   // addend := factor (("*"|"/"|"mod") factor)*
   Result<Term> ParseAddend() {
+    Nesting nesting(&depth_);
     LDL_ASSIGN_OR_RETURN(Term lhs, ParseFactor());
     while (Peek().kind == TokenKind::kStar ||
            Peek().kind == TokenKind::kSlash ||
            Peek().kind == TokenKind::kMod) {
+      if (!nesting.Descend()) return TooDeep();
       std::string op = Peek().kind == TokenKind::kStar    ? "*"
                        : Peek().kind == TokenKind::kSlash ? "/"
                                                           : "mod";
@@ -411,6 +443,8 @@ class Parser {
 
   // factor := "-" factor | "(" expr ")" | list | scalar | ident [ "(" args ")" ]
   Result<Term> ParseFactor() {
+    Nesting nesting(&depth_);
+    if (!nesting.Descend()) return TooDeep();
     const Token& tok = Peek();
     switch (tok.kind) {
       case TokenKind::kMinus: {
@@ -507,6 +541,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  size_t depth_ = 0;  ///< current recursive-descent nesting
 };
 
 Result<std::vector<Token>> TokenizeAll(std::string_view text) {

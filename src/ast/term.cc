@@ -43,7 +43,9 @@ Term Term::MakeSymbol(std::string name) {
 
 Term Term::MakeFunction(std::string functor, std::vector<Term> args) {
   Term t(TermKind::kFunction, std::move(functor));
-  t.args_ = std::make_shared<const std::vector<Term>>(std::move(args));
+  // Non-const allocation: ReleaseArgs may detach the arguments of a vector
+  // it owns alone before freeing it.
+  t.args_ = std::make_shared<std::vector<Term>>(std::move(args));
   return t;
 }
 
@@ -57,6 +59,28 @@ Term Term::MakeList(const std::vector<Term>& items, Term tail) {
     list = MakeFunction(kConsFunctor, {*it, std::move(list)});
   }
   return list;
+}
+
+void Term::ReleaseArgs() {
+  // Another owner keeps the vector, or freeing it recurses one level only.
+  if (args_.use_count() != 1) return;
+  bool nested = false;
+  for (const Term& arg : *args_) nested = nested || arg.args_ != nullptr;
+  if (!nested) return;
+  // Detach every uniquely owned child vector before its parent is freed, so
+  // each vector's destructor sees only scalar or shared arguments. A vector
+  // someone else still holds just loses this reference.
+  std::vector<std::shared_ptr<const std::vector<Term>>> pending;
+  pending.push_back(std::move(args_));
+  while (!pending.empty()) {
+    std::shared_ptr<const std::vector<Term>> owned = std::move(pending.back());
+    pending.pop_back();
+    if (owned.use_count() != 1) continue;
+    // Sole owner of a vector allocated non-const (MakeFunction).
+    for (Term& arg : const_cast<std::vector<Term>&>(*owned)) {
+      if (arg.args_ != nullptr) pending.push_back(std::move(arg.args_));
+    }
+  }
 }
 
 const std::vector<Term>& Term::args() const {

@@ -32,6 +32,16 @@ class Term {
   /// Default-constructs the symbol `nil` (rarely useful; containers need it).
   Term() : kind_(TermKind::kSymbol), text_("nil") {}
 
+  Term(const Term&) = default;
+  Term(Term&&) noexcept = default;
+  Term& operator=(const Term&) = default;
+  Term& operator=(Term&&) noexcept = default;
+  /// Iterative for uniquely owned argument chains, so destroying a long
+  /// list or a deep function term cannot overflow the stack.
+  ~Term() {
+    if (args_ != nullptr) ReleaseArgs();
+  }
+
   /// Factory functions; the only way to create terms.
   static Term MakeVariable(std::string name);
   static Term MakeInt(int64_t value);
@@ -101,6 +111,9 @@ class Term {
 
  private:
   Term(TermKind kind, std::string text) : kind_(kind), text_(std::move(text)) {}
+
+  /// Frees the argument vectors this term owns alone, without recursion.
+  void ReleaseArgs();
 
   TermKind kind_;
   int64_t int_value_ = 0;

@@ -122,13 +122,11 @@ Result<QueryResult> EvaluateFull(const Program& program, Database* base,
                                     &result.stats, fixpoint));
   result.answers = SelectMatching(scratch.Find(goal.predicate()), goal);
   // The full bottom-up methods compute every reachable derived predicate in
-  // its entirety, so the scratch relation sizes are true all-free
-  // cardinalities — exactly what the feedback statistics catalog wants.
-  // (Magic/counting compute goal-restricted subsets and must not report.)
+  // its entirety: the scratch sizes are all-free cardinalities.
   for (const PredicateId& pred : scratch.Predicates()) {
-    const Relation* rel = scratch.Find(pred);
-    result.derived_sizes.emplace_back(pred,
-                                      static_cast<uint64_t>(rel->size()));
+    result.derived_sizes.emplace_back(
+        AdornedPredicate{pred, Adornment::AllFree(pred.arity)},
+        static_cast<double>(scratch.Find(pred)->size()));
   }
   return result;
 }
@@ -164,6 +162,17 @@ Result<QueryResult> EvaluateMagic(const Program& program, Database* base,
                                     &scratch, &result.stats, fixpoint));
   result.answers =
       SelectMatching(scratch.Find(magic.answer_pred), magic.answer_goal);
+  // p.a holds the answers for every binding magic.p.a received, so their
+  // ratio is p's rows per binding under adornment a.
+  for (const AdornedPredicate& ap : adorned.predicates) {
+    const Relation* bindings = scratch.Find(MagicPredicateId(ap));
+    if (bindings == nullptr || bindings->size() == 0) continue;
+    const Relation* rows = scratch.Find(ap.RenamedId());
+    result.derived_sizes.emplace_back(
+        ap, rows == nullptr ? 0.0
+                            : static_cast<double>(rows->size()) /
+                                  static_cast<double>(bindings->size()));
+  }
   return result;
 }
 
@@ -237,6 +246,10 @@ Result<QueryResult> EvaluateCounting(const Program& program, Database* base,
     answers.Insert(std::move(full));
   }
   result.answers = std::move(answers);
+  // One binding (the goal's constants): its answers are the goal's entry.
+  result.derived_sizes.emplace_back(
+      AdornedPredicate{goal.predicate(), adn},
+      static_cast<double>(result.answers.size()));
   return result;
 }
 

@@ -22,12 +22,15 @@ struct QueryResult {
   RecursionMethod method_used = RecursionMethod::kSemiNaive;
   /// Human-readable note, e.g. "counting fell back to magic (cyclic data)".
   std::string note;
-  /// Fixpoint size of every derived predicate, filled only by the full
-  /// bottom-up methods (kNaive/kSemiNaive): those compute each reachable
-  /// predicate in its entirety, so the sizes are true all-free
-  /// cardinalities. Magic/counting evaluate goal-restricted subsets whose
-  /// sizes would poison a statistics catalog, so they leave this empty.
-  std::vector<std::pair<PredicateId, uint64_t>> derived_sizes;
+  /// What the run computed, as rows per binding instance of each adorned
+  /// derived predicate (the shape of MeasuredStatistics::Entries()), read
+  /// off relation sizes the run already holds:
+  ///  - kNaive/kSemiNaive: every reachable derived predicate in full, under
+  ///    its all-free adornment;
+  ///  - kMagic: |p.a| / |magic.p.a| for every adorned predicate of the
+  ///    rewrite that received at least one binding;
+  ///  - kCounting: the goal's own (predicate, adornment) entry.
+  std::vector<std::pair<AdornedPredicate, double>> derived_sizes;
 };
 
 struct QueryEvalOptions {

@@ -1,6 +1,7 @@
 #include "ldl/ldl.h"
 
 #include <chrono>
+#include <cstdio>
 
 #include "analysis/analyzer.h"
 #include "base/strings.h"
@@ -9,7 +10,6 @@
 #include "obs/search_trace.h"
 #include "optimizer/project_pushdown.h"
 #include "plan/explain.h"
-#include "plan/interpreter.h"
 
 namespace ldl {
 
@@ -19,6 +19,31 @@ double MsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
       .count();
+}
+
+std::string FormatMillis(double ms) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.3f", ms);
+  return buf;
+}
+
+/// What a successful run measured, as rows per binding: the engine's
+/// entries, plus the goal's answer count under its own adornment (for an
+/// all-free goal, the predicate's total size) when the engine reported no
+/// entry for that key.
+MeasuredStatistics RunMeasurements(
+    const Literal& goal, const QueryAnswer& answer,
+    const std::vector<std::pair<AdornedPredicate, double>>& derived_sizes) {
+  MeasuredStatistics measured;
+  for (const auto& [ap, rows] : derived_sizes) {
+    measured.Set(ap.pred, ap.adornment, rows);
+  }
+  const Adornment adn = Adornment::FromGoal(goal);
+  if (measured.Find(goal.predicate(), adn) == nullptr) {
+    measured.Set(goal.predicate(), adn,
+                 static_cast<double>(answer.answers.size()));
+  }
+  return measured;
 }
 
 /// "ResourceExhausted" -> "resource_exhausted": the query log's outcome tag.
@@ -164,16 +189,20 @@ Result<QueryAnswer> LdlSystem::Query(std::string_view goal_text) {
   return Query(goal);
 }
 
-Result<QueryAnswer> LdlSystem::Query(const Literal& goal) {
-  const auto query_start = std::chrono::steady_clock::now();
+LdlSystem::ServedRun::ServedRun(const TraceContext& session)
+    : accountant(session.accountant), cancel(session.cancel) {}
 
+LdlSystem::ServedRun::~ServedRun() = default;
+
+Status LdlSystem::Serve(const Literal& goal, QueryAnswer* answer,
+                        ServedRun* served) {
   // Per-query lifecycle: a resource meter and a cancellation token chained
   // under whatever session-level accountant/token the caller installed in
   // options_.trace. Metering engages only when a limit is set or a query
   // log wants the resource profile — otherwise the trace passes through
   // untouched and every hot path stays on its no-accountant fast path.
-  ResourceAccountant accountant(options_.trace.accountant);
-  CancellationToken cancel(options_.trace.cancel);
+  ResourceAccountant& accountant = served->accountant;
+  CancellationToken& cancel = served->cancel;
   TraceContext trace = options_.trace;
   if (options_.limits.any() || query_log_ != nullptr) {
     ResourceBudget budget;
@@ -189,11 +218,6 @@ Result<QueryAnswer> LdlSystem::Query(const Literal& goal) {
     trace.cancel = &cancel;
   }
 
-  QueryAnswer answer;
-  bool have_plan = false;
-  uint64_t rule_firings = 0;
-  std::vector<std::pair<PredicateId, uint64_t>> derived_sizes;
-
   auto run = [&]() -> Status {
     // Base-relation queries bypass optimization.
     if (!program_.IsDerived(goal.predicate())) {
@@ -201,10 +225,10 @@ Result<QueryAnswer> LdlSystem::Query(const Literal& goal) {
         return Status::NotFound(
             StrCat("unknown predicate ", goal.predicate().ToString()));
       }
-      answer.answers = SelectMatching(db_.Find(goal.predicate()), goal);
-      answer.plan.goal = goal;
-      answer.plan.safe = true;
-      have_plan = true;
+      answer->answers = SelectMatching(db_.Find(goal.predicate()), goal);
+      answer->plan.goal = goal;
+      answer->plan.safe = true;
+      served->have_plan = true;
       return Status::OK();
     }
 
@@ -212,55 +236,64 @@ Result<QueryAnswer> LdlSystem::Query(const Literal& goal) {
     // possibly dead-rule-pruned) program: the plan's rule indices refer to
     // it.
     if (stats_dirty_) RefreshStatistics();
-    LDL_ASSIGN_OR_RETURN(GoalContext ctx, PrepareGoal(goal));
+    LDL_ASSIGN_OR_RETURN(served->ctx, PrepareGoal(goal));
+    GoalContext& ctx = served->ctx;
     ctx.options.trace = trace;
     const auto optimize_start = std::chrono::steady_clock::now();
-    Optimizer optimizer(ctx.working, stats_, ctx.options);
-    Result<QueryPlan> plan = optimizer.Optimize(goal);
-    answer.optimize_ms = MsSince(optimize_start);
+    served->optimizer =
+        std::make_unique<Optimizer>(ctx.working, stats_, ctx.options);
+    Result<QueryPlan> plan = served->optimizer->Optimize(goal);
+    answer->optimize_ms = MsSince(optimize_start);
     LDL_RETURN_NOT_OK(plan.status());
-    answer.plan = std::move(plan).value();
-    have_plan = true;
-    if (!answer.plan.safe) {
+    answer->plan = std::move(plan).value();
+    served->have_plan = true;
+    if (!answer->plan.safe) {
       return Status::Unsafe(StrCat("query ", goal.ToString(),
                                    "? has no safe execution: ",
-                                   answer.plan.unsafe_reason));
+                                   answer->plan.unsafe_reason));
     }
 
     QueryEvalOptions eval_options;
     eval_options.fixpoint.trace = trace;
     eval_options.fixpoint.record_iterations =
         options_.record_fixpoint_iterations;
-    eval_options.sips = answer.plan.sips;
-    eval_options.fixpoint.rule_orders.insert(answer.plan.rule_orders.begin(),
-                                             answer.plan.rule_orders.end());
+    eval_options.sips = answer->plan.sips;
+    eval_options.fixpoint.rule_orders.insert(answer->plan.rule_orders.begin(),
+                                             answer->plan.rule_orders.end());
     const auto execute_start = std::chrono::steady_clock::now();
     Result<QueryResult> result = EvaluateQuery(
-        ctx.working, &db_, goal, answer.plan.top_method, eval_options);
-    answer.execute_ms = MsSince(execute_start);
+        ctx.working, &db_, goal, answer->plan.top_method, eval_options);
+    answer->execute_ms = MsSince(execute_start);
     LDL_RETURN_NOT_OK(result.status());
-    answer.answers = std::move(result->answers);
-    answer.exec_stats = result->stats;
-    answer.note = result->note;
-    derived_sizes = std::move(result->derived_sizes);
-    rule_firings = result->stats.counters.rule_firings;
+    answer->answers = std::move(result->answers);
+    answer->exec_stats = result->stats;
+    answer->note = result->note;
+    served->derived_sizes = std::move(result->derived_sizes);
     return Status::OK();
   };
   const Status status = run();
 
   if (trace.accountant != nullptr) {
-    answer.peak_bytes = trace.accountant->peak_bytes();
-    answer.tuples_examined = trace.accountant->tuples_examined();
-    answer.tuples_derived = trace.accountant->tuples_derived();
-    answer.fixpoint_rounds = trace.accountant->fixpoint_rounds();
+    answer->peak_bytes = trace.accountant->peak_bytes();
+    answer->tuples_examined = trace.accountant->tuples_examined();
+    answer->tuples_derived = trace.accountant->tuples_derived();
+    answer->fixpoint_rounds = trace.accountant->fixpoint_rounds();
   }
-  if (trace.cancel != nullptr) answer.cancel_checks = trace.cancel->checks();
+  if (trace.cancel != nullptr) answer->cancel_checks = trace.cancel->checks();
+  return status;
+}
+
+Result<QueryAnswer> LdlSystem::Query(const Literal& goal) {
+  const auto query_start = std::chrono::steady_clock::now();
+  QueryAnswer answer;
+  ServedRun served(options_.trace);
+  const Status status = Serve(goal, &answer, &served);
 
   if (query_log_ != nullptr) {
     QueryLogRecord rec;
     rec.query = goal.ToString();
     rec.adornment = Adornment::FromGoal(goal).ToString();
-    if (have_plan) {
+    if (served.have_plan) {
       rec.method = program_.IsDerived(goal.predicate())
                        ? RecursionMethodToString(answer.plan.top_method)
                        : "base";
@@ -281,7 +314,7 @@ Result<QueryAnswer> LdlSystem::Query(const Literal& goal) {
     rec.tuples_examined = answer.tuples_examined;
     rec.tuples_derived = answer.tuples_derived;
     rec.fixpoint_rounds = answer.fixpoint_rounds;
-    rec.rule_firings = rule_firings;
+    rec.rule_firings = answer.exec_stats.counters.rule_firings;
     rec.cancel_checks = answer.cancel_checks;
     rec.optimize_ms = answer.optimize_ms;
     rec.execute_ms = answer.execute_ms;
@@ -291,8 +324,8 @@ Result<QueryAnswer> LdlSystem::Query(const Literal& goal) {
 
   // Close the loop after the record is written: the log carries the epoch
   // the plan was made under; a drift bump here shapes the *next* query.
-  if (status.ok()) {
-    ObserveFeedback(goal, answer.answers.size(), derived_sizes);
+  if (status.ok() && feedback_catalog_ != nullptr) {
+    ObserveFeedback(RunMeasurements(goal, answer, served.derived_sizes));
   }
   if (options_.trace.metrics != nullptr) {
     options_.trace.metrics->gauge("stats_epoch")
@@ -303,24 +336,9 @@ Result<QueryAnswer> LdlSystem::Query(const Literal& goal) {
   return answer;
 }
 
-void LdlSystem::ObserveFeedback(
-    const Literal& goal, size_t answer_rows,
-    const std::vector<std::pair<PredicateId, uint64_t>>& derived_sizes) {
+void LdlSystem::ObserveFeedback(const MeasuredStatistics& measured) {
   if (feedback_catalog_ == nullptr) return;
-  const uint64_t epoch = stats_.epoch();
-  // The goal's answer count is a per-binding measurement under the goal's
-  // own adornment (for an all-free goal: the predicate's total size).
-  feedback_catalog_->Observe(goal.predicate(), Adornment::FromGoal(goal),
-                             static_cast<double>(answer_rows), epoch);
-  for (const auto& [pred, rows] : derived_sizes) {
-    feedback_catalog_->Observe(pred, Adornment::AllFree(pred.arity),
-                               static_cast<double>(rows), epoch);
-  }
-  FeedbackDriftCheck();
-}
-
-void LdlSystem::FeedbackDriftCheck() {
-  if (feedback_catalog_ == nullptr) return;
+  feedback_catalog_->ObserveMeasured(measured, stats_.epoch());
   size_t tripped = 0;
   if (drift_detector_ != nullptr) {
     // Check may bump the epoch in place: a write that StatisticsSnapshot
@@ -378,52 +396,41 @@ Result<std::string> LdlSystem::ExplainAnalyze(std::string_view goal_text) {
 Result<LdlSystem::AnalyzeResult> LdlSystem::AnalyzeCalibrated(
     std::string_view goal_text) {
   LDL_ASSIGN_OR_RETURN(Literal goal, ParseLiteral(goal_text));
-  if (stats_dirty_) RefreshStatistics();
-  LDL_ASSIGN_OR_RETURN(GoalContext ctx, PrepareGoal(goal));
-  const Program& working = ctx.working;
-  // Optimize first: the chosen QueryPlan feeds the regret analysis, and an
-  // unsafe plan must not reach the interpreter (it may not terminate).
-  Optimizer optimizer(working, stats_, ctx.options);
-  LDL_ASSIGN_OR_RETURN(QueryPlan plan, optimizer.Optimize(goal));
-  if (!plan.safe) {
-    return Status::Unsafe(StrCat("query ", goal.ToString(),
-                                 "? has no safe execution: ",
-                                 plan.unsafe_reason));
+  if (!program_.IsDerived(goal.predicate())) {
+    return Status::InvalidArgument(
+        StrCat("query predicate ", goal.predicate().ToString(),
+               " is not defined by any rule"));
   }
-  LDL_ASSIGN_OR_RETURN(std::unique_ptr<PlanNode> tree,
-                       BuildProcessingTree(working, goal));
-  LDL_RETURN_NOT_OK(optimizer.AnnotateTree(tree.get()));
-
-  TreeInterpreter interpreter(working, &db_);
-  interpreter.set_trace(options_.trace);
-  LDL_ASSIGN_OR_RETURN(Relation answers,
-                       interpreter.Execute(*tree, tree->goal));
-
-  std::string out = RenderExplain(*tree, &interpreter.profile());
-  const EvalCounters& c = interpreter.counters();
-  StrAppend(&out, "\nAnswers: ", answers.size(), " rows\n");
-  StrAppend(&out, "Totals: ", c.tuples_examined, " tuples examined, ",
-            c.derivations, " derivations, ", interpreter.memo_hits(),
-            " memo hits\n");
-
-  CalibrationReport report = CalibrationReport::Build(
-      *tree, interpreter.profile(), goal.ToString());
-  MeasuredStatistics measured =
-      HarvestMeasuredStatistics(*tree, interpreter.profile());
-  report.set_regret(
-      ComputePlanRegret(working, stats_, ctx.options, goal, plan, measured));
-  report.ExportTo(options_.trace.metrics);
-  if (feedback_catalog_ != nullptr) {
-    // The analyzed run's full per-(predicate, adornment) harvest — the
-    // richest observation stream the catalog gets — then the drift gate.
-    feedback_catalog_->ObserveMeasured(measured, stats_.epoch());
-    FeedbackDriftCheck();
-  }
-  StrAppend(&out, "\n", report.ToString());
-
   AnalyzeResult res;
+  ServedRun served(options_.trace);
+  LDL_RETURN_NOT_OK(Serve(goal, &res.answer, &served));
+  const QueryAnswer& answer = res.answer;
+
+  LDL_ASSIGN_OR_RETURN(std::unique_ptr<PlanNode> tree,
+                       BuildProcessingTree(served.ctx.working, goal));
+  LDL_RETURN_NOT_OK(served.optimizer->AnnotateTree(tree.get()));
+  MeasuredStatistics actuals =
+      RunMeasurements(goal, answer, served.derived_sizes);
+  AddScanSizes(*tree, db_, &actuals);
+
+  std::string out = RenderExplain(*tree, [&actuals](const PlanNode& node) {
+    return NodeActualRows(node, actuals);
+  });
+  const EvalCounters& c = answer.exec_stats.counters;
+  StrAppend(&out, "\nAnswers: ", answer.answers.size(), " rows\n");
+  StrAppend(&out, "Totals: ", c.tuples_examined, " tuples examined, ",
+            c.derivations, " derivations, ", answer.exec_stats.iterations,
+            " fixpoint rounds, ", FormatMillis(answer.execute_ms),
+            " ms execute\n");
+
+  res.report = CalibrationReport::Build(*tree, actuals, goal.ToString());
+  res.report.set_regret(ComputePlanRegret(served.ctx.working, stats_,
+                                          served.ctx.options, goal,
+                                          answer.plan, actuals));
+  res.report.ExportTo(options_.trace.metrics);
+  ObserveFeedback(actuals);
+  StrAppend(&out, "\n", res.report.ToString());
   res.text = std::move(out);
-  res.report = std::move(report);
   return res;
 }
 

@@ -110,16 +110,15 @@ class LdlSystem {
   QueryLog* query_log() const { return query_log_; }
 
   /// Attaches the feedback loop (obs/feedback.h). With a catalog attached,
-  /// every successful Query() folds its measured cardinalities in — the
-  /// goal's answer count under its binding, and for full bottom-up
-  /// evaluations every derived predicate's fixpoint size — and
-  /// AnalyzeCalibrated contributes its full per-(predicate, adornment)
-  /// harvest. With a detector attached too, each harvest is followed by a
-  /// drift check: a hot predicate whose measured cardinality diverged from
-  /// the current statistics past the q-error threshold bumps the statistics
-  /// epoch and schedules a re-collection before the next query. When
-  /// options().feedback is also set, planning consults the catalog as a
-  /// blended overlay (falling back to estimates for unseen predicates).
+  /// every successful Query() and AnalyzeCalibrated() folds in what its run
+  /// measured: the rows per binding the engine computed, the goal's answer
+  /// count, and under ANALYZE the fact-base size of every scanned base
+  /// relation. With a detector attached too, each harvest is followed by a
+  /// drift check: a hot predicate whose measured cardinality diverged
+  /// from the current statistics past the q-error threshold bumps the
+  /// statistics epoch and schedules a re-collection before the next query.
+  /// When options().feedback is also set, planning consults the catalog as
+  /// a blended overlay (falling back to estimates for unseen predicates).
   /// Both pointers are non-owning and must outlive the system or be
   /// detached (nullptr) first.
   void set_feedback(StatisticsCatalog* catalog,
@@ -156,21 +155,23 @@ class LdlSystem {
   /// cost/cardinality estimates.
   Result<std::string> ExplainTree(std::string_view goal_text);
 
-  /// EXPLAIN ANALYZE: annotates the processing tree with the optimizer's
-  /// estimates, executes it through the TreeInterpreter, and renders both
-  /// side by side — estimated cost/rows next to measured rows, tuples
-  /// examined and wall time per node (plan/explain.h), followed by the
-  /// CALIBRATION and REGRET sections (obs/calibration.h). Unsafe plans are
-  /// rejected with kUnsafe before execution. Spans and metrics flow into
-  /// the TraceContext set in OptimizerOptions, if any.
+  /// EXPLAIN ANALYZE: runs the goal exactly as Query does (same limits,
+  /// plan and engine call; no query-log record), annotates the processing
+  /// tree with the same optimizer, and renders the estimates next to the
+  /// served run's actuals: rows per binding for every node whose
+  /// (predicate, binding) the run computed (plan/explain.h), a footer with
+  /// the run's totals, then the CALIBRATION and REGRET sections
+  /// (obs/calibration.h). Fails with the status Query would return.
   Result<std::string> ExplainAnalyze(std::string_view goal_text);
 
-  /// ExplainAnalyze plus the structured calibration artifact: the rendered
-  /// text and the CalibrationReport (per-node q-errors, aggregates, regret)
-  /// for programmatic consumers (ldl_profile --calibration-json, benches).
+  /// ExplainAnalyze plus the structured artifacts: the rendered text, the
+  /// CalibrationReport (per-node q-errors, aggregates, regret) for
+  /// programmatic consumers (ldl_profile --calibration-json, benches), and
+  /// the served run itself.
   struct AnalyzeResult {
     std::string text;
     CalibrationReport report;
+    QueryAnswer answer;
   };
   Result<AnalyzeResult> AnalyzeCalibrated(std::string_view goal_text);
 
@@ -207,16 +208,38 @@ class LdlSystem {
   };
   Result<GoalContext> PrepareGoal(const Literal& goal);
 
+  /// One run of a goal on the serving path, shared by Query and
+  /// AnalyzeCalibrated. Filled by Serve; the caller keeps it on its stack
+  /// because the optimizer refers into `ctx` and its trace into the
+  /// per-query meter and token.
+  struct ServedRun {
+    explicit ServedRun(const TraceContext& session);
+    ~ServedRun();
+
+    /// Per-query meter and token, chained under the session's.
+    ResourceAccountant accountant;
+    CancellationToken cancel;
+    GoalContext ctx;
+    /// The optimizer that planned the run; null for a base-relation goal,
+    /// which is answered without planning.
+    std::unique_ptr<Optimizer> optimizer;
+    /// Rows per binding the engine computed (QueryResult::derived_sizes).
+    std::vector<std::pair<AdornedPredicate, double>> derived_sizes;
+    /// The goal was planned (or is a base relation): the plan is loggable.
+    bool have_plan = false;
+  };
+
+  /// The serving path: a per-query accountant and cancellation token from
+  /// options().limits, then PrepareGoal -> Optimize -> EvaluateQuery with
+  /// the plan's method, SIPs and rule orders. Fills `answer` as far as the
+  /// run got (plan, answers, stats, timings, resource meters).
+  Status Serve(const Literal& goal, QueryAnswer* answer, ServedRun* served);
+
   /// Post-execution half of the feedback loop: folds the measurements into
   /// the attached catalog, runs the drift check, and mirrors the loop's
   /// gauges (feedback.*, stats_epoch). A tripped drift marks the statistics
   /// dirty so the next query re-collects under the bumped epoch.
-  void ObserveFeedback(const Literal& goal, size_t answer_rows,
-                       const std::vector<std::pair<PredicateId, uint64_t>>&
-                           derived_sizes);
-
-  /// Drift check + gauge mirror shared by Query and AnalyzeCalibrated.
-  void FeedbackDriftCheck();
+  void ObserveFeedback(const MeasuredStatistics& measured);
 
   OptimizerOptions options_;
   Program program_;

@@ -85,7 +85,7 @@ double QError(double est_rows, double act_rows) {
 }
 
 CalibrationReport CalibrationReport::Build(const PlanNode& tree,
-                                           const ExecutionProfile& profile,
+                                           const MeasuredStatistics& actuals,
                                            std::string query) {
   CalibrationReport report;
   report.query_ = std::move(query);
@@ -94,31 +94,19 @@ CalibrationReport CalibrationReport::Build(const PlanNode& tree,
     const PlanNode* node;
     size_t depth;
   };
+  // Pre-order walk with an explicit stack (children pushed reversed so
+  // they pop in order).
   std::vector<Frame> stack = {{&tree, 0}};
-  // Explicit stack in child order: rebuild pre-order (a vector stack pops
-  // last-first, so push children reversed).
-  std::vector<Frame> pre;
   while (!stack.empty()) {
     Frame f = stack.back();
     stack.pop_back();
-    pre.push_back(f);
     for (auto it = f.node->children.rbegin(); it != f.node->children.rend();
          ++it) {
       stack.push_back({it->get(), f.depth + 1});
     }
-  }
-
-  for (const Frame& f : pre) {
     const PlanNode& node = *f.node;
-    if (node.kind == PlanNodeKind::kBuiltin) continue;  // folded into parent
-    // A bound scan's estimate is per binding instance, but the interpreter
-    // resolves scans as whole-relation reads (selection happens in the rule
-    // evaluator), so the two are not comparable; only free scans calibrate.
-    if (node.kind == PlanNodeKind::kScan && node.binding.BoundCount() > 0) {
-      continue;
-    }
-    const NodeActuals* a = profile.Find(&node);
-    if (a == nullptr || a->executions == 0) continue;  // no measurement
+    const std::optional<double> act = NodeActualRows(node, actuals);
+    if (!act) continue;  // no measurement
 
     NodeCalibration nc;
     nc.label = NodeLabel(node);
@@ -126,9 +114,7 @@ CalibrationReport CalibrationReport::Build(const PlanNode& tree,
     nc.method = node.method;
     nc.depth = f.depth;
     nc.est_rows = node.est_cardinality;
-    nc.act_rows = a->RowsPerExecution();
-    nc.executions = a->executions;
-    nc.memo_hits = a->memo_hits;
+    nc.act_rows = *act;
     nc.q_error = QError(nc.est_rows, nc.act_rows);
 
     report.sorted_q_.push_back(nc.q_error);
@@ -190,8 +176,7 @@ void CalibrationReport::WriteJson(std::ostream& os) const {
     JsonNumber(os, nc.est_rows);
     os << ",\"act_rows\":";
     JsonNumber(os, nc.act_rows);
-    os << ",\"executions\":" << nc.executions
-       << ",\"memo_hits\":" << nc.memo_hits << ",\"q_error\":";
+    os << ",\"q_error\":";
     JsonNumber(os, nc.q_error);
     os << '}';
   }
@@ -238,13 +223,11 @@ std::string CalibrationReport::ToString() const {
     Row row;
     row.label = std::string(nc.depth * 2, ' ') + nc.label;
     row.cells = {FormatDouble(nc.est_rows), FormatDouble(nc.act_rows),
-                 StrCat(nc.executions), StrCat(nc.memo_hits),
                  FormatDouble(nc.q_error)};
     rows.push_back(std::move(row));
   }
 
-  const std::vector<std::string> headers = {"EST ROWS", "ACT ROWS", "EXEC",
-                                            "MEMO", "Q-ERR"};
+  const std::vector<std::string> headers = {"EST ROWS", "ACT ROWS", "Q-ERR"};
   size_t label_width = 11;  // "CALIBRATION"
   for (const Row& row : rows) {
     label_width = std::max(label_width, row.label.size());
@@ -319,47 +302,30 @@ std::string CalibrationReport::ToString() const {
   return os.str();
 }
 
-MeasuredStatistics HarvestMeasuredStatistics(const PlanNode& tree,
-                                             const ExecutionProfile& profile) {
-  // Pool replicated subtrees: sum rows and executions per (pred, binding),
-  // then store the pooled per-execution average.
-  struct Pooled {
-    double rows = 0;
-    double execs = 0;
-  };
-  std::unordered_map<AdornedPredicate, Pooled, AdornedPredicateHash> pooled;
+std::optional<double> NodeActualRows(const PlanNode& node,
+                                     const MeasuredStatistics& actuals) {
+  if (node.kind == PlanNodeKind::kAnd ||
+      node.kind == PlanNodeKind::kBuiltin) {
+    return std::nullopt;
+  }
+  const double* rows = actuals.Find(node.goal.predicate(), node.binding);
+  if (rows == nullptr) return std::nullopt;
+  return *rows;
+}
 
+void AddScanSizes(const PlanNode& tree, const Database& db,
+                  MeasuredStatistics* actuals) {
   std::vector<const PlanNode*> stack = {&tree};
   while (!stack.empty()) {
     const PlanNode* node = stack.back();
     stack.pop_back();
     for (const auto& child : node->children) stack.push_back(child.get());
-
-    // AND nodes compute per-rule contributions, not the predicate's result;
-    // only SCAN/OR/CC nodes measure a (predicate, binding) cardinality.
-    if (node->kind != PlanNodeKind::kScan && node->kind != PlanNodeKind::kOr &&
-        node->kind != PlanNodeKind::kCc) {
-      continue;
-    }
-    const NodeActuals* a = profile.Find(node);
-    if (a == nullptr || a->executions == 0) continue;
-    // A scan's recorded rows measure the relation's total cardinality no
-    // matter which binding annotates the node (inline resolution returns
-    // the whole relation), so file it under the all-free adornment — the
-    // key MeasuredStatistics::AdjustBaseItem reads.
-    const Adornment adn = node->kind == PlanNodeKind::kScan
-                              ? Adornment::AllFree(node->goal.arity())
-                              : node->binding;
-    Pooled& p = pooled[AdornedPredicate{node->goal.predicate(), adn}];
-    p.rows += static_cast<double>(a->out_rows);
-    p.execs += static_cast<double>(a->executions);
+    if (node->kind != PlanNodeKind::kScan) continue;
+    const PredicateId pred = node->goal.predicate();
+    const Relation* rel = db.Find(pred);
+    actuals->Set(pred, Adornment::AllFree(pred.arity),
+                 rel == nullptr ? 0.0 : static_cast<double>(rel->size()));
   }
-
-  MeasuredStatistics measured;
-  for (const auto& [ap, p] : pooled) {
-    measured.Set(ap.pred, ap.adornment, p.rows / p.execs);
-  }
-  return measured;
 }
 
 RegretAnalysis ComputePlanRegret(const Program& program,

@@ -3,19 +3,20 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
 
-#include "obs/context.h"
 #include "obs/metrics.h"
 #include "optimizer/optimizer.h"
 #include "plan/processing_tree.h"
+#include "storage/database.h"
 
 namespace ldl {
 
 /// Cost-model calibration: pairs the optimizer's per-node estimates with
-/// the actuals an ExecutionProfile measured, and quantifies how good the
+/// the actuals of the run that served the query, and quantifies how good the
 /// paper's section 6 bet — "a monotone, system-dependent cost model over
 /// operand sizes picks good processing trees" — actually was on this run.
 ///
@@ -40,9 +41,7 @@ struct NodeCalibration {
   std::string method;  ///< EL/PA label ("scan", "counting", ...)
   size_t depth = 0;    ///< tree depth, for indented rendering
   double est_rows = 0;   ///< optimizer estimate (per binding instance)
-  double act_rows = 0;   ///< measured rows per real execution
-  size_t executions = 0;
-  size_t memo_hits = 0;
+  double act_rows = 0;   ///< measured rows per binding instance
   double q_error = 1;
 };
 
@@ -79,11 +78,11 @@ class CalibrationReport {
  public:
   CalibrationReport() = default;
 
-  /// Walks `tree` pairing est_cardinality with the profile's actuals.
-  /// Builtin leaves and never-executed nodes carry no measurement and are
-  /// skipped. `query` labels the report in exports.
+  /// Walks `tree` pairing est_cardinality with the actual rows
+  /// (NodeActualRows). Nodes without a measurement are skipped. `query`
+  /// labels the report in exports.
   static CalibrationReport Build(const PlanNode& tree,
-                                 const ExecutionProfile& profile,
+                                 const MeasuredStatistics& actuals,
                                  std::string query = "");
 
   const std::string& query() const { return query_; }
@@ -131,13 +130,20 @@ class CalibrationReport {
   RegretAnalysis regret_;
 };
 
-/// Harvests measured per-(predicate, adornment) cardinalities from an
-/// executed tree: every SCAN/OR/CC node that really ran contributes its
-/// average rows per execution. Replicated subtrees with the same predicate
-/// and binding are pooled. This is the overlay OptimizerOptions::measured
-/// consumes.
-MeasuredStatistics HarvestMeasuredStatistics(const PlanNode& tree,
-                                             const ExecutionProfile& profile);
+/// The actual rows per binding instance of `node` in a served run whose
+/// measurements are `actuals`: the entry for (node.goal.predicate(),
+/// node.binding) of a SCAN/OR/CC node. AND and builtin nodes have none —
+/// the engine computes predicates, not per-rule relations — and neither
+/// has a (predicate, binding) the run did not compute.
+std::optional<double> NodeActualRows(const PlanNode& node,
+                                     const MeasuredStatistics& actuals);
+
+/// Adds to `actuals` the fact-base size of every base relation a SCAN node
+/// of `tree` reads, under the all-free adornment: the actual of a free
+/// scan, and the true base cardinality for the regret and feedback
+/// overlays whatever binding the scan runs under.
+void AddScanSizes(const PlanNode& tree, const Database& db,
+                  MeasuredStatistics* actuals);
 
 /// Plan-regret analysis: re-optimizes `goal` under `measured` to find the
 /// hindsight-optimal plan, costs `chosen` under the same overlay by pinning

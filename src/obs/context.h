@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <string_view>
-#include <unordered_map>
 
 #include "base/status.h"
 #include "obs/metrics.h"
@@ -62,38 +61,6 @@ struct TraceContext {
   /// Sets a named gauge (no-op without a registry).
   void Set(std::string_view name, double value) const {
     if (metrics != nullptr) metrics->gauge(name)->Set(value);
-  }
-};
-
-/// Measured per-operator facts from one execution, keyed by node identity
-/// (the PlanNode address for processing-tree execution). This is what
-/// EXPLAIN ANALYZE prints next to the optimizer's estimates.
-struct NodeActuals {
-  size_t executions = 0;       ///< times the node was actually evaluated
-  size_t memo_hits = 0;        ///< times a prior result was reused (tabling)
-  /// Total tuples produced across real evaluations. A memo hit replays a
-  /// result that was already counted, so it must NOT re-add rows here —
-  /// otherwise EXPLAIN ANALYZE double-counts nodes executed under
-  /// memoization. The per-evaluation average (out_rows / executions) is
-  /// what pairs with the optimizer's per-binding cardinality estimate.
-  size_t out_rows = 0;
-  size_t tuples_examined = 0;  ///< work done inside the node (inclusive)
-  double wall_ms = 0;          ///< wall time across evaluations (inclusive)
-
-  /// Average rows per real evaluation (0 when never executed).
-  double RowsPerExecution() const {
-    return executions == 0
-               ? 0.0
-               : static_cast<double>(out_rows) / static_cast<double>(executions);
-  }
-};
-
-struct ExecutionProfile {
-  std::unordered_map<const void*, NodeActuals> nodes;
-
-  const NodeActuals* Find(const void* node) const {
-    auto it = nodes.find(node);
-    return it == nodes.end() ? nullptr : &it->second;
   }
 };
 

@@ -86,7 +86,8 @@ class StatisticsCatalog {
   void Observe(const PredicateId& pred, const Adornment& adn, double card,
                uint64_t epoch);
 
-  /// Folds every entry of a harvested overlay (HarvestMeasuredStatistics).
+  /// Folds every entry of a served run's measurements (LdlSystem::Query,
+  /// AnalyzeCalibrated).
   void ObserveMeasured(const MeasuredStatistics& measured, uint64_t epoch);
 
   /// Copies the entry for (pred, adn) into *out; false when never observed.

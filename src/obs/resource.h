@@ -33,7 +33,7 @@ struct QueryLimits {
 };
 
 /// Per-query (or per-session) resource meter: bytes held by derived tuple
-/// storage (scratch relations, interpreter tables, the NR-OPT memo), tuples
+/// storage (scratch relations, the NR-OPT memo), tuples
 /// examined/derived, and fixpoint rounds.
 ///
 /// Accountants form a hierarchy: every charge also rolls up into the parent
@@ -140,10 +140,10 @@ class ResourceAccountant {
 };
 
 /// Cooperative cancellation handle threaded through the optimizer search,
-/// the fixpoint loop, rule evaluation, and the tree interpreter via
-/// TraceContext. Check() is called at bounded intervals (per fixpoint
-/// round, per plan-node execution, every kCheckIntervalTuples tuples inside
-/// a rule body join) and returns the typed abort reason:
+/// the fixpoint loop and rule evaluation via TraceContext. Check() is
+/// called at bounded intervals (per fixpoint round, per rule evaluation,
+/// every kCheckIntervalTuples tuples inside a rule body join) and returns
+/// the typed abort reason:
 ///
 ///   - kCancelled          RequestCancel() was called (or on a parent);
 ///   - kDeadlineExceeded   the wall-clock deadline passed;

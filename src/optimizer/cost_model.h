@@ -100,14 +100,15 @@ struct ConjunctItem {
 ConjunctItem MakeBaseItem(const Literal& lit, const Statistics& stats,
                           const CostModelOptions& options);
 
-/// Measured ("hindsight") cardinalities keyed by (predicate, adornment),
-/// harvested from an ExecutionProfile after an EXPLAIN ANALYZE run. The
-/// optimizer accepts one as an overlay (OptimizerOptions::measured): wherever
-/// the cost model would use an estimated cardinality for a (predicate,
-/// binding) pair that was actually executed, the measured per-binding row
-/// count is injected instead. Re-optimizing under the overlay yields the
-/// plan the optimizer *would have chosen* with perfect estimates — the basis
-/// of plan-regret analysis (obs/calibration.h).
+/// Measured ("hindsight") cardinalities keyed by (predicate, adornment):
+/// the rows per binding a served run computed (QueryResult::derived_sizes,
+/// LdlSystem::AnalyzeCalibrated). The optimizer accepts one as an overlay
+/// (OptimizerOptions::measured): wherever the cost model would use an
+/// estimated cardinality for a (predicate, binding) pair that was actually
+/// executed, the measured per-binding row count is injected instead.
+/// Re-optimizing under the overlay yields the plan the optimizer *would
+/// have chosen* with perfect estimates — the basis of plan-regret analysis
+/// (obs/calibration.h).
 ///
 /// Cardinalities are per binding instance, matching PlanEstimate::card: the
 /// all-free entry of a predicate is its total measured size.

@@ -16,12 +16,6 @@ std::string FormatDouble(double v) {
   return buf;
 }
 
-std::string FormatMillis(double ms) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", ms);
-  return buf;
-}
-
 /// The tree-structure label of one node: everything EXPLAIN shows apart
 /// from the numeric columns. Matches PlanNode::ToString's vocabulary so the
 /// two views read the same.
@@ -51,48 +45,30 @@ struct Row {
 };
 
 void CollectRows(const PlanNode& node, size_t depth,
-                 const ExecutionProfile* profile, std::vector<Row>* rows) {
+                 const NodeActualRowsFn& actual_rows, std::vector<Row>* rows) {
   Row row;
   row.label = std::string(depth * 2, ' ') + NodeLabel(node);
   row.cells.push_back(FormatDouble(node.est_cost));
   row.cells.push_back(FormatDouble(node.est_cardinality));
-  if (profile != nullptr) {
-    const NodeActuals* a = profile->Find(&node);
-    if (a == nullptr || a->executions == 0) {
-      // Never executed directly: builtins are folded into their AND parent;
-      // a pure memo-hit node keeps its hit count visible.
-      const char* dash = "-";
-      row.cells.push_back(dash);
-      row.cells.push_back(dash);
-      row.cells.push_back(dash);
-      row.cells.push_back(dash);
-      row.cells.push_back(a == nullptr ? dash : StrCat(a->memo_hits));
-    } else {
-      row.cells.push_back(StrCat(a->out_rows));
-      row.cells.push_back(StrCat(a->tuples_examined));
-      row.cells.push_back(FormatMillis(a->wall_ms));
-      row.cells.push_back(StrCat(a->executions));
-      row.cells.push_back(StrCat(a->memo_hits));
-    }
+  if (actual_rows) {
+    const std::optional<double> act = actual_rows(node);
+    row.cells.push_back(act ? FormatDouble(*act) : "-");
   }
   rows->push_back(std::move(row));
   for (const auto& child : node.children) {
-    CollectRows(*child, depth + 1, profile, rows);
+    CollectRows(*child, depth + 1, actual_rows, rows);
   }
 }
 
 }  // namespace
 
 std::string RenderExplain(const PlanNode& tree,
-                          const ExecutionProfile* profile) {
+                          const NodeActualRowsFn& actual_rows) {
   std::vector<Row> rows;
-  CollectRows(tree, 0, profile, &rows);
+  CollectRows(tree, 0, actual_rows, &rows);
 
   std::vector<std::string> headers = {"EST COST", "EST ROWS"};
-  if (profile != nullptr) {
-    headers.insert(headers.end(),
-                   {"ROWS", "TUPLES", "TIME MS", "EXEC", "MEMO"});
-  }
+  if (actual_rows) headers.push_back("ROWS");
 
   size_t label_width = 4;  // "PLAN"
   for (const Row& row : rows) {

@@ -1,9 +1,10 @@
 #ifndef LDLOPT_PLAN_EXPLAIN_H_
 #define LDLOPT_PLAN_EXPLAIN_H_
 
+#include <functional>
+#include <optional>
 #include <string>
 
-#include "obs/context.h"
 #include "obs/search_trace.h"
 #include "plan/processing_tree.h"
 
@@ -11,18 +12,17 @@ namespace ldl {
 
 /// EXPLAIN / EXPLAIN ANALYZE rendering of an annotated processing tree.
 ///
-/// Without a profile the output is the estimate-only EXPLAIN view: one row
-/// per node showing the tree structure (AND/OR/CC/SCAN/BUILTIN, [mat]/[pipe]
-/// marks, method labels, adornments) with the optimizer's cost and
-/// cardinality estimates in aligned columns.
+/// Without `actual_rows` the output is the estimate-only EXPLAIN view: one
+/// row per node showing the tree structure (AND/OR/CC/SCAN/BUILTIN,
+/// [mat]/[pipe] marks, method labels, adornments) with the optimizer's cost
+/// and cardinality estimates in aligned columns.
 ///
-/// With a profile (an ExecutionProfile filled by TreeInterpreter over the
-/// same tree) it becomes EXPLAIN ANALYZE: estimated cost/rows side by side
-/// with measured rows, tuples examined, wall time, executions and memo hits
-/// per node. Nodes the execution never reached (e.g. builtins evaluated
-/// inline by their AND parent) show "-" in the measured columns.
+/// With it the output becomes EXPLAIN ANALYZE: a ROWS column next to the
+/// estimates, holding the actual rows per binding instance that
+/// `actual_rows` reports for the node, or "-" where it reports none.
+using NodeActualRowsFn = std::function<std::optional<double>(const PlanNode&)>;
 std::string RenderExplain(const PlanNode& tree,
-                          const ExecutionProfile* profile = nullptr);
+                          const NodeActualRowsFn& actual_rows = nullptr);
 
 /// EXPLAIN OPTIMIZE rendering of a recorded search: a disposition summary,
 /// the candidate log grouped under its search scopes (indented by scope

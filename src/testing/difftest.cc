@@ -9,9 +9,6 @@
 #include "engine/query_eval.h"
 #include "ldl/ldl.h"
 #include "obs/feedback.h"
-#include "plan/interpreter.h"
-#include "plan/processing_tree.h"
-#include "storage/statistics.h"
 #include "storage/tuple.h"
 
 namespace ldl {
@@ -88,27 +85,6 @@ Result<QueryResult> EvalOptimized(LdlSystem* sys, const Literal& goal,
   LDL_ASSIGN_OR_RETURN(QueryAnswer answer, sys->Query(goal));
   QueryResult result;
   result.answers = std::move(answer.answers);
-  return result;
-}
-
-/// The §4 processing-tree interpreter path: build, annotate, execute.
-Result<QueryResult> EvalTree(const Program& program, Database* db,
-                             const Statistics& stats, const Literal& goal,
-                             const OptimizerOptions& options) {
-  Optimizer optimizer(program, stats, options);
-  LDL_ASSIGN_OR_RETURN(QueryPlan plan, optimizer.Optimize(goal));
-  if (!plan.safe) {
-    return Status::Unsafe(
-        StrCat("optimizer reports unsafe: ", plan.unsafe_reason));
-  }
-  LDL_ASSIGN_OR_RETURN(std::unique_ptr<PlanNode> tree,
-                       BuildProcessingTree(program, goal));
-  LDL_RETURN_NOT_OK(optimizer.AnnotateTree(tree.get()));
-  TreeInterpreter interpreter(program, db);
-  LDL_ASSIGN_OR_RETURN(Relation answers,
-                       interpreter.Execute(*tree, tree->goal));
-  QueryResult result;
-  result.answers = std::move(answers);
   return result;
 }
 
@@ -344,6 +320,13 @@ DiffOutcome RunDifferential(const GeneratedProgram& prog,
       nopush.verify_plans = true;
       RecordAnswers(&h, &out, "opt:exhaustive:nopush",
                     EvalOptimized(&sys, prog.query, nopush));
+      // MP ablation: the optimizer may not materialize any subtree, so
+      // every plan is pipeline-only (section 4), and must still verify.
+      OptimizerOptions pipeline;
+      pipeline.consider_materialization = false;
+      pipeline.verify_plans = true;
+      RecordAnswers(&h, &out, "opt:pipeline-only",
+                    EvalOptimized(&sys, prog.query, pipeline));
       // Semantic pre-optimization on: dead rules eliminated, statically
       // unreachable adornments pruned from the search. Must be invisible
       // in the answer set, and the resulting plans must still verify.
@@ -371,18 +354,6 @@ DiffOutcome RunDifferential(const GeneratedProgram& prog,
                       EvalOptimized(&sys, prog.query, fed));
         sys.set_feedback(nullptr, nullptr);
       }
-    }
-  }
-
-  // --- processing-tree interpreter (MP axis) -------------------------------
-  if (options.run_tree_interpreter) {
-    Statistics stats = Statistics::Collect(h.db);
-    for (bool materialize : {true, false}) {
-      OptimizerOptions o;
-      o.consider_materialization = materialize;
-      RecordAnswers(&h, &out,
-                    materialize ? "tree:materialize" : "tree:pipeline",
-                    EvalTree(h.program, &h.db, stats, prog.query, o));
     }
   }
 

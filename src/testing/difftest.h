@@ -33,9 +33,8 @@ GeneratedProgram ApplyFault(const GeneratedProgram& prog, Fault fault);
 ///  - the optimized path (LdlSystem::Query) per join-order strategy,
 ///    including the lexicographic no-optimizer baseline, plus an
 ///    exhaustive run with projection pushdown disabled (canonical vs
-///    rewritten program);
-///  - the §4 processing-tree interpreter with materialization considered
-///    and with pipeline-only plans (MP ablation).
+///    rewritten program) and one restricted to pipeline-only plans (the
+///    §4 MP ablation).
 /// Metamorphic checks ride on top: growing the EDB never shrinks a
 /// positive query's answers, and a bound query equals the filtered free
 /// query.
@@ -48,7 +47,6 @@ struct DiffTestOptions {
       SearchStrategy::kExhaustive, SearchStrategy::kDynamicProgramming,
       SearchStrategy::kKbz, SearchStrategy::kAnnealing,
       SearchStrategy::kLexicographic};
-  bool run_tree_interpreter = true;
   bool run_metamorphic = true;
   /// Adds an "opt:analysis" configuration: exhaustive search with the
   /// semantic pre-optimization passes on (dead-rule elimination +

@@ -1,6 +1,6 @@
 // Cost-model calibration (src/obs/calibration.h): q-error pairing of
-// estimates with measured actuals, the measured-statistics overlay, plan
-// pinning, plan regret, and the memoization row-counting guard.
+// estimates with the served run's actuals, the measured-statistics overlay,
+// plan pinning, and plan regret.
 
 #include "obs/calibration.h"
 
@@ -13,7 +13,6 @@
 #include "ast/parser.h"
 #include "ldl/ldl.h"
 #include "obs/feedback.h"
-#include "plan/interpreter.h"
 #include "plan/processing_tree.h"
 #include "storage/statistics.h"
 #include "testing/workloads.h"
@@ -73,28 +72,15 @@ TEST(MeasuredStatisticsTest, AdjustBaseItemInjectsMeasuredTruth) {
 // is 1 and re-optimizing under the measured truth changes nothing.
 
 TEST(CalibrationTest, ExactStatisticsGiveUnitQErrorAndZeroRegret) {
-  auto program = ParseProgram("gp(X, Z) <- par(X, Y), par(Y, Z).");
-  ASSERT_TRUE(program.ok());
-  Database db;
-  size_t nodes = testing::MakeTreeParentData(3, 4, &db);
-  Statistics stats = Statistics::Collect(db);
-  Literal goal = *ParseLiteral("gp(" + std::to_string(nodes - 1) + ", Z)");
+  LdlSystem sys;
+  ASSERT_TRUE(sys.LoadProgram("gp(X, Z) <- par(X, Y), par(Y, Z).").ok());
+  size_t nodes = testing::MakeTreeParentData(3, 4, sys.database());
+  sys.RefreshStatistics();
+  auto analyzed =
+      sys.AnalyzeCalibrated("gp(" + std::to_string(nodes - 1) + ", Z)");
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
 
-  OptimizerOptions options;
-  Optimizer optimizer(*program, stats, options);
-  auto plan = optimizer.Optimize(goal);
-  ASSERT_TRUE(plan.ok());
-  ASSERT_TRUE(plan->safe) << plan->unsafe_reason;
-  auto tree = BuildProcessingTree(*program, goal);
-  ASSERT_TRUE(tree.ok());
-  ASSERT_TRUE(optimizer.AnnotateTree(tree->get()).ok());
-
-  TreeInterpreter interpreter(*program, &db);
-  auto answers = interpreter.Execute(**tree, (*tree)->goal);
-  ASSERT_TRUE(answers.ok());
-
-  CalibrationReport report = CalibrationReport::Build(
-      **tree, interpreter.profile(), goal.ToString());
+  const CalibrationReport& report = analyzed->report;
   ASSERT_GT(report.sample_count(), 0u);
   EXPECT_NEAR(report.median_q_error(), 1.0, 1e-9);
   EXPECT_NEAR(report.p95_q_error(), 1.0, 1e-9);
@@ -102,12 +88,7 @@ TEST(CalibrationTest, ExactStatisticsGiveUnitQErrorAndZeroRegret) {
   for (const NodeCalibration& nc : report.nodes()) {
     EXPECT_NEAR(nc.q_error, 1.0, 1e-9) << nc.label;
   }
-
-  MeasuredStatistics measured =
-      HarvestMeasuredStatistics(**tree, interpreter.profile());
-  EXPECT_FALSE(measured.empty());
-  RegretAnalysis regret =
-      ComputePlanRegret(*program, stats, options, goal, *plan, measured);
+  const RegretAnalysis& regret = report.regret();
   ASSERT_TRUE(regret.computed) << regret.note;
   EXPECT_DOUBLE_EQ(regret.regret(), 0.0);
   EXPECT_DOUBLE_EQ(regret.ratio(), 1.0);
@@ -138,40 +119,48 @@ struct SkewedFixture {
   }
 };
 
+/// The same lie told to a live system: statistics collected while r held
+/// 2 rows, then r grown to 60 behind their back (bulk loads through
+/// database() deliberately do not refresh).
+void LoadStaleSkew(LdlSystem* sys) {
+  ASSERT_TRUE(sys->LoadProgram(R"(
+    t(A, C) <- r(A, B), s(B, C).
+    r(100, 0). r(101, 1).
+    s(0, 0). s(1, 1). s(2, 2).
+  )").ok());
+  ASSERT_EQ(sys->statistics()
+                .Get(ParseLiteral("r(X, Y)")->predicate())
+                .cardinality,
+            2);
+  for (int i = 0; i < 58; ++i) {
+    sys->database()->AddFact(
+        Literal::Make("r", {Term::MakeInt(i), Term::MakeInt(i % 3)}));
+  }
+}
+
 TEST(CalibrationTest, MisestimationYieldsQErrorAboveOneAndPositiveRegret) {
-  SkewedFixture fx;
-  ASSERT_TRUE(fx.program.ok());
-
-  OptimizerOptions options;
-  Optimizer optimizer(*fx.program, fx.stats, options);
-  auto plan = optimizer.Optimize(fx.goal);
-  ASSERT_TRUE(plan.ok());
-  ASSERT_TRUE(plan->safe);
+  LdlSystem sys;
+  LoadStaleSkew(&sys);
+  auto analyzed = sys.AnalyzeCalibrated("t(A, C)");
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  EXPECT_EQ(analyzed->answer.answers.size(), 60u);
   // The lie makes r look free to scan: it goes first.
-  ASSERT_EQ(plan->rule_orders.at(0), (std::vector<size_t>{0, 1}));
+  ASSERT_EQ(analyzed->answer.plan.rule_orders.at(0),
+            (std::vector<size_t>{0, 1}));
 
-  auto tree = BuildProcessingTree(*fx.program, fx.goal);
-  ASSERT_TRUE(tree.ok());
-  ASSERT_TRUE(optimizer.AnnotateTree(tree->get()).ok());
-  TreeInterpreter interpreter(*fx.program, &fx.db);
-  auto answers = interpreter.Execute(**tree, (*tree)->goal);
-  ASSERT_TRUE(answers.ok());
-  EXPECT_EQ(answers->size(), 60u);
-
-  CalibrationReport report = CalibrationReport::Build(
-      **tree, interpreter.profile(), fx.goal.ToString());
-  // The r scan was estimated at 2 rows and produced 60: q-error 30.
+  // The r scan was estimated at 2 rows and read 60: q-error 30.
+  const CalibrationReport& report = analyzed->report;
   EXPECT_GT(report.max_q_error(), 5.0);
+  bool saw_r = false;
+  for (const NodeCalibration& nc : report.nodes()) {
+    if (nc.kind == "SCAN" && nc.label.find(" r(") != std::string::npos) {
+      saw_r = true;
+      EXPECT_DOUBLE_EQ(nc.act_rows, 60) << nc.label;
+    }
+  }
+  EXPECT_TRUE(saw_r);
 
-  MeasuredStatistics measured =
-      HarvestMeasuredStatistics(**tree, interpreter.profile());
-  const double* r_ff = measured.Find(ParseLiteral("r(X, Y)")->predicate(),
-                                     Adornment::AllFree(2));
-  ASSERT_NE(r_ff, nullptr);
-  EXPECT_DOUBLE_EQ(*r_ff, 60);
-
-  RegretAnalysis regret = ComputePlanRegret(*fx.program, fx.stats, options,
-                                            fx.goal, *plan, measured);
+  const RegretAnalysis& regret = report.regret();
   ASSERT_TRUE(regret.computed) << regret.note;
   EXPECT_GT(regret.regret(), 0.0);
   EXPECT_GT(regret.ratio(), 1.0);
@@ -201,71 +190,14 @@ TEST(CalibrationTest, PinnedConstraintsForceTheGivenOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// The memoization guard (NodeActuals::out_rows): a memo hit replays an
-// already-counted result, so re-running a memoized subtree must bump
-// memo_hits without re-adding rows.
-
-TEST(CalibrationTest, MemoHitsDoNotDoubleCountMeasuredRows) {
-  auto program = ParseProgram("t(X, Y) <- r(X, Y).");
-  ASSERT_TRUE(program.ok());
-  Database db;
-  for (int i = 0; i < 7; ++i) {
-    db.AddFact(Literal::Make("r", {Term::MakeInt(i), Term::MakeInt(i + 1)}));
-  }
-  Statistics stats = Statistics::Collect(db);
-  Literal goal = *ParseLiteral("t(X, Y)");
-  auto tree = BuildProcessingTree(*program, goal);
-  ASSERT_TRUE(tree.ok());
-  OptimizerOptions options;
-  Optimizer optimizer(*program, stats, options);
-  ASSERT_TRUE(optimizer.AnnotateTree(tree->get()).ok());
-
-  TreeInterpreter interpreter(*program, &db);
-  auto first = interpreter.Execute(**tree, (*tree)->goal);
-  ASSERT_TRUE(first.ok());
-  ASSERT_EQ(first->size(), 7u);
-  // Same node, same goal instance: served from the memo.
-  auto second = interpreter.Execute(**tree, (*tree)->goal);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(second->size(), 7u);
-
-  const NodeActuals* actuals = interpreter.profile().Find(tree->get());
-  ASSERT_NE(actuals, nullptr);
-  EXPECT_EQ(actuals->executions, 1u);
-  EXPECT_EQ(actuals->memo_hits, 1u);
-  EXPECT_EQ(actuals->out_rows, 7u);  // NOT 14: the hit must not re-add
-  EXPECT_DOUBLE_EQ(actuals->RowsPerExecution(), 7.0);
-
-  // The q-error pairing depends on per-execution rows, so the guard keeps
-  // calibration honest under memoization too.
-  CalibrationReport report = CalibrationReport::Build(
-      **tree, interpreter.profile(), goal.ToString());
-  for (const NodeCalibration& nc : report.nodes()) {
-    if (nc.memo_hits > 0) EXPECT_NEAR(nc.act_rows, 7.0, 1e-9) << nc.label;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Export shapes.
 
 TEST(CalibrationTest, JsonAndTextExportsCarryAllSections) {
-  SkewedFixture fx;
-  ASSERT_TRUE(fx.program.ok());
-  OptimizerOptions options;
-  Optimizer optimizer(*fx.program, fx.stats, options);
-  auto plan = optimizer.Optimize(fx.goal);
-  ASSERT_TRUE(plan.ok());
-  auto tree = BuildProcessingTree(*fx.program, fx.goal);
-  ASSERT_TRUE(tree.ok());
-  ASSERT_TRUE(optimizer.AnnotateTree(tree->get()).ok());
-  TreeInterpreter interpreter(*fx.program, &fx.db);
-  ASSERT_TRUE(interpreter.Execute(**tree, (*tree)->goal).ok());
-
-  CalibrationReport report = CalibrationReport::Build(
-      **tree, interpreter.profile(), fx.goal.ToString());
-  report.set_regret(ComputePlanRegret(
-      *fx.program, fx.stats, options, fx.goal, *plan,
-      HarvestMeasuredStatistics(**tree, interpreter.profile())));
+  LdlSystem sys;
+  LoadStaleSkew(&sys);
+  auto analyzed = sys.AnalyzeCalibrated("t(A, C)");
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  const CalibrationReport& report = analyzed->report;
 
   std::ostringstream json;
   report.WriteJson(json);
@@ -287,17 +219,11 @@ TEST(CalibrationTest, JsonAndTextExportsCarryAllSections) {
 }
 
 TEST(CalibrationTest, MetricsExportPopulatesRegistry) {
-  SkewedFixture fx;
-  ASSERT_TRUE(fx.program.ok());
-  OptimizerOptions options;
-  Optimizer optimizer(*fx.program, fx.stats, options);
-  auto tree = BuildProcessingTree(*fx.program, fx.goal);
-  ASSERT_TRUE(tree.ok());
-  ASSERT_TRUE(optimizer.AnnotateTree(tree->get()).ok());
-  TreeInterpreter interpreter(*fx.program, &fx.db);
-  ASSERT_TRUE(interpreter.Execute(**tree, (*tree)->goal).ok());
-  CalibrationReport report = CalibrationReport::Build(
-      **tree, interpreter.profile(), fx.goal.ToString());
+  LdlSystem sys;
+  LoadStaleSkew(&sys);
+  auto analyzed = sys.AnalyzeCalibrated("t(A, C)");
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  const CalibrationReport& report = analyzed->report;
 
   MetricsRegistry metrics;
   report.ExportTo(&metrics);

@@ -112,9 +112,9 @@ TEST(DiffTestTest, CleanProgramsProduceNoMismatch) {
     ASSERT_FALSE(outcome.reference_failed) << outcome.detail;
     EXPECT_FALSE(outcome.failed())
         << prog.summary << "\n" << outcome.detail << prog.ToLdl();
-    // The matrix really ran: reference + 3 methods + 6 optimizer configs
-    // + 2 tree configs.
-    EXPECT_GE(outcome.configs.size(), 12u);
+    // The matrix really ran: reference + 3 methods + 5 strategies +
+    // nopush, pipeline-only, analysis and feedback optimizer configs.
+    EXPECT_GE(outcome.configs.size(), 13u);
     EXPECT_TRUE(outcome.FailureSignatures().empty());
   }
 }

@@ -273,15 +273,6 @@ TEST(ContextTest, ActiveAndInert) {
   EXPECT_DOUBLE_EQ(metrics.gauge_value("level"), 3);
 }
 
-TEST(ContextTest, ExecutionProfileLookup) {
-  ExecutionProfile profile;
-  int node = 0;
-  EXPECT_EQ(profile.Find(&node), nullptr);
-  profile.nodes[&node].out_rows = 9;
-  ASSERT_NE(profile.Find(&node), nullptr);
-  EXPECT_EQ(profile.Find(&node)->out_rows, 9u);
-}
-
 TEST(SearchTracerTest, RecordsCandidatesUnderScopes) {
   SearchTracer tracer;
   uint32_t root = tracer.BeginScope("p anc.bf/2");

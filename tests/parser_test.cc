@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace ldl {
 namespace {
 
@@ -126,6 +128,53 @@ TEST(ParserTest, RoundTripPrinting) {
   auto result = ParseProgram(text);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->rules()[0].ToString(), text);
+}
+
+std::string NestedCalls(size_t depth) {
+  std::string text = "p(";
+  for (size_t i = 0; i < depth; ++i) text += "f(";
+  text += "a";
+  text.append(depth + 1, ')');
+  return text + ".";
+}
+
+TEST(ParserTest, HostileNestingIsATypedError) {
+  auto result = ParseProgram("q(a).\n" + NestedCalls(100000));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("line 2"), std::string::npos)
+      << result.status().ToString();
+  EXPECT_NE(result.status().message().find("nesting"), std::string::npos)
+      << result.status().ToString();
+
+  std::string negations;
+  for (int i = 0; i < 100000; ++i) negations += "not ";
+  auto negated = ParseProgram("p(X) <- q(X), " + negations + "r(X).");
+  ASSERT_FALSE(negated.ok());
+  EXPECT_EQ(negated.status().code(), StatusCode::kInvalidArgument);
+
+  // A chain of binary operators nests its left operand one level per
+  // operator: 100k of them build a term as deep as 100k calls.
+  std::string sum = "Y";
+  for (int i = 0; i < 100000; ++i) sum += " + Y";
+  auto chained = ParseProgram("p(X) <- q(Y), X = " + sum + ".");
+  ASSERT_FALSE(chained.ok());
+  EXPECT_EQ(chained.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ParserTest, NestingWithinTheLimitParses) {
+  auto result = ParseProgram(NestedCalls(1000));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->facts().size(), 1u);
+  EXPECT_EQ(result->facts()[0].args()[0].Depth(), 1001u);
+}
+
+TEST(ParserTest, ListLengthDoesNotCountTowardNesting) {
+  std::string text = "l([";
+  for (int i = 0; i < 5000; ++i) text += i ? ", 1" : "1";
+  auto result = ParseProgram(text + "]).");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->facts().size(), 1u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 namespace ldl {
 namespace {
@@ -58,6 +59,27 @@ TEST(TermTest, ListSugar) {
   Term with_tail =
       Term::MakeList({Term::MakeInt(1)}, Term::MakeVariable("T"));
   EXPECT_EQ(with_tail.ToString(), "[1 | T]");
+}
+
+TEST(TermTest, MillionElementListDestroysIteratively) {
+  std::vector<Term> items(1000000, Term::MakeInt(7));
+  {
+    Term list = Term::MakeList(items);
+    EXPECT_TRUE(list.IsFunction());
+    EXPECT_EQ(list.args()[0].int_value(), 7);
+  }  // a recursive destructor overflows the stack here
+  SUCCEED();
+}
+
+TEST(TermTest, SharedTailSurvivesTheListThatHeldIt) {
+  Term tail;
+  {
+    Term list = Term::MakeList(std::vector<Term>(1000, Term::MakeInt(1)),
+                               Term::MakeList({Term::MakeInt(2)}));
+    tail = list;
+    for (int i = 0; i < 1000; ++i) tail = Term(tail.args()[1]);
+  }
+  EXPECT_EQ(tail.ToString(), "[2]");
 }
 
 TEST(TermTest, CollectVariables) {

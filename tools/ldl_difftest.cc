@@ -9,7 +9,6 @@
 //                        mixed (default mixed)
 //   --methods LIST       comma-separated subset of naive,magic,counting to
 //                        run beyond the semi-naive reference (default all)
-//   --no-tree            skip the processing-tree interpreter configurations
 //   --no-metamorphic     skip the metamorphic checks
 //   --no-analysis        skip the opt:analysis configuration (semantic
 //                        pre-optimization: dead-rule elimination +
@@ -53,7 +52,7 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage: ldl_difftest [--seed S|A..B]... [--iters N] [--shape SHAPE]\n"
-      "                    [--methods naive,magic,counting] [--no-tree]\n"
+      "                    [--methods naive,magic,counting]\n"
       "                    [--no-metamorphic] [--no-analysis] "
       "[--no-feedback]\n"
       "                    [--repro-dir DIR] [--max-shrink-evals N]\n"
@@ -167,8 +166,6 @@ int main(int argc, char** argv) {
         }
         pos = comma + 1;
       }
-    } else if (arg == "--no-tree") {
-      options.run_tree_interpreter = false;
     } else if (arg == "--no-metamorphic") {
       options.run_metamorphic = false;
     } else if (arg == "--no-analysis") {

@@ -3,9 +3,9 @@
 // Usage: ldl_profile [options] file.ldl
 //        ldl_profile [options] -          (read the program from stdin)
 //
-//   --analyze            EXPLAIN ANALYZE: execute each query through the
-//                        tree interpreter and print estimated cost next to
-//                        measured rows / tuples / time per plan node.
+//   --analyze            EXPLAIN ANALYZE: execute each query exactly as
+//                        LdlSystem::Query does and print the estimates next
+//                        to the served run's rows per plan node and totals.
 //                        Default is EXPLAIN only (no execution).
 //   --query GOAL         profile GOAL (e.g. "anc(bart, Y)") instead of the
 //                        query forms embedded in the file. Repeatable.
