@@ -174,11 +174,7 @@ class RuleEvaluator {
       }
     }
 
-    Relation* rel = nullptr;
-    if (options_.pattern_resolver) {
-      rel = options_.pattern_resolver(lit, order_[depth], patterns);
-    }
-    if (rel == nullptr) rel = resolve_(lit, order_[depth]);
+    Relation* rel = resolve_(lit, order_[depth]);
     if (rel == nullptr) return Status::OK();
 
     auto try_tuple = [&](const Tuple& t) -> Status {

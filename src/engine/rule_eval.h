@@ -38,21 +38,11 @@ struct EvalCounters {
 using RelationResolver =
     std::function<Relation*(const Literal& lit, size_t body_pos)>;
 
-/// A binding-aware resolver: receives the literal's argument patterns under
-/// the current substitution (ground where bound). Lets a caller implement
-/// *pipelined* evaluation of derived literals — computing, per binding
-/// instance, just the matching fragment of the subquery (with tabling on
-/// the caller's side). Returning nullptr falls back to the plain resolver.
-using PatternResolver = std::function<Relation*(
-    const Literal& lit, size_t body_pos, const std::vector<Term>& patterns)>;
-
 struct RuleEvalOptions {
   /// Order in which to visit body literals; empty = textual order.
   std::vector<size_t> order;
   /// Guard against runaway evaluation (unsafe programs).
   size_t max_derivations = 200'000'000;
-  /// Optional binding-aware resolution, tried before the plain resolver.
-  PatternResolver pattern_resolver;
   /// Cooperative cancellation: checked every
   /// CancellationToken::kCheckIntervalTuples examined tuples, bounding
   /// abort latency inside even a single monster rule evaluation.

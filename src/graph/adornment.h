@@ -41,6 +41,13 @@ class SipStrategy {
     return orders_.count(rule_index) > 0;
   }
 
+  /// Every SetOrderForAdornment order, keyed and sorted by (rule index,
+  /// head adornment): the SIPs the magic rewrite executes.
+  const std::map<std::pair<size_t, std::string>, std::vector<size_t>>&
+  adorned_orders() const {
+    return adorned_orders_;
+  }
+
  private:
   std::unordered_map<size_t, std::vector<size_t>> orders_;
   std::map<std::pair<size_t, std::string>, std::vector<size_t>>

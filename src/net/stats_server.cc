@@ -10,6 +10,7 @@
 #include <cstring>
 #include <sstream>
 
+#include "base/json.h"
 #include "base/strings.h"
 #include "obs/prometheus.h"
 
@@ -233,10 +234,9 @@ std::string StatsServer::RenderStatusz() {
     os << ",\"stats_epoch\":" << options_.statistics().epoch();
   }
   if (options_.drift != nullptr) {
-    char q[40];
-    std::snprintf(q, sizeof(q), "%.6g", options_.drift->last_max_q_error());
     os << ",\"feedback\":{\"drift_events\":" << options_.drift->drift_events()
-       << ",\"last_max_q_error\":" << q;
+       << ",\"last_max_q_error\":"
+       << json::Number(options_.drift->last_max_q_error());
     if (options_.feedback != nullptr) {
       os << ",\"catalog_entries\":" << options_.feedback->size()
          << ",\"observations\":" << options_.feedback->total_observations();

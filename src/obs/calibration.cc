@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "base/json.h"
 #include "base/strings.h"
 #include "engine/fixpoint.h"
 
@@ -16,18 +17,6 @@ std::string FormatDouble(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
   return buf;
-}
-
-/// JSON number: %.17g round-trips doubles; non-finite values (unsafe-plan
-/// costs) have no JSON encoding and render as null.
-void JsonNumber(std::ostream& os, double v) {
-  if (!std::isfinite(v)) {
-    os << "null";
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  os << buf;
 }
 
 /// Same vocabulary as EXPLAIN's node labels (plan/explain.cc), minus the
@@ -58,13 +47,9 @@ void WriteHistogramGroup(
     if (!first) os << ',';
     first = false;
     os << '"' << JsonEscape(key) << "\":{\"count\":" << h->count()
-       << ",\"p50\":";
-    JsonNumber(os, h->percentile(0.5));
-    os << ",\"p95\":";
-    JsonNumber(os, h->percentile(0.95));
-    os << ",\"max\":";
-    JsonNumber(os, h->max());
-    os << '}';
+       << ",\"p50\":" << json::Number(h->percentile(0.5))
+       << ",\"p95\":" << json::Number(h->percentile(0.95))
+       << ",\"max\":" << json::Number(h->max()) << '}';
   }
   os << '}';
 }
@@ -172,38 +157,28 @@ void CalibrationReport::WriteJson(std::ostream& os) const {
     first = false;
     os << "{\"label\":\"" << JsonEscape(nc.label) << "\",\"kind\":\""
        << JsonEscape(nc.kind) << "\",\"method\":\"" << JsonEscape(nc.method)
-       << "\",\"depth\":" << nc.depth << ",\"est_rows\":";
-    JsonNumber(os, nc.est_rows);
-    os << ",\"act_rows\":";
-    JsonNumber(os, nc.act_rows);
-    os << ",\"q_error\":";
-    JsonNumber(os, nc.q_error);
-    os << '}';
+       << "\",\"depth\":" << nc.depth
+       << ",\"est_rows\":" << json::Number(nc.est_rows)
+       << ",\"act_rows\":" << json::Number(nc.act_rows)
+       << ",\"q_error\":" << json::Number(nc.q_error) << '}';
   }
   os << "],\"aggregate\":{\"nodes\":" << nodes_.size()
-     << ",\"median_q_error\":";
-  JsonNumber(os, median_q_error());
-  os << ",\"p95_q_error\":";
-  JsonNumber(os, p95_q_error());
-  os << ",\"max_q_error\":";
-  JsonNumber(os, max_q_error());
-  os << "},\"by_kind\":";
+     << ",\"median_q_error\":" << json::Number(median_q_error())
+     << ",\"p95_q_error\":" << json::Number(p95_q_error())
+     << ",\"max_q_error\":" << json::Number(max_q_error())
+     << "},\"by_kind\":";
   WriteHistogramGroup(os, by_kind_);
   os << ",\"by_method\":";
   WriteHistogramGroup(os, by_method_);
   os << ",\"regret\":{\"computed\":" << (regret_.computed ? "true" : "false")
      << ",\"note\":\"" << JsonEscape(regret_.note)
-     << "\",\"est_cost_chosen\":";
-  JsonNumber(os, regret_.est_cost_chosen);
-  os << ",\"measured_cost_chosen\":";
-  JsonNumber(os, regret_.measured_cost_chosen);
-  os << ",\"measured_cost_hindsight\":";
-  JsonNumber(os, regret_.measured_cost_hindsight);
-  os << ",\"regret\":";
-  JsonNumber(os, regret_.regret());
-  os << ",\"ratio\":";
-  JsonNumber(os, regret_.ratio());
-  os << ",\"changes\":[";
+     << "\",\"est_cost_chosen\":" << json::Number(regret_.est_cost_chosen)
+     << ",\"measured_cost_chosen\":"
+     << json::Number(regret_.measured_cost_chosen)
+     << ",\"measured_cost_hindsight\":"
+     << json::Number(regret_.measured_cost_hindsight)
+     << ",\"regret\":" << json::Number(regret_.regret())
+     << ",\"ratio\":" << json::Number(regret_.ratio()) << ",\"changes\":[";
   first = true;
   for (const std::string& c : regret_.changes) {
     if (!first) os << ',';

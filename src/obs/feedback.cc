@@ -1,13 +1,12 @@
 #include "obs/feedback.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
+#include "base/json.h"
 #include "base/strings.h"
 #include "obs/calibration.h"
 
@@ -15,147 +14,42 @@ namespace ldl {
 
 namespace {
 
-/// Shortest representation that parses back to the same double (%.17g is
-/// always exact; try %.15g first so common values stay readable).
-std::string RoundTripDouble(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.15g", v);
-  if (std::strtod(buf, nullptr) != v) {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
+/// One element of an export's "entries" array, validated.
+Result<std::pair<AdornedPredicate, CatalogEntry>> ParseEntry(
+    const json::Value& item) {
+  if (item.kind() != json::Value::Kind::kObject) {
+    return Status::InvalidArgument(StrCat(
+        "stats catalog: entry is not an object at offset ", item.offset()));
   }
-  return buf;
-}
-
-void AppendField(std::string* out, const char* key, const std::string& v) {
-  StrAppend(out, "\"", key, "\":\"", JsonEscape(v), "\",");
-}
-void AppendField(std::string* out, const char* key, uint64_t v) {
-  StrAppend(out, "\"", key, "\":", std::to_string(v), ",");
-}
-void AppendField(std::string* out, const char* key, double v) {
-  StrAppend(out, "\"", key, "\":", RoundTripDouble(v), ",");
-}
-
-/// Minimal recursive-descent reader for the catalog export schema: one
-/// object with scalar fields plus an "entries" array of flat objects.
-class CatalogJsonParser {
- public:
-  explicit CatalogJsonParser(const std::string& text) : text_(text) {}
-
-  Status Fail(const std::string& why) const {
-    return Status::InvalidArgument(
-        StrCat("stats catalog: ", why, " at offset ", pos_));
-  }
-
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool Peek(char c) {
-    SkipSpace();
-    return pos_ < text_.size() && text_[pos_] == c;
-  }
-
-  bool AtEnd() {
-    SkipSpace();
-    return pos_ >= text_.size();
-  }
-
-  Status ParseString(std::string* out) {
-    SkipSpace();
-    if (!Consume('"')) return Fail("expected '\"'");
-    out->clear();
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return Status::OK();
-      if (c != '\\') {
-        out->push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) break;
-      char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out->push_back('"'); break;
-        case '\\': out->push_back('\\'); break;
-        case '/': out->push_back('/'); break;
-        case 'n': out->push_back('\n'); break;
-        case 't': out->push_back('\t'); break;
-        case 'r': out->push_back('\r'); break;
-        default: return Fail("unknown escape");
-      }
-    }
-    return Fail("unterminated string");
-  }
-
-  /// Raw scalar token: number / true / false, up to , } or ].
-  Status ParseScalarToken(std::string* out) {
-    SkipSpace();
-    size_t start = pos_;
-    while (pos_ < text_.size() && text_[pos_] != ',' && text_[pos_] != '}' &&
-           text_[pos_] != ']') {
-      ++pos_;
-    }
-    *out = std::string(
-        StripWhitespace(std::string_view(text_).substr(start, pos_ - start)));
-    if (out->empty()) return Fail("expected value");
-    return Status::OK();
-  }
-
- private:
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
-/// One parsed entry, pre-validation.
-struct RawEntry {
   std::string predicate;
   uint64_t arity = 0;
   std::string adornment;
   CatalogEntry entry;
-};
-
-Status ParseEntryObject(CatalogJsonParser* p, RawEntry* out) {
-  if (!p->Consume('{')) return p->Fail("expected '{' for entry");
-  if (p->Consume('}')) return Status::OK();
-  while (true) {
-    std::string key;
-    LDL_RETURN_NOT_OK(p->ParseString(&key));
-    if (!p->Consume(':')) return p->Fail("expected ':'");
-    if (p->Peek('"')) {
-      std::string value;
-      LDL_RETURN_NOT_OK(p->ParseString(&value));
-      if (key == "predicate") out->predicate = std::move(value);
-      else if (key == "adornment") out->adornment = std::move(value);
-      // else: unknown string key — ignored for forward compatibility.
-    } else {
-      std::string token;
-      LDL_RETURN_NOT_OK(p->ParseScalarToken(&token));
-      auto u64 = [&]() { return std::strtoull(token.c_str(), nullptr, 10); };
-      auto f64 = [&]() { return std::strtod(token.c_str(), nullptr); };
-      if (key == "arity") out->arity = u64();
-      else if (key == "card") out->entry.card = f64();
-      else if (key == "weight") out->entry.weight = f64();
-      else if (key == "observations") out->entry.observations = u64();
-      else if (key == "first_epoch") out->entry.first_epoch = u64();
-      else if (key == "last_epoch") out->entry.last_epoch = u64();
-      // else: unknown scalar key — ignored for forward compatibility.
-    }
-    if (p->Consume('}')) return Status::OK();
-    if (!p->Consume(',')) return p->Fail("expected ',' or '}'");
+  LDL_RETURN_NOT_OK(item.Get("predicate", &predicate));
+  LDL_RETURN_NOT_OK(item.Get("arity", &arity));
+  LDL_RETURN_NOT_OK(item.Get("adornment", &adornment));
+  LDL_RETURN_NOT_OK(item.Get("card", &entry.card));
+  LDL_RETURN_NOT_OK(item.Get("weight", &entry.weight));
+  LDL_RETURN_NOT_OK(item.Get("observations", &entry.observations));
+  LDL_RETURN_NOT_OK(item.Get("first_epoch", &entry.first_epoch));
+  LDL_RETURN_NOT_OK(item.Get("last_epoch", &entry.last_epoch));
+  if (predicate.empty()) {
+    return Status::InvalidArgument("stats catalog: entry without predicate");
   }
+  LDL_ASSIGN_OR_RETURN(Adornment adn, Adornment::FromString(adornment));
+  if (adn.size() != arity) {
+    return Status::InvalidArgument(
+        StrCat("stats catalog: ", predicate, "/", arity, ": adornment \"",
+               adornment, "\" does not match arity"));
+  }
+  if (!std::isfinite(entry.card) || entry.card < 0 ||
+      !std::isfinite(entry.weight) || entry.weight < 0) {
+    return Status::InvalidArgument(
+        StrCat("stats catalog: ", predicate, "/", arity,
+               ": non-finite or negative card/weight"));
+  }
+  return std::pair{AdornedPredicate{PredicateId{predicate, arity}, adn},
+                   entry};
 }
 
 }  // namespace
@@ -250,22 +144,22 @@ void StatisticsCatalog::WriteJson(std::ostream& os) const {
 std::string StatisticsCatalog::ToJson() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out = "{";
-  AppendField(&out, "version", static_cast<uint64_t>(1));
-  AppendField(&out, "decay", options_.decay);
+  json::AppendField(&out, "version", static_cast<uint64_t>(1));
+  json::AppendField(&out, "decay", options_.decay);
   StrAppend(&out, "\"entries\":[");
   bool first = true;
   for (const auto& [key, e] : entries_) {
     if (!first) out.push_back(',');
     first = false;
     std::string obj = "{";
-    AppendField(&obj, "predicate", key.pred.name);
-    AppendField(&obj, "arity", static_cast<uint64_t>(key.pred.arity));
-    AppendField(&obj, "adornment", key.adornment.ToString());
-    AppendField(&obj, "card", e.card);
-    AppendField(&obj, "weight", e.weight);
-    AppendField(&obj, "observations", e.observations);
-    AppendField(&obj, "first_epoch", e.first_epoch);
-    AppendField(&obj, "last_epoch", e.last_epoch);
+    json::AppendField(&obj, "predicate", key.pred.name);
+    json::AppendField(&obj, "arity", static_cast<uint64_t>(key.pred.arity));
+    json::AppendField(&obj, "adornment", key.adornment.ToString());
+    json::AppendField(&obj, "card", e.card);
+    json::AppendField(&obj, "weight", e.weight);
+    json::AppendField(&obj, "observations", e.observations);
+    json::AppendField(&obj, "first_epoch", e.first_epoch);
+    json::AppendField(&obj, "last_epoch", e.last_epoch);
     obj.back() = '}';  // replace the trailing comma
     StrAppend(&out, obj);
   }
@@ -274,67 +168,31 @@ std::string StatisticsCatalog::ToJson() const {
 }
 
 Status StatisticsCatalog::MergeJson(const std::string& text) {
-  CatalogJsonParser p(text);
-  if (!p.Consume('{')) return p.Fail("expected '{'");
-  std::vector<RawEntry> raw;
-  if (!p.Consume('}')) {
-    while (true) {
-      std::string key;
-      LDL_RETURN_NOT_OK(p.ParseString(&key));
-      if (!p.Consume(':')) return p.Fail("expected ':'");
-      if (key == "entries") {
-        if (!p.Consume('[')) return p.Fail("expected '['");
-        if (!p.Consume(']')) {
-          while (true) {
-            RawEntry entry;
-            LDL_RETURN_NOT_OK(ParseEntryObject(&p, &entry));
-            raw.push_back(std::move(entry));
-            if (p.Consume(']')) break;
-            if (!p.Consume(',')) return p.Fail("expected ',' or ']'");
-          }
-        }
-      } else if (p.Peek('"')) {
-        std::string ignored;
-        LDL_RETURN_NOT_OK(p.ParseString(&ignored));
-      } else {
-        std::string token;
-        LDL_RETURN_NOT_OK(p.ParseScalarToken(&token));
-        if (key == "version") {
-          const uint64_t version = std::strtoull(token.c_str(), nullptr, 10);
-          if (version > 1) {
-            return Status::InvalidArgument(
-                StrCat("stats catalog: unsupported version ", version));
-          }
-        }
-        // "decay" and unknown scalars are informational.
-      }
-      if (p.Consume('}')) break;
-      if (!p.Consume(',')) return p.Fail("expected ',' or '}'");
-    }
+  LDL_ASSIGN_OR_RETURN(json::Value doc, json::Parse(text));
+  if (doc.kind() != json::Value::Kind::kObject) {
+    return Status::InvalidArgument("stats catalog: not a JSON object");
   }
-  if (!p.AtEnd()) return p.Fail("trailing content");
+  uint64_t version = 0;
+  LDL_RETURN_NOT_OK(doc.Get("version", &version));
+  if (version > 1) {
+    return Status::InvalidArgument(
+        StrCat("stats catalog: unsupported version ", version));
+  }
+  // "decay" and unknown keys are informational.
+  const json::Value* entries = doc.Find("entries");
+  if (entries != nullptr && entries->kind() != json::Value::Kind::kArray) {
+    return Status::InvalidArgument(
+        StrCat("stats catalog: \"entries\" is not an array at offset ",
+               entries->offset()));
+  }
 
   // Validate fully before mutating: an import either applies or doesn't.
   std::vector<std::pair<AdornedPredicate, CatalogEntry>> parsed;
-  parsed.reserve(raw.size());
-  for (const RawEntry& r : raw) {
-    if (r.predicate.empty()) {
-      return Status::InvalidArgument("stats catalog: entry without predicate");
+  if (entries != nullptr) {
+    for (const json::Value& item : entries->items()) {
+      LDL_ASSIGN_OR_RETURN(auto entry, ParseEntry(item));
+      parsed.push_back(std::move(entry));
     }
-    LDL_ASSIGN_OR_RETURN(Adornment adn, Adornment::FromString(r.adornment));
-    if (adn.size() != r.arity) {
-      return Status::InvalidArgument(
-          StrCat("stats catalog: ", r.predicate, "/", r.arity,
-                 ": adornment \"", r.adornment, "\" does not match arity"));
-    }
-    if (!std::isfinite(r.entry.card) || r.entry.card < 0 ||
-        !std::isfinite(r.entry.weight) || r.entry.weight < 0) {
-      return Status::InvalidArgument(
-          StrCat("stats catalog: ", r.predicate, "/", r.arity,
-                 ": non-finite or negative card/weight"));
-    }
-    parsed.emplace_back(
-        AdornedPredicate{PredicateId{r.predicate, r.arity}, adn}, r.entry);
   }
 
   std::lock_guard<std::mutex> lock(mu_);
@@ -476,20 +334,20 @@ std::string RenderStatsJson(const StatisticsCatalog* catalog,
                             const Statistics* stats) {
   std::string out = "{";
   if (stats != nullptr) {
-    AppendField(&out, "stats_epoch", stats->epoch());
+    json::AppendField(&out, "stats_epoch", stats->epoch());
   }
   if (drift != nullptr) {
-    AppendField(&out, "drift_events", drift->drift_events());
-    AppendField(&out, "last_max_q_error", drift->last_max_q_error());
+    json::AppendField(&out, "drift_events", drift->drift_events());
+    json::AppendField(&out, "last_max_q_error", drift->last_max_q_error());
   }
   if (catalog != nullptr) {
     StrAppend(&out, "\"catalog\":{");
-    AppendField(&out, "entries", static_cast<uint64_t>(catalog->size()));
-    AppendField(&out, "observations", catalog->total_observations());
-    AppendField(&out, "dropped_observations",
+    json::AppendField(&out, "entries", static_cast<uint64_t>(catalog->size()));
+    json::AppendField(&out, "observations", catalog->total_observations());
+    json::AppendField(&out, "dropped_observations",
                 catalog->dropped_observations());
-    AppendField(&out, "decay", catalog->options().decay);
-    AppendField(&out, "drift_q_threshold",
+    json::AppendField(&out, "decay", catalog->options().decay);
+    json::AppendField(&out, "drift_q_threshold",
                 catalog->options().drift_q_threshold);
     out.back() = '}';
     StrAppend(&out, ",\"entries\":[");
@@ -498,19 +356,19 @@ std::string RenderStatsJson(const StatisticsCatalog* catalog,
       if (!first) out.push_back(',');
       first = false;
       std::string obj = "{";
-      AppendField(&obj, "predicate", key.pred.name);
-      AppendField(&obj, "arity", static_cast<uint64_t>(key.pred.arity));
-      AppendField(&obj, "adornment", key.adornment.ToString());
-      AppendField(&obj, "card", e.card);
-      AppendField(&obj, "weight", e.weight);
-      AppendField(&obj, "observations", e.observations);
-      AppendField(&obj, "first_epoch", e.first_epoch);
-      AppendField(&obj, "last_epoch", e.last_epoch);
+      json::AppendField(&obj, "predicate", key.pred.name);
+      json::AppendField(&obj, "arity", static_cast<uint64_t>(key.pred.arity));
+      json::AppendField(&obj, "adornment", key.adornment.ToString());
+      json::AppendField(&obj, "card", e.card);
+      json::AppendField(&obj, "weight", e.weight);
+      json::AppendField(&obj, "observations", e.observations);
+      json::AppendField(&obj, "first_epoch", e.first_epoch);
+      json::AppendField(&obj, "last_epoch", e.last_epoch);
       if (stats != nullptr && key.adornment.AllArgsFree() &&
           stats->Has(key.pred)) {
         const double est = stats->Get(key.pred).cardinality;
-        AppendField(&obj, "estimate", est);
-        AppendField(&obj, "q_error", QError(est, e.card));
+        json::AppendField(&obj, "estimate", est);
+        json::AppendField(&obj, "q_error", QError(est, e.card));
       }
       obj.back() = '}';
       StrAppend(&out, obj);
@@ -529,9 +387,9 @@ std::string RenderStatsJson(const StatisticsCatalog* catalog,
         if (!first) out.push_back(',');
         first = false;
         std::string obj = "{";
-        AppendField(&obj, "predicate", pred.name);
-        AppendField(&obj, "arity", static_cast<uint64_t>(pred.arity));
-        AppendField(&obj, "cardinality", stats->Get(pred).cardinality);
+        json::AppendField(&obj, "predicate", pred.name);
+        json::AppendField(&obj, "arity", static_cast<uint64_t>(pred.arity));
+        json::AppendField(&obj, "cardinality", stats->Get(pred).cardinality);
         obj.back() = '}';
         StrAppend(&out, obj);
       }
@@ -545,15 +403,15 @@ std::string RenderStatsJson(const StatisticsCatalog* catalog,
       if (!first) out.push_back(',');
       first = false;
       std::string obj = "{";
-      AppendField(&obj, "predicate", event.key.pred.name);
-      AppendField(&obj, "arity",
+      json::AppendField(&obj, "predicate", event.key.pred.name);
+      json::AppendField(&obj, "arity",
                   static_cast<uint64_t>(event.key.pred.arity));
-      AppendField(&obj, "adornment", event.key.adornment.ToString());
-      AppendField(&obj, "measured", event.measured);
-      AppendField(&obj, "estimated", event.estimated);
-      AppendField(&obj, "q_error", event.q_error);
-      AppendField(&obj, "old_epoch", event.old_epoch);
-      AppendField(&obj, "new_epoch", event.new_epoch);
+      json::AppendField(&obj, "adornment", event.key.adornment.ToString());
+      json::AppendField(&obj, "measured", event.measured);
+      json::AppendField(&obj, "estimated", event.estimated);
+      json::AppendField(&obj, "q_error", event.q_error);
+      json::AppendField(&obj, "old_epoch", event.old_epoch);
+      json::AppendField(&obj, "new_epoch", event.new_epoch);
       obj.back() = '}';
       StrAppend(&out, obj);
     }

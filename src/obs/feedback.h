@@ -121,8 +121,10 @@ class StatisticsCatalog {
   std::string ToJson() const;
 
   /// Parses a WriteJson export. Unknown keys are ignored (forward
-  /// compatibility); a version above 1 is rejected. The catalog's own
-  /// options_ are kept — "decay" in the file is informational.
+  /// compatibility); a version above 1, a known key of the wrong type and
+  /// a malformed number are rejected, leaving the catalog unchanged. The
+  /// catalog's own options_ are kept — "decay" in the file is
+  /// informational.
   Status MergeJson(const std::string& text);
 
   Status ExportFile(const std::string& path) const;

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "base/json.h"
 #include "base/strings.h"
 
 namespace ldl {
@@ -198,18 +199,6 @@ MetricsRegistry::HistogramEntries() const {
   return out;
 }
 
-namespace {
-
-/// JSON number formatting: finite doubles only (JSON has no inf/nan).
-std::string JsonNumber(double v) {
-  if (!std::isfinite(v)) return "0";
-  std::ostringstream os;
-  os << v;
-  return os.str();
-}
-
-}  // namespace
-
 void MetricsRegistry::WriteJson(std::ostream& os) const {
   std::lock_guard<std::mutex> lock(mu_);
   os << "{\"counters\":{";
@@ -224,7 +213,7 @@ void MetricsRegistry::WriteJson(std::ostream& os) const {
   for (const auto& [name, g] : gauges_) {
     if (!first) os << ",";
     first = false;
-    os << "\"" << JsonEscape(name) << "\":" << JsonNumber(g->value());
+    os << "\"" << JsonEscape(name) << "\":" << json::Number(g->value());
   }
   os << "},\"histograms\":{";
   first = true;
@@ -232,12 +221,12 @@ void MetricsRegistry::WriteJson(std::ostream& os) const {
     if (!first) os << ",";
     first = false;
     os << "\"" << JsonEscape(name) << "\":{\"count\":" << h->count()
-       << ",\"sum\":" << JsonNumber(h->sum())
-       << ",\"min\":" << JsonNumber(h->min())
-       << ",\"max\":" << JsonNumber(h->max())
-       << ",\"p50\":" << JsonNumber(h->percentile(0.50))
-       << ",\"p95\":" << JsonNumber(h->percentile(0.95))
-       << ",\"p99\":" << JsonNumber(h->percentile(0.99)) << "}";
+       << ",\"sum\":" << json::Number(h->sum())
+       << ",\"min\":" << json::Number(h->min())
+       << ",\"max\":" << json::Number(h->max())
+       << ",\"p50\":" << json::Number(h->percentile(0.50))
+       << ",\"p95\":" << json::Number(h->percentile(0.95))
+       << ",\"p99\":" << json::Number(h->percentile(0.99)) << "}";
   }
   os << "}}\n";
 }

@@ -18,9 +18,8 @@ namespace ldl {
 /// resource profile (bytes/tuples/rounds/checks), the outcome (typed), and
 /// the wall-time breakdown.
 ///
-/// The record is deliberately FLAT (scalar fields only) so the log can be
-/// parsed back without a general JSON library; ToJson emits one line,
-/// FromJson inverts it exactly (ToJson → FromJson → ToJson is identity).
+/// The record is FLAT (scalar fields only); ToJson emits one line, FromJson
+/// inverts it exactly (ToJson → FromJson → ToJson is identity).
 struct QueryLogRecord {
   // --- identity ---
   std::string program;    ///< source .ldl path ("" when built in-process)
@@ -60,8 +59,10 @@ struct QueryLogRecord {
   /// in a fixed order, so equal records serialize identically.
   std::string ToJson() const;
 
-  /// Parses a line produced by ToJson (a flat JSON object). Unknown keys
-  /// are ignored — old readers keep working when fields are added.
+  /// Parses a line produced by ToJson (a JSON object). Unknown keys of any
+  /// type are ignored — old readers keep working when fields are added; a
+  /// known key of the wrong type or with a malformed number is an
+  /// InvalidArgument naming the key.
   static Result<QueryLogRecord> FromJson(const std::string& line);
 
   bool operator==(const QueryLogRecord& other) const;

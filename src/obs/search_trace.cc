@@ -1,7 +1,6 @@
 #include "obs/search_trace.h"
 
-#include <cmath>
-
+#include "base/json.h"
 #include "base/strings.h"
 
 namespace ldl {
@@ -194,20 +193,6 @@ size_t SearchTracer::CountDisposition(CandidateDisposition d) const {
   return n;
 }
 
-namespace {
-
-/// Costs can legitimately be infinite (§8.2 prices unsafe subplans at
-/// +inf), but bare inf/nan are not JSON — emit those as strings.
-void WriteJsonNumber(std::ostream& os, double v) {
-  if (std::isfinite(v)) {
-    os << v;
-  } else {
-    os << '"' << (std::isnan(v) ? "nan" : v > 0 ? "inf" : "-inf") << '"';
-  }
-}
-
-}  // namespace
-
 void SearchTracer::WriteJson(std::ostream& os) const {
   os << "{\"scopes\":[";
   for (size_t i = 0; i < scopes_.size(); ++i) {
@@ -224,10 +209,9 @@ void SearchTracer::WriteJson(std::ostream& os) const {
       if (j) os << ',';
       os << order_arena_[c.order_offset + j];
     }
-    os << "],\"cost\":";
-    WriteJsonNumber(os, c.cost);
-    os << ",\"disposition\":\"" << CandidateDispositionToString(c.disposition)
-       << "\"";
+    // Unsafe subplans are priced at +inf (§8.2): json::Number quotes it.
+    os << "],\"cost\":" << json::Number(c.cost) << ",\"disposition\":\""
+       << CandidateDispositionToString(c.disposition) << "\"";
     if (!DetailOf(c).empty()) {
       os << ",\"detail\":\"" << JsonEscape(DetailOf(c)) << "\"";
     }
@@ -237,11 +221,9 @@ void SearchTracer::WriteJson(std::ostream& os) const {
   for (size_t i = 0; i < memo_.size(); ++i) {
     const MemoNodeInfo& n = memo_[i];
     if (i) os << ',';
-    os << "{\"key\":\"" << JsonEscape(n.key) << "\",\"cost\":";
-    WriteJsonNumber(os, n.cost);
-    os << ",\"card\":";
-    WriteJsonNumber(os, n.card);
-    os << ",\"safe\":" << (n.safe ? "true" : "false")
+    os << "{\"key\":\"" << JsonEscape(n.key)
+       << "\",\"cost\":" << json::Number(n.cost)
+       << ",\"card\":" << json::Number(n.card) << ",\"safe\":" << (n.safe ? "true" : "false")
        << ",\"winning\":" << (n.winning ? "true" : "false");
     if (!n.method.empty()) {
       os << ",\"method\":\"" << JsonEscape(n.method) << "\"";

@@ -1,26 +1,9 @@
 #include "obs/timeseries.h"
 
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
-
+#include "base/json.h"
 #include "base/strings.h"
 
 namespace ldl {
-
-namespace {
-
-std::string JsonNumber(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.15g", v);
-  if (std::strtod(buf, nullptr) != v) {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-  }
-  return buf;
-}
-
-}  // namespace
 
 void TimeSeriesSampler::Start() {
   std::lock_guard<std::mutex> lock(mu_);
@@ -129,7 +112,7 @@ TimeSeriesSampler::Snapshot() const {
 void TimeSeriesSampler::WriteJson(std::ostream& os) const {
   std::lock_guard<std::mutex> lock(mu_);
   os << "{\"period_ms\":"
-     << JsonNumber(static_cast<double>(options_.period.count()))
+     << json::Number(static_cast<double>(options_.period.count()))
      << ",\"samples\":" << samples_ << ",\"series\":{";
   bool first = true;
   for (const auto& [name, ring] : series_) {
@@ -139,12 +122,12 @@ void TimeSeriesSampler::WriteJson(std::ostream& os) const {
     const std::vector<TimeSeriesPoint> points = ring.Snapshot();
     for (size_t i = 0; i < points.size(); ++i) {
       if (i) os << ",";
-      os << JsonNumber(points[i].t_seconds);
+      os << json::Number(points[i].t_seconds);
     }
     os << "],\"v\":[";
     for (size_t i = 0; i < points.size(); ++i) {
       if (i) os << ",";
-      os << JsonNumber(points[i].value);
+      os << json::Number(points[i].value);
     }
     os << "]}";
   }

@@ -913,14 +913,22 @@ std::string QueryPlan::Explain(const Program& program) const {
     os << "CLIQUE  #" << ci << " via " << RecursionMethodToString(method)
        << "\n";
   }
-  for (const auto& [rule_index, order] : rule_orders) {
+  auto write_rule = [&](size_t rule_index, const std::vector<size_t>& order) {
     const Rule& rule = program.rules()[rule_index];
-    os << "RULE " << rule_index << "  " << rule.head().ToString() << " <- ";
+    os << rule.head().ToString() << " <- ";
     for (size_t i = 0; i < order.size(); ++i) {
       if (i) os << ", ";
       os << rule.body()[order[i]].ToString();
     }
     os << ".\n";
+  };
+  for (const auto& [rule_index, order] : rule_orders) {
+    os << "RULE " << rule_index << "  ";
+    write_rule(rule_index, order);
+  }
+  for (const auto& [key, order] : sips.adorned_orders()) {
+    os << "SIP " << key.first << " " << key.second << "  ";
+    write_rule(key.first, order);
   }
   for (const std::string& m : materialized) {
     os << "MAT     " << m << "\n";
@@ -948,10 +956,18 @@ std::string QueryPlan::Fingerprint() const {
   std::vector<std::pair<size_t, std::vector<size_t>>> orders(
       rule_orders.begin(), rule_orders.end());
   std::sort(orders.begin(), orders.end());
-  for (const auto& [rule_index, order] : orders) {
-    HashValue(&seed, rule_index);
+  auto hash_order = [&seed](const std::vector<size_t>& order) {
     for (size_t pos : order) HashValue(&seed, pos);
     HashValue(&seed, order.size());
+  };
+  for (const auto& [rule_index, order] : orders) {
+    HashValue(&seed, rule_index);
+    hash_order(order);
+  }
+  for (const auto& [key, order] : sips.adorned_orders()) {
+    HashValue(&seed, key.first);
+    HashValue(&seed, key.second);
+    hash_order(order);
   }
   for (const auto& [clique_index, method] : clique_methods) {
     HashValue(&seed, clique_index);

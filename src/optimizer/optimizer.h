@@ -185,13 +185,15 @@ struct QueryPlan {
 
   double TotalCost() const { return estimate.setup + estimate.per_binding; }
 
-  /// Multi-line human-readable plan summary.
+  /// Multi-line human-readable plan summary: RULE lines give rule_orders,
+  /// SIP lines the per-adornment orders in `sips` that magic executes.
   std::string Explain(const Program& program) const;
 
   /// Stable 16-hex-digit digest over every plan decision (adornment, top
-  /// method, rule orders, clique methods, materialization set). Two runs
-  /// that chose the same plan produce the same fingerprint — the query
-  /// log's plan identity, and what ldl_replay diffs against.
+  /// method, rule orders, per-adornment SIPs, clique methods,
+  /// materialization set). Two runs that chose the same plan produce the
+  /// same fingerprint — the query log's plan identity, and what
+  /// ldl_replay diffs against.
   std::string Fingerprint() const;
 };
 

@@ -155,6 +155,24 @@ TEST(LdlSystemTest, ExplainShowsPlan) {
   EXPECT_NE(text->find("METHOD"), std::string::npos);
 }
 
+// rule_orders keeps q's order for the free binding, but magic runs q.bf
+// with the builtin first: EXPLAIN must show the SIP that executes.
+TEST(LdlSystemTest, ExplainShowsTheSipMagicRuns) {
+  LdlSystem sys;
+  ASSERT_TRUE(sys.LoadProgram(R"(
+    r(1). r(2). r(3). r(4). r(5). r(6). r(7). r(8). r(9). r(10).
+    q(X, Y) <- Y = X + 1, r(X).
+    p(X, Y) <- r(X), q(X, Y).
+  )")
+                  .ok());
+  auto text = sys.Explain("p(3, Y)");
+  ASSERT_TRUE(text.ok()) << text.status();
+  EXPECT_NE(text->find("METHOD  magic"), std::string::npos) << *text;
+  EXPECT_NE(text->find("SIP 0 bf  q(X, Y) <- Y = X + 1, r(X)."),
+            std::string::npos)
+      << *text;
+}
+
 TEST(LdlSystemTest, CheckSafetyReportsProblems) {
   LdlSystem sys;
   ASSERT_TRUE(sys.LoadProgram(R"(

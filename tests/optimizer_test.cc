@@ -301,6 +301,26 @@ TEST(OptimizerTest, ExplainMentionsMethodAndOrders) {
   EXPECT_NE(text.find("RULE"), std::string::npos);
 }
 
+// Magic executes the per-adornment orders in QueryPlan::sips, which can
+// differ from rule_orders: the plan's identity must cover them.
+TEST(OptimizerTest, FingerprintCoversPerAdornmentSips) {
+  Program p = P(kSgRules);
+  Statistics stats = SgStats(1000.0);
+  Optimizer opt(p, stats, Verifying());
+  auto plan = opt.Optimize(L("sg(5, Y)"));
+  ASSERT_TRUE(plan.ok());
+  ASSERT_FALSE(plan->sips.adorned_orders().empty());
+  // The last entry belongs to the three-literal recursive rule.
+  const auto& [key, order] = *plan->sips.adorned_orders().rbegin();
+  auto adn = Adornment::FromString(key.second);
+  ASSERT_TRUE(adn.ok());
+  std::vector<size_t> reversed(order.rbegin(), order.rend());
+  ASSERT_NE(reversed, order);
+  QueryPlan changed = *plan;
+  changed.sips.SetOrderForAdornment(key.first, *adn, reversed);
+  EXPECT_NE(changed.Fingerprint(), plan->Fingerprint());
+}
+
 TEST(OptimizerTest, DeeperRecursionAssumptionRaisesCost) {
   Program p = P(kSgRules);
   Statistics stats = SgStats(10000.0);

@@ -30,211 +30,11 @@
 #include <utility>
 #include <vector>
 
+#include "base/json.h"
+
 namespace {
 
 namespace fs = std::filesystem;
-
-// ---------------------------------------------------------------------------
-// Minimal JSON DOM (RFC 8259 subset the bench exports use). json_check
-// validates shape without materializing; this tool needs the values.
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0;
-  std::string str;
-  std::vector<JsonValue> items;                             // kArray
-  std::vector<std::pair<std::string, JsonValue>> members;   // kObject
-
-  const JsonValue* Find(const std::string& key) const {
-    for (const auto& [k, v] : members) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  bool Parse(JsonValue* out, std::string* error) {
-    if (!Value(out)) {
-      *error = error_;
-      return false;
-    }
-    SkipSpace();
-    if (pos_ != text_.size()) {
-      *error = "trailing content after JSON value";
-      return false;
-    }
-    return true;
-  }
-
- private:
-  bool Fail(const std::string& message) {
-    if (error_.empty()) {
-      std::ostringstream os;
-      os << "offset " << pos_ << ": " << message;
-      error_ = os.str();
-    }
-    return false;
-  }
-
-  void SkipSpace() {
-    while (pos_ < text_.size() && std::isspace(
-               static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool Value(JsonValue* out) {
-    SkipSpace();
-    if (pos_ >= text_.size()) return Fail("unexpected end of input");
-    switch (text_[pos_]) {
-      case '{':
-        return Object(out);
-      case '[':
-        return Array(out);
-      case '"':
-        out->kind = JsonValue::Kind::kString;
-        return String(&out->str);
-      case 't':
-      case 'f':
-        out->kind = JsonValue::Kind::kBool;
-        out->boolean = text_[pos_] == 't';
-        return Word(out->boolean ? "true" : "false");
-      case 'n':
-        out->kind = JsonValue::Kind::kNull;
-        return Word("null");
-      default:
-        out->kind = JsonValue::Kind::kNumber;
-        return Number(&out->number);
-    }
-  }
-
-  bool Object(JsonValue* out) {
-    out->kind = JsonValue::Kind::kObject;
-    ++pos_;  // '{'
-    if (Consume('}')) return true;
-    do {
-      SkipSpace();
-      std::string key;
-      if (pos_ >= text_.size() || text_[pos_] != '"' || !String(&key)) {
-        return Fail("expected string key");
-      }
-      if (!Consume(':')) return Fail("expected ':' after key");
-      JsonValue value;
-      if (!Value(&value)) return false;
-      out->members.emplace_back(std::move(key), std::move(value));
-    } while (Consume(','));
-    if (!Consume('}')) return Fail("expected ',' or '}' in object");
-    return true;
-  }
-
-  bool Array(JsonValue* out) {
-    out->kind = JsonValue::Kind::kArray;
-    ++pos_;  // '['
-    if (Consume(']')) return true;
-    do {
-      JsonValue item;
-      if (!Value(&item)) return false;
-      out->items.push_back(std::move(item));
-    } while (Consume(','));
-    if (!Consume(']')) return Fail("expected ',' or ']' in array");
-    return true;
-  }
-
-  bool String(std::string* out) {
-    ++pos_;  // '"'
-    out->clear();
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (c == '"') {
-        ++pos_;
-        return true;
-      }
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) return Fail("dangling escape");
-        char e = text_[pos_];
-        switch (e) {
-          case '"': out->push_back('"'); break;
-          case '\\': out->push_back('\\'); break;
-          case '/': out->push_back('/'); break;
-          case 'b': out->push_back('\b'); break;
-          case 'f': out->push_back('\f'); break;
-          case 'n': out->push_back('\n'); break;
-          case 'r': out->push_back('\r'); break;
-          case 't': out->push_back('\t'); break;
-          case 'u': {
-            // Label cells never need non-BMP fidelity; keep a placeholder.
-            for (int i = 0; i < 4; ++i) {
-              ++pos_;
-              if (pos_ >= text_.size() || !std::isxdigit(
-                      static_cast<unsigned char>(text_[pos_]))) {
-                return Fail("invalid \\u escape");
-              }
-            }
-            out->push_back('?');
-            break;
-          }
-          default:
-            return Fail("invalid escape character");
-        }
-        ++pos_;
-        continue;
-      }
-      out->push_back(c);
-      ++pos_;
-    }
-    return Fail("unterminated string");
-  }
-
-  bool Word(const char* word) {
-    for (const char* p = word; *p != '\0'; ++p, ++pos_) {
-      if (pos_ >= text_.size() || text_[pos_] != *p) {
-        return Fail(std::string("invalid literal, expected ") + word);
-      }
-    }
-    return true;
-  }
-
-  bool Number(double* out) {
-    size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) return Fail("invalid value");
-    try {
-      *out = std::stod(text_.substr(start, pos_ - start));
-    } catch (...) {
-      return Fail("unparseable number");
-    }
-    return true;
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-  std::string error_;
-};
-
-// ---------------------------------------------------------------------------
-// Comparison.
 
 struct Options {
   double threshold_pct = 25.0;
@@ -278,6 +78,13 @@ bool ParseCell(const std::string& cell, double* out) {
   return end != cell.c_str();
 }
 
+/// A string cell's text; "" for a missing value or any other kind.
+std::string TextOf(const ldl::json::Value* v) {
+  return v != nullptr && v->kind() == ldl::json::Value::Kind::kString
+             ? v->text()
+             : "";
+}
+
 /// headers + rows of one table, flattened out of the DOM; empty headers
 /// means the table node was malformed.
 struct FlatTable {
@@ -286,36 +93,38 @@ struct FlatTable {
   std::vector<std::vector<std::string>> rows;
 };
 
-std::vector<FlatTable> ExtractTables(const JsonValue& root) {
+std::vector<FlatTable> ExtractTables(const ldl::json::Value& root) {
+  using Kind = ldl::json::Value::Kind;
   std::vector<FlatTable> tables;
-  const JsonValue* experiments = root.Find("experiments");
-  if (experiments == nullptr ||
-      experiments->kind != JsonValue::Kind::kArray) {
+  const ldl::json::Value* experiments = root.Find("experiments");
+  if (experiments == nullptr || experiments->kind() != Kind::kArray) {
     return tables;
   }
-  for (const JsonValue& exp : experiments->items) {
-    const JsonValue* id = exp.Find("id");
-    const JsonValue* exp_tables = exp.Find("tables");
-    if (exp_tables == nullptr ||
-        exp_tables->kind != JsonValue::Kind::kArray) {
+  for (const ldl::json::Value& exp : experiments->items()) {
+    const ldl::json::Value* id = exp.Find("id");
+    const ldl::json::Value* exp_tables = exp.Find("tables");
+    if (exp_tables == nullptr || exp_tables->kind() != Kind::kArray) {
       continue;
     }
-    for (size_t t = 0; t < exp_tables->items.size(); ++t) {
-      const JsonValue& table = exp_tables->items[t];
+    for (size_t t = 0; t < exp_tables->items().size(); ++t) {
+      const ldl::json::Value& table = exp_tables->items()[t];
       FlatTable flat;
-      flat.id = (id != nullptr ? id->str : "") + "/" + std::to_string(t);
-      const JsonValue* headers = table.Find("headers");
-      const JsonValue* rows = table.Find("rows");
+      flat.id = TextOf(id) + "/" + std::to_string(t);
+      const ldl::json::Value* headers = table.Find("headers");
+      const ldl::json::Value* rows = table.Find("rows");
       if (headers != nullptr) {
-        for (const JsonValue& h : headers->items) flat.headers.push_back(h.str);
+        for (const ldl::json::Value& h : headers->items()) {
+          flat.headers.push_back(TextOf(&h));
+        }
       }
       if (rows != nullptr) {
-        for (const JsonValue& row : rows->items) {
+        for (const ldl::json::Value& row : rows->items()) {
           std::vector<std::string> cells;
-          for (const JsonValue& cell : row.items) {
-            cells.push_back(cell.kind == JsonValue::Kind::kNumber
-                                ? std::to_string(cell.number)
-                                : cell.str);
+          for (const ldl::json::Value& cell : row.items()) {
+            cells.push_back(
+                cell.kind() == Kind::kNumber
+                    ? std::to_string(std::strtod(cell.text().c_str(), nullptr))
+                    : TextOf(&cell));
           }
           flat.rows.push_back(std::move(cells));
         }
@@ -328,8 +137,8 @@ std::vector<FlatTable> ExtractTables(const JsonValue& root) {
 
 /// Compares one bench file pair; returns the number of regressions and
 /// prints each. `checked` counts the time-cell comparisons actually made.
-size_t DiffFile(const std::string& name, const JsonValue& baseline,
-                const JsonValue& current, const Options& options,
+size_t DiffFile(const std::string& name, const ldl::json::Value& baseline,
+                const ldl::json::Value& current, const Options& options,
                 size_t* checked) {
   std::vector<FlatTable> base_tables = ExtractTables(baseline);
   std::vector<FlatTable> cur_tables = ExtractTables(current);
@@ -471,19 +280,19 @@ int main(int argc, char** argv) {
       std::cerr << "bench_diff: cannot read " << cur_path << "\n";
       return 2;
     }
-    JsonValue baseline, current;
-    std::string error;
-    if (!JsonParser(base_text).Parse(&baseline, &error)) {
-      std::cerr << "bench_diff: " << base_path.string() << ": " << error
-                << "\n";
+    auto baseline = ldl::json::Parse(base_text);
+    if (!baseline.ok()) {
+      std::cerr << "bench_diff: " << base_path.string() << ": "
+                << baseline.status().message() << "\n";
       return 2;
     }
-    if (!JsonParser(cur_text).Parse(&current, &error)) {
-      std::cerr << "bench_diff: " << cur_path.string() << ": " << error
-                << "\n";
+    auto current = ldl::json::Parse(cur_text);
+    if (!current.ok()) {
+      std::cerr << "bench_diff: " << cur_path.string() << ": "
+                << current.status().message() << "\n";
       return 2;
     }
-    regressions += DiffFile(name, baseline, current, options, &checked);
+    regressions += DiffFile(name, *baseline, *current, options, &checked);
   }
 
   std::printf("bench_diff: %zu time cells checked, %zu regression%s "
