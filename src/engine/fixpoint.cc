@@ -90,7 +90,9 @@ class ProgramEvaluator {
   }
 
   RelationResolver MakeResolver() {
-    return [this](const Literal& lit, size_t) { return Resolve(lit); };
+    return [this](const Literal& lit, size_t) {
+      return RelationView{Resolve(lit)};
+    };
   }
 
   RuleEvalOptions OptionsForRule(size_t rule_index) const {
@@ -103,12 +105,33 @@ class ProgramEvaluator {
     return opts;
   }
 
-  /// Transient per-round relations (deltas, rule temporaries) count against
-  /// the query's byte budget too — they are where a blow-up shows up first.
-  void Attach(Relation* rel) const {
-    if (options_.trace.accountant != nullptr) {
-      rel->set_accountant(options_.trace.accountant);
+  /// Fires one rule, emitting straight into its head's full relation.
+  Status Fire(size_t rule_index, const RelationResolver& resolve) {
+    const Rule& rule = program_.rules()[rule_index];
+    return EvaluateRule(rule, resolve,
+                        scratch_->GetOrCreate(rule.head().predicate()),
+                        &stats_->counters, OptionsForRule(rule_index))
+        .status();
+  }
+
+  /// Position of `lit`'s predicate in `members`, or members.size() when
+  /// `lit` is not a positive literal of the clique.
+  static size_t MemberIndex(const std::vector<PredicateId>& members,
+                            const Literal& lit) {
+    if (lit.IsBuiltin() || lit.negated()) return members.size();
+    return static_cast<size_t>(
+        std::find(members.begin(), members.end(), lit.predicate()) -
+        members.begin());
+  }
+
+  /// The members' current full-relation sizes: row marks that later
+  /// bound what a round reads or what it appended.
+  std::vector<size_t> Marks(const std::vector<PredicateId>& members) {
+    std::vector<size_t> marks;
+    for (const PredicateId& pred : members) {
+      marks.push_back(scratch_->GetOrCreate(pred)->size());
     }
+    return marks;
   }
 
   /// Per-round check-point: polls cancellation/deadline/budget and charges
@@ -151,12 +174,9 @@ class ProgramEvaluator {
     Span span = options_.trace.StartSpan("eval-once", "engine");
     if (span.active()) span.AddArg("predicate", pred.ToString());
     LDL_RETURN_NOT_OK(options_.trace.CheckCancel());
-    Relation* out = scratch_->GetOrCreate(pred);
     RelationResolver resolve = MakeResolver();
     for (size_t rule_index : program_.RulesFor(pred)) {
-      auto n = EvaluateRule(program_.rules()[rule_index], resolve, out,
-                            &stats_->counters, OptionsForRule(rule_index));
-      LDL_RETURN_NOT_OK(n.status());
+      LDL_RETURN_NOT_OK(Fire(rule_index, resolve));
     }
     return Status::OK();
   }
@@ -172,7 +192,17 @@ class ProgramEvaluator {
       span.AddArg("clique", members[0].ToString());
       span.AddArg("method", "naive");
     }
-    RelationResolver resolve = MakeResolver();
+    // Rules emit straight into the full relations but read the clique's
+    // relations only up to the marks taken when the round began, so each
+    // round sees exactly the previous round's state.
+    std::vector<size_t> round_marks;
+    RelationResolver resolve = [this, &members, &round_marks](
+                                   const Literal& lit, size_t) {
+      RelationView view{Resolve(lit)};
+      size_t m = MemberIndex(members, lit);
+      if (m < members.size()) view.end = round_marks[m];
+      return view;
+    };
     std::vector<size_t> all_rules = clique.exit_rules;
     all_rules.insert(all_rules.end(), clique.recursive_rules.begin(),
                      clique.recursive_rules.end());
@@ -190,22 +220,13 @@ class ProgramEvaluator {
       if (options_.record_iterations) {
         round_start = std::chrono::steady_clock::now();
       }
-      // Round-based: evaluate all rules into per-predicate temporaries,
-      // then merge, so each round sees exactly the previous round's state.
-      std::unordered_map<PredicateId, Relation, PredicateIdHash> temp;
-      for (const PredicateId& pred : members) {
-        Attach(&temp.emplace(pred, Relation(pred.name, pred.arity))
-                    .first->second);
-      }
+      round_marks = Marks(members);
       for (size_t rule_index : all_rules) {
-        const Rule& rule = program_.rules()[rule_index];
-        auto n = EvaluateRule(rule, resolve, &temp.at(rule.head().predicate()),
-                              &stats_->counters, OptionsForRule(rule_index));
-        LDL_RETURN_NOT_OK(n.status());
+        LDL_RETURN_NOT_OK(Fire(rule_index, resolve));
       }
       size_t added = 0;
-      for (const PredicateId& pred : members) {
-        added += scratch_->GetOrCreate(pred)->InsertAll(temp.at(pred));
+      for (size_t m = 0; m < members.size(); ++m) {
+        added += scratch_->GetOrCreate(members[m])->size() - round_marks[m];
       }
       options_.trace.Count("engine.fixpoint.rounds");
       options_.trace.Observe("engine.fixpoint.delta_tuples",
@@ -228,6 +249,12 @@ class ProgramEvaluator {
   // Semi-naive fixpoint: exit rules once; then each round fires each
   // recursive rule once per occurrence of a clique predicate in its body,
   // with that occurrence reading the previous round's delta.
+  //
+  // Every firing emits straight into its head's full relation, so each
+  // derivation costs one dedup probe. A member's delta is the row range
+  // the previous round appended to its full relation: the differentiated
+  // occurrence reads that range, and every other literal reads its
+  // relation as of the firing's start (EvaluateRule freezes the windows).
   Status EvaluateCliqueSemiNaive(const std::vector<PredicateId>& members,
                                  const DependencyGraph& graph) {
     const RecursiveClique& clique =
@@ -238,32 +265,26 @@ class ProgramEvaluator {
       span.AddArg("method", "seminaive");
     }
 
-    auto in_clique = [&clique](const Literal& lit) {
-      return !lit.IsBuiltin() && !lit.negated() &&
-             clique.Contains(lit.predicate());
+    // delta[m]: the rows of members[m] appended by the last round.
+    std::vector<RelationView> delta(members.size());
+    // Closes a round that began at `marks`; returns the rows it appended.
+    auto close_round = [&](const std::vector<size_t>& marks) {
+      size_t added = 0;
+      for (size_t m = 0; m < members.size(); ++m) {
+        Relation* full = scratch_->GetOrCreate(members[m]);
+        delta[m] = RelationView{full, marks[m], full->size()};
+        added += full->size() - marks[m];
+      }
+      return added;
     };
-
-    std::unordered_map<PredicateId, Relation, PredicateIdHash> delta;
-    for (const PredicateId& pred : members) {
-      Attach(&delta.emplace(pred, Relation(pred.name, pred.arity))
-                  .first->second);
-    }
 
     // Seed with the exit rules.
     RelationResolver resolve = MakeResolver();
+    std::vector<size_t> marks = Marks(members);
     for (size_t rule_index : clique.exit_rules) {
-      const Rule& rule = program_.rules()[rule_index];
-      Relation temp(rule.head().predicate().name, rule.head().arity());
-      Attach(&temp);
-      auto n = EvaluateRule(rule, resolve, &temp, &stats_->counters,
-                            OptionsForRule(rule_index));
-      LDL_RETURN_NOT_OK(n.status());
-      Relation* full = scratch_->GetOrCreate(rule.head().predicate());
-      Relation& d = delta.at(rule.head().predicate());
-      for (const Tuple& t : temp.tuples()) {
-        if (full->Insert(t)) d.Insert(t);
-      }
+      LDL_RETURN_NOT_OK(Fire(rule_index, resolve));
     }
+    close_round(marks);
 
     size_t round = 0;
     while (true) {
@@ -274,9 +295,9 @@ class ProgramEvaluator {
       }
       stats_->iterations++;
       LDL_RETURN_NOT_OK(RoundCheckpoint());
-      bool any_delta = std::any_of(
-          members.begin(), members.end(),
-          [&delta](const PredicateId& p) { return !delta.at(p).empty(); });
+      bool any_delta =
+          std::any_of(delta.begin(), delta.end(),
+                      [](const RelationView& d) { return d.begin < d.end; });
       if (!any_delta) break;
       // Work rounds only: the final empty-delta round breaks above without
       // firing a rule, so per_iteration holds iterations - 1 entries.
@@ -286,41 +307,26 @@ class ProgramEvaluator {
         round_start = std::chrono::steady_clock::now();
       }
 
-      std::unordered_map<PredicateId, Relation, PredicateIdHash> new_delta;
-      for (const PredicateId& pred : members) {
-        Attach(&new_delta.emplace(pred, Relation(pred.name, pred.arity))
-                    .first->second);
-      }
-
+      marks = Marks(members);
       for (size_t rule_index : clique.recursive_rules) {
         const Rule& rule = program_.rules()[rule_index];
         // One differentiated firing per clique-predicate occurrence.
         for (size_t occ = 0; occ < rule.body().size(); ++occ) {
-          if (!in_clique(rule.body()[occ])) continue;
-          RelationResolver diff_resolve =
-              [this, &delta, &in_clique, occ](const Literal& lit,
-                                              size_t body_pos) -> Relation* {
-            if (body_pos == occ && in_clique(lit)) {
-              return &delta.at(lit.predicate());
-            }
-            return Resolve(lit);
-          };
-          Relation temp(rule.head().predicate().name, rule.head().arity());
-          Attach(&temp);
-          auto n = EvaluateRule(rule, diff_resolve, &temp, &stats_->counters,
-                                OptionsForRule(rule_index));
-          LDL_RETURN_NOT_OK(n.status());
-          Relation* full = scratch_->GetOrCreate(rule.head().predicate());
-          Relation& nd = new_delta.at(rule.head().predicate());
-          for (const Tuple& t : temp.tuples()) {
-            if (full->Insert(t)) nd.Insert(t);
+          if (MemberIndex(members, rule.body()[occ]) == members.size()) {
+            continue;
           }
+          RelationResolver diff_resolve =
+              [this, &members, &delta, occ](const Literal& lit,
+                                            size_t body_pos) {
+                return body_pos == occ ? delta[MemberIndex(members, lit)]
+                                       : RelationView{Resolve(lit)};
+              };
+          LDL_RETURN_NOT_OK(Fire(rule_index, diff_resolve));
         }
       }
-      delta = std::move(new_delta);
+      const size_t added = close_round(marks);
+      stats_->counters.delta_rows += added;
       if (options_.trace.metrics != nullptr || options_.record_iterations) {
-        size_t added = 0;
-        for (const PredicateId& pred : members) added += delta.at(pred).size();
         options_.trace.Count("engine.fixpoint.rounds");
         options_.trace.Observe("engine.fixpoint.delta_tuples",
                                static_cast<double>(added));

@@ -56,15 +56,15 @@ Relation SelectMatching(Relation* rel, const Literal& goal) {
       key.push_back(goal.args()[i]);
     }
   }
-  auto consider = [&out, &goal](const Tuple& t) {
-    Substitution subst;
+  // One substitution for every tuple, rolled back after each.
+  Substitution subst;
+  const size_t mark = subst.Mark();
+  auto consider = [&](const Tuple& t) {
     bool ok = true;
-    for (size_t i = 0; i < goal.arity(); ++i) {
-      if (!Unify(goal.args()[i], t[i], &subst)) {
-        ok = false;
-        break;
-      }
+    for (size_t i = 0; i < goal.arity() && ok; ++i) {
+      ok = Unify(goal.args()[i], t[i], &subst);
     }
+    subst.UndoTo(mark);
     if (ok) out.Insert(t);
   };
   if (!bound_cols.empty()) {
@@ -98,6 +98,16 @@ std::string AnswerFingerprint(const Relation& answers) {
 
 namespace {
 
+/// True when every argument of `goal` is a variable and no variable
+/// repeats, so every tuple of the goal's relation is an answer.
+bool AllDistinctVariables(const Literal& goal) {
+  std::set<std::string> seen;
+  for (const Term& arg : goal.args()) {
+    if (!arg.IsVariable() || !seen.insert(arg.text()).second) return false;
+  }
+  return true;
+}
+
 Result<QueryResult> EvaluateFull(const Program& program, Database* base,
                                  const Literal& goal, RecursionMethod method,
                                  const QueryEvalOptions& options) {
@@ -120,13 +130,23 @@ Result<QueryResult> EvaluateFull(const Program& program, Database* base,
   scratch.set_accountant(fixpoint.trace.accountant);
   LDL_RETURN_NOT_OK(EvaluateProgram(sub, method, base, &scratch,
                                     &result.stats, fixpoint));
-  result.answers = SelectMatching(scratch.Find(goal.predicate()), goal);
   // The full bottom-up methods compute every reachable derived predicate in
   // its entirety: the scratch sizes are all-free cardinalities.
   for (const PredicateId& pred : scratch.Predicates()) {
     result.derived_sizes.emplace_back(
         AdornedPredicate{pred, Adornment::AllFree(pred.arity)},
         static_cast<double>(scratch.Find(pred)->size()));
+  }
+  Relation* goal_rel = scratch.Find(goal.predicate());
+  if (goal_rel != nullptr && AllDistinctVariables(goal)) {
+    // Every row matches, in order, with no duplicate: the goal relation is
+    // the answer set SelectMatching would copy. Detach it from the
+    // per-query accountant (releasing its charge) before it outlives the
+    // query.
+    goal_rel->set_accountant(nullptr);
+    result.answers = std::move(*goal_rel);
+  } else {
+    result.answers = SelectMatching(goal_rel, goal);
   }
   return result;
 }

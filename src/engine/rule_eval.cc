@@ -1,6 +1,6 @@
 #include "engine/rule_eval.h"
 
-#include <sstream>
+#include <algorithm>
 
 #include "base/strings.h"
 #include "engine/builtins.h"
@@ -13,11 +13,16 @@ void EvalCounters::Add(const EvalCounters& other) {
   derivations += other.derivations;
   inserts += other.inserts;
   rule_firings += other.rule_firings;
+  dedup_probes += other.dedup_probes;
+  index_probes += other.index_probes;
+  delta_rows += other.delta_rows;
 }
 
 std::string EvalCounters::ToString() const {
   return StrCat("examined=", tuples_examined, " derivations=", derivations,
-                " inserts=", inserts, " firings=", rule_firings);
+                " inserts=", inserts, " firings=", rule_firings,
+                " dedup_probes=", dedup_probes, " index_probes=", index_probes,
+                " delta_rows=", delta_rows);
 }
 
 void EvalCounters::ExportTo(MetricsRegistry* metrics) const {
@@ -26,6 +31,9 @@ void EvalCounters::ExportTo(MetricsRegistry* metrics) const {
   metrics->counter("engine.derivations")->Increment(derivations);
   metrics->counter("engine.inserts")->Increment(inserts);
   metrics->counter("engine.rule_firings")->Increment(rule_firings);
+  metrics->counter("engine.dedup_probes")->Increment(dedup_probes);
+  metrics->counter("engine.index_probes")->Increment(index_probes);
+  metrics->counter("engine.delta_rows")->Increment(delta_rows);
 }
 
 namespace {
@@ -51,6 +59,16 @@ class RuleEvaluator {
     }
     if (order_.size() != rule_.body().size()) {
       return Status::Internal("rule evaluation order has wrong size");
+    }
+    // Resolve every literal once and freeze its row window: rows appended
+    // from here on, by this firing or anyone else, stay invisible to it.
+    views_.assign(rule_.body().size(), RelationView{});
+    for (size_t i = 0; i < views_.size(); ++i) {
+      const Literal& lit = rule_.body()[i];
+      if (lit.IsBuiltin()) continue;
+      RelationView view = resolve_(lit, i);
+      if (view.rel != nullptr) view.end = std::min(view.end, view.rel->size());
+      views_[i] = view;
     }
     counters_->rule_firings++;
     LDL_RETURN_NOT_OK(Step(0));
@@ -118,6 +136,7 @@ class RuleEvaluator {
       }
       t.push_back(std::move(v));
     }
+    counters_->dedup_probes++;
     if (out_->Insert(std::move(t))) {
       counters_->inserts++;
       ++inserted_;
@@ -154,7 +173,8 @@ class RuleEvaluator {
                    " has unbound variables in rule ", rule_.ToString()));
       }
     }
-    Relation* rel = resolve_(lit, order_[depth]);
+    // Negation reads a lower, already complete stratum: no window needed.
+    Relation* rel = views_[order_[depth]].rel;
     LDL_RETURN_NOT_OK(CountExamined());
     Tuple key(grounded.args().begin(), grounded.args().end());
     if (rel != nullptr && rel->Contains(key)) return Status::OK();
@@ -174,9 +194,22 @@ class RuleEvaluator {
       }
     }
 
-    Relation* rel = resolve_(lit, order_[depth]);
-    if (rel == nullptr) return Status::OK();
+    const RelationView& view = views_[order_[depth]];
+    Relation* rel = view.rel;
+    if (rel == nullptr || view.begin >= view.end) return Status::OK();
 
+    // Zero-copy reads. `rel` may be the relation this firing emits into,
+    // so it can grow while it is being read, and the reads stay valid
+    // because:
+    //  - the only insert happens in EmitHead, deeper in the recursion and
+    //    after the examined tuple's unification is done; Unify copies into
+    //    the substitution every value it keeps, so the tuple reference is
+    //    never used once Step(depth + 1) may have moved the tuple storage;
+    //  - the posting list is a node of the index's unordered_map, whose
+    //    address survives inserts and rehashes; it is walked by position,
+    //    so a reallocation of its vector is harmless;
+    //  - rows are only appended, so ids below view.end keep their tuples,
+    //    and postings are ascending ids, so the walk stops at view.end.
     auto try_tuple = [&](const Tuple& t) -> Status {
       LDL_RETURN_NOT_OK(CountExamined());
       size_t mark = subst_.Mark();
@@ -192,20 +225,18 @@ class RuleEvaluator {
       return st;
     };
 
-    // Copy posting lists / iterate by index: `rel` may be the relation the
-    // rule is inserting into (direct recursion), so references into it can
-    // be invalidated by inserts made deeper in the recursion.
     if (!bound_cols.empty()) {
-      std::vector<uint32_t> ids = rel->Lookup(bound_cols, key);
-      for (uint32_t id : ids) {
-        Tuple t = rel->tuple(id);
-        LDL_RETURN_NOT_OK(try_tuple(t));
+      counters_->index_probes++;
+      const std::vector<uint32_t>& ids = rel->Lookup(bound_cols, key);
+      size_t i = std::lower_bound(ids.begin(), ids.end(), view.begin) -
+                 ids.begin();
+      for (; i < ids.size() && ids[i] < view.end; ++i) {
+        LDL_RETURN_NOT_OK(try_tuple(rel->tuple(ids[i])));
       }
       return Status::OK();
     }
-    for (size_t i = 0, n = rel->tuples().size(); i < n; ++i) {
-      Tuple t = rel->tuple(i);
-      LDL_RETURN_NOT_OK(try_tuple(t));
+    for (size_t i = view.begin; i < view.end; ++i) {
+      LDL_RETURN_NOT_OK(try_tuple(rel->tuple(i)));
     }
     return Status::OK();
   }
@@ -216,6 +247,7 @@ class RuleEvaluator {
   EvalCounters* counters_;
   const RuleEvalOptions& options_;
   std::vector<size_t> order_;
+  std::vector<RelationView> views_;  ///< per body position, frozen in Run
   Substitution subst_;
   size_t inserted_ = 0;
   size_t since_check_ = 0;  ///< examined tuples since the last check-point
@@ -228,12 +260,6 @@ Result<size_t> EvaluateRule(const Rule& rule, const RelationResolver& resolve,
                             const RuleEvalOptions& options) {
   RuleEvaluator evaluator(rule, resolve, out, counters, options);
   return evaluator.Run();
-}
-
-RelationResolver DatabaseResolver(Database* db) {
-  return [db](const Literal& lit, size_t) -> Relation* {
-    return db->Find(lit.predicate());
-  };
 }
 
 }  // namespace ldl

@@ -1,6 +1,7 @@
 #ifndef LDLOPT_ENGINE_RULE_EVAL_H_
 #define LDLOPT_ENGINE_RULE_EVAL_H_
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -15,28 +16,48 @@ namespace ldl {
 
 /// Work counters accumulated by the evaluator. `tuples_examined` is the
 /// machine-independent work measure the recursion benchmarks report
-/// alongside wall-clock time.
+/// alongside wall-clock time. All of them are exact counts, not timings.
 struct EvalCounters {
   size_t tuples_examined = 0;  ///< tuples touched during joins/lookups
   size_t derivations = 0;      ///< head tuples produced (before dedup)
-  size_t inserts = 0;          ///< head tuples that were new
-  size_t rule_firings = 0;     ///< rule evaluations started
+  /// Head tuples new to the relation the rule emits into. The fixpoint
+  /// emits straight into each predicate's full relation, so this counts
+  /// tuples new to the predicate, not new to one firing.
+  size_t inserts = 0;
+  size_t rule_firings = 0;  ///< rule evaluations started
+  size_t dedup_probes = 0;  ///< Relation::Insert calls made by the engine
+  size_t index_probes = 0;  ///< Relation::Lookup calls made by the engine
+  /// Rows the semi-naive recursive rounds appended, each round's rows being
+  /// the next round's delta: the sum of FixpointIteration::delta_tuples.
+  size_t delta_rows = 0;
 
   void Add(const EvalCounters& other);
   std::string ToString() const;
 
   /// Adds the counters into the registry under the engine.* names
   /// (engine.tuples_examined, engine.derivations, engine.inserts,
-  /// engine.rule_firings). No-op on nullptr.
+  /// engine.rule_firings, engine.dedup_probes, engine.index_probes,
+  /// engine.delta_rows). No-op on nullptr.
   void ExportTo(MetricsRegistry* metrics) const;
 };
 
-/// Maps a body literal occurrence to the relation to read. Lets semi-naive
-/// evaluation substitute delta relations for specific occurrences, and the
-/// magic rewrite look up freshly created predicates. Returning nullptr means
-/// "empty relation".
+/// The rows of one relation a body literal reads: tuples [begin, end) of
+/// `rel`. Relations are append-only until Clear, so a row range names a
+/// fixed set of tuples: a semi-naive delta is the range of rows its round
+/// appended to the full relation, and capping `end` freezes what a rule
+/// may see while rows are still being appended.
+struct RelationView {
+  Relation* rel = nullptr;  ///< nullptr = empty relation
+  size_t begin = 0;
+  size_t end = SIZE_MAX;  ///< capped at rel->size() when a firing starts
+};
+
+/// Maps a body literal occurrence to the rows to read. Called once per
+/// literal when a firing starts. Lets semi-naive evaluation give specific
+/// occurrences the previous round's delta, and the magic rewrite look up
+/// freshly created predicates.
 using RelationResolver =
-    std::function<Relation*(const Literal& lit, size_t body_pos)>;
+    std::function<RelationView(const Literal& lit, size_t body_pos)>;
 
 struct RuleEvalOptions {
   /// Order in which to visit body literals; empty = textual order.
@@ -56,6 +77,11 @@ struct RuleEvalOptions {
 /// the body (visiting literals in `options.order`), and for each one emits
 /// the instantiated head tuple into `out`.
 ///
+/// Every body literal is resolved once, when the firing starts, and its
+/// view's `end` is capped at the relation's size at that moment: the firing
+/// reads every relation as of its own start, even when `out` is one of
+/// them.
+///
 /// Positive literals are matched via hash-index lookups on their bound
 /// argument positions. Builtins are computed inline; a kNotComputable
 /// builtin aborts with kUnsafe (the optimizer is responsible for choosing
@@ -66,11 +92,6 @@ struct RuleEvalOptions {
 Result<size_t> EvaluateRule(const Rule& rule, const RelationResolver& resolve,
                             Relation* out, EvalCounters* counters,
                             const RuleEvalOptions& options = {});
-
-/// Convenience resolver reading every literal from `db` (creating empty
-/// relations for unknown predicates on the fly is avoided: unknown ->
-/// nullptr -> empty).
-RelationResolver DatabaseResolver(Database* db);
 
 }  // namespace ldl
 

@@ -90,6 +90,8 @@ class ResourceAccountant {
     tuples_examined_.fetch_add(n, std::memory_order_relaxed);
     if (parent_ != nullptr) parent_->AddTuplesExamined(n);
   }
+  /// Head tuples new to their predicate's relation (the engine's
+  /// EvalCounters::inserts); re-derivations of existing rows do not count.
   void AddTuplesDerived(uint64_t n) {
     tuples_derived_.fetch_add(n, std::memory_order_relaxed);
     if (parent_ != nullptr) parent_->AddTuplesDerived(n);

@@ -107,14 +107,6 @@ size_t Relation::InsertAll(const Relation& other) {
   return added;
 }
 
-size_t Relation::InsertBatch(std::vector<Tuple> batch) {
-  size_t added = 0;
-  for (Tuple& t : batch) {
-    if (Insert(std::move(t))) ++added;
-  }
-  return added;
-}
-
 bool Relation::Contains(const Tuple& t) const {
   auto it = dedup_.find(TupleHash{}(t));
   if (it == dedup_.end()) return false;

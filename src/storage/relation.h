@@ -118,17 +118,14 @@ class Relation {
   /// of new tuples.
   size_t InsertAll(const Relation& other);
 
-  /// Batch insert: one call per vector-of-tuples instead of one per tuple.
-  /// Returns the number of new tuples.
-  size_t InsertBatch(std::vector<Tuple> batch);
-
   bool Contains(const Tuple& t) const;
 
   void Clear();
 
   /// Posting list of tuple ids whose values at `cols` equal `key` (same
   /// order). `cols` must be strictly increasing. Builds/extends the index
-  /// on demand.
+  /// on demand. Ids ascend. The list is a node of a hash map, so its
+  /// address survives later inserts (which only append to it) until Clear.
   const std::vector<uint32_t>& Lookup(const std::vector<int>& cols,
                                       const Tuple& key);
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "ast/parser.h"
 #include "base/strings.h"
@@ -115,6 +116,188 @@ TEST(FixpointTest, StratifiedNegation) {
                   .ok());
   EXPECT_EQ(scratch.Find({"reach", 1})->size(), 3u);        // 1,2,3
   EXPECT_EQ(scratch.Find({"unreachable", 1})->size(), 2u);  // 4,5
+}
+
+/// A relation's rows in storage order.
+std::string Rows(const Relation& r) {
+  std::vector<std::string> rows;
+  for (const Tuple& t : r.tuples()) rows.push_back(TupleToString(t));
+  return StrJoin(rows, " ");
+}
+
+/// The exact work of one run: counters, rounds and each recorded round's
+/// delta.
+std::string Work(const FixpointStats& stats) {
+  std::vector<size_t> deltas;
+  for (const FixpointIteration& it : stats.per_iteration) {
+    deltas.push_back(it.delta_tuples);
+  }
+  return StrCat("examined=", stats.counters.tuples_examined,
+                " derivations=", stats.counters.derivations,
+                " firings=", stats.counters.rule_firings,
+                " iterations=", stats.iterations, " deltas=",
+                StrJoin(deltas, ","));
+}
+
+FixpointStats RunRecorded(const Program& p, RecursionMethod method,
+                          Database* db, Database* scratch) {
+  FixpointOptions options;
+  options.record_iterations = true;
+  FixpointStats stats;
+  Status st = EvaluateProgram(p, method, db, scratch, &stats, options);
+  EXPECT_TRUE(st.ok()) << st;
+  return stats;
+}
+
+/// Exact work and row order of both fixpoint disciplines and of a magic
+/// rewrite, recorded on the engine that still evaluated every firing into a
+/// temporary relation and merged it afterwards. The literals pin the
+/// visibility rules: a semi-naive firing reads every relation as of its own
+/// start (so the second occurrence of non-linear tc sees rows the first
+/// occurrence appended this round), and a naive round reads the state at
+/// the start of the round. Answers alone would not catch a break in either:
+/// the counts and the row order would.
+TEST(FixpointTest, CountsAndRowOrderMatchParent) {
+  // Linear same-generation, semi-naive.
+  {
+    Program p = P(kSgRules);
+    Database db;
+    testing::MakeSameGenerationData(2, 2, &db);
+    Database scratch;
+    FixpointStats stats =
+        RunRecorded(p, RecursionMethod::kSemiNaive, &db, &scratch);
+    EXPECT_EQ(Work(stats),
+              "examined=98 derivations=42 firings=4 iterations=4 "
+              "deltas=8,32,0");
+    EXPECT_EQ(Rows(*scratch.Find({"sg", 2})),
+              "(0, 1) (1, 0) (2, 4) (2, 5) (3, 4) (3, 5) (4, 2) (4, 3) "
+              "(5, 2) (5, 3) (6, 10) (6, 11) (6, 12) (6, 13) (7, 10) "
+              "(7, 11) (7, 12) (7, 13) (8, 10) (8, 11) (8, 12) (8, 13) "
+              "(9, 10) (9, 11) (9, 12) (9, 13) (10, 6) (10, 7) (10, 8) "
+              "(10, 9) (11, 6) (11, 7) (11, 8) (11, 9) (12, 6) (12, 7) "
+              "(12, 8) (12, 9) (13, 6) (13, 7) (13, 8) (13, 9)");
+  }
+
+  // Non-linear transitive closure over a chain with a branch, both
+  // disciplines.
+  Program tc = P(R"(
+    tc(X, Y) <- edge(X, Y).
+    tc(X, Y) <- tc(X, Z), tc(Z, Y).
+  )");
+  Database graph;
+  Relation* edge = graph.GetOrCreate({"edge", 2});
+  for (int64_t i = 0; i < 5; ++i) {
+    edge->Insert({Term::MakeInt(i), Term::MakeInt(i + 1)});
+  }
+  edge->Insert({Term::MakeInt(2), Term::MakeInt(7)});
+  {
+    Database scratch;
+    FixpointStats stats =
+        RunRecorded(tc, RecursionMethod::kSemiNaive, &graph, &scratch);
+    EXPECT_EQ(Work(stats),
+              "examined=107 derivations=42 firings=7 iterations=4 "
+              "deltas=9,3,0");
+    EXPECT_EQ(Rows(*scratch.Find({"tc", 2})),
+              "(0, 1) (1, 2) (2, 3) (3, 4) (4, 5) (2, 7) (0, 2) (1, 3) "
+              "(1, 7) (2, 4) (3, 5) (0, 3) (0, 7) (1, 4) (2, 5) (0, 4) "
+              "(0, 5) (1, 5)");
+  }
+  {
+    Database scratch;
+    FixpointStats stats =
+        RunRecorded(tc, RecursionMethod::kNaive, &graph, &scratch);
+    EXPECT_EQ(Work(stats),
+              "examined=148 derivations=96 firings=10 iterations=5 "
+              "deltas=6,5,6,1,0");
+    EXPECT_EQ(Rows(*scratch.Find({"tc", 2})),
+              "(0, 1) (1, 2) (2, 3) (3, 4) (4, 5) (2, 7) (0, 2) (1, 3) "
+              "(1, 7) (2, 4) (3, 5) (0, 3) (0, 7) (1, 4) (2, 5) (0, 4) "
+              "(1, 5) (0, 5)");
+  }
+
+  // Mutual recursion, both disciplines.
+  Program even_odd = P(R"(
+    even(X) <- zero(X).
+    even(X) <- succ(Y, X), odd(Y).
+    odd(X)  <- succ(Y, X), even(Y).
+  )");
+  Database nat;
+  nat.GetOrCreate({"zero", 1})->Insert({Term::MakeInt(0)});
+  Relation* succ = nat.GetOrCreate({"succ", 2});
+  for (int64_t i = 0; i < 6; ++i) {
+    succ->Insert({Term::MakeInt(i), Term::MakeInt(i + 1)});
+  }
+  for (RecursionMethod method :
+       {RecursionMethod::kSemiNaive, RecursionMethod::kNaive}) {
+    SCOPED_TRACE(RecursionMethodToString(method));
+    Database scratch;
+    FixpointStats stats = RunRecorded(even_odd, method, &nat, &scratch);
+    EXPECT_EQ(Work(stats),
+              method == RecursionMethod::kNaive
+                  ? "examined=131 derivations=35 firings=24 iterations=8 "
+                    "deltas=1,1,1,1,1,1,1,0"
+                  : "examined=91 derivations=7 firings=15 iterations=8 "
+                    "deltas=1,1,1,1,1,1,0");
+    EXPECT_EQ(Rows(*scratch.Find({"even", 1})), "(0) (2) (4) (6)");
+    EXPECT_EQ(Rows(*scratch.Find({"odd", 1})), "(1) (3) (5)");
+  }
+
+  // A magic-rewritten bound query: the rewritten program runs semi-naive.
+  {
+    Program p = P(kSgRules);
+    Database db;
+    size_t nodes = testing::MakeSameGenerationData(2, 2, &db);
+    Literal goal = Literal::Make(
+        "sg", {Term::MakeInt(static_cast<int64_t>(nodes - 1)),
+               Term::MakeVariable("Y")});
+    QueryEvalOptions options;
+    options.fixpoint.record_iterations = true;
+    auto result =
+        EvaluateQuery(p, &db, goal, RecursionMethod::kMagic, options);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(Work(result->stats),
+              "examined=33 derivations=10 firings=8 iterations=8 "
+              "deltas=1,1,0,2,4,0");
+    EXPECT_EQ(Rows(result->answers), "(13, 6) (13, 7) (13, 8) (13, 9)");
+  }
+}
+
+// The attribution counters are exact. Semi-naive emits every derivation
+// straight into its head's full relation, so each one costs exactly one
+// dedup probe; the delta rows are the recorded rounds' deltas; and every
+// index probe is made either by a literal a firing starts with or right
+// after an examined tuple.
+TEST(FixpointTest, AttributionCountersOnSemiNaiveSg) {
+  Program p = P(kSgRules);
+  Database db;
+  testing::MakeSameGenerationData(3, 3, &db);
+  Database scratch;
+  FixpointStats stats =
+      RunRecorded(p, RecursionMethod::kSemiNaive, &db, &scratch);
+  const EvalCounters& c = stats.counters;
+  ASSERT_GT(c.derivations, 0u);
+  EXPECT_EQ(c.dedup_probes, c.derivations);
+  size_t recorded_deltas = 0;
+  for (const FixpointIteration& it : stats.per_iteration) {
+    recorded_deltas += it.delta_tuples;
+  }
+  EXPECT_GT(c.delta_rows, 0u);
+  EXPECT_EQ(c.delta_rows, recorded_deltas);
+  EXPECT_GT(c.index_probes, 0u);
+  EXPECT_LE(c.index_probes, c.tuples_examined + c.rule_firings);
+
+  MetricsRegistry metrics;
+  c.ExportTo(&metrics);
+  EXPECT_EQ(metrics.counter("engine.dedup_probes")->value(), c.dedup_probes);
+  EXPECT_EQ(metrics.counter("engine.index_probes")->value(), c.index_probes);
+  EXPECT_EQ(metrics.counter("engine.delta_rows")->value(), c.delta_rows);
+  EvalCounters twice = c;
+  twice.Add(c);
+  EXPECT_EQ(twice.dedup_probes, 2 * c.dedup_probes);
+  EXPECT_EQ(twice.index_probes, 2 * c.index_probes);
+  EXPECT_EQ(twice.delta_rows, 2 * c.delta_rows);
+  EXPECT_NE(c.ToString().find(StrCat("dedup_probes=", c.dedup_probes)),
+            std::string::npos);
 }
 
 TEST(FixpointTest, NonStratifiedRejected) {
@@ -367,6 +550,48 @@ TEST(QueryEvalTest, IterationTelemetryGoldenValuesOnCycle) {
   EXPECT_EQ(counting.method_used, RecursionMethod::kMagic);
   EXPECT_EQ(counting.answers.size(), 4u);
   EXPECT_EQ(trajectory(counting), magic_rows);
+}
+
+// An all-free goal's answers are the goal relation itself, moved out of
+// the query's scratch: the same tuples in the same order as SelectMatching
+// over that relation, detached from the per-query accountant, which holds
+// no bytes once the query returns. Goals that constrain a row still go
+// through SelectMatching.
+TEST(QueryEvalTest, AllFreeAnswersAreTheGoalRelation) {
+  Program p = P(R"(
+    tc(X, Y) <- edge(X, Y).
+    tc(X, Y) <- edge(X, Z), tc(Z, Y).
+  )");
+  Database db;
+  testing::MakeRandomDag(30, 2, 7, &db);
+  testing::MakeCycle(3, &db);  // adds tc(X, X) rows
+  Database reference_scratch;
+  ASSERT_TRUE(EvaluateProgram(p, RecursionMethod::kSemiNaive, &db,
+                              &reference_scratch, nullptr)
+                  .ok());
+  Relation* reference = reference_scratch.Find({"tc", 2});
+
+  for (const char* goal_text : {"tc(X, Y)", "tc(X, X)", "tc(0, Y)"}) {
+    SCOPED_TRACE(goal_text);
+    const Literal goal = L(goal_text);
+    ResourceAccountant accountant;
+    QueryEvalOptions options;
+    options.fixpoint.trace.accountant = &accountant;
+    auto result =
+        EvaluateQuery(p, &db, goal, RecursionMethod::kSemiNaive, options);
+    ASSERT_TRUE(result.ok()) << result.status();
+    Relation expected = SelectMatching(reference, goal);
+    ASSERT_FALSE(expected.empty());
+    EXPECT_EQ(result->answers.tuples(), expected.tuples());
+    EXPECT_EQ(AnswerFingerprint(result->answers), AnswerFingerprint(expected));
+    EXPECT_EQ(result->answers.accountant(), nullptr);
+    EXPECT_GT(accountant.peak_bytes(), 0u);
+    EXPECT_EQ(accountant.current_bytes(), 0u);
+    // The relation SelectMatching builds is named "answers"; the goal
+    // relation keeps its predicate's name.
+    const bool all_free = std::string(goal_text) == "tc(X, Y)";
+    EXPECT_EQ(result->answers.name(), all_free ? "tc" : "answers");
+  }
 }
 
 TEST(QueryEvalTest, ReachableSubprogramPrunesUnrelatedRules) {

@@ -1,4 +1,4 @@
-// bench_diff — wall-time regression gate over the bench JSON exports.
+// bench_diff — regression gate over the bench JSON exports.
 //
 // Usage: bench_diff [options] BASELINE_DIR CURRENT_DIR
 //
@@ -12,12 +12,20 @@
 //
 // Each bench binary writes BENCH_<name>.json via bench_util's JsonSink:
 // {"bench":..., "experiments":[{"id",...,"tables":[{"headers":[...],
-// "rows":[[...]]}]}]}. Time-like columns are those whose header mentions
-// "ms" or "time"; rows are matched positionally and must agree on their
-// first (label) cell — a reshaped table is reported as skipped, not failed,
-// so adding a workload does not masquerade as a regression.
+// "rows":[[...]]}]}]}. Two kinds of column are gated:
+//  - time-like columns (header mentions "ms" or "time") may grow by at
+//    most --threshold percent;
+//  - exact columns (header mentions "answers", "examined" or "derived")
+//    are machine-independent counts and must match the baseline exactly.
+// Rows are paired by position within a table and must agree on their key
+// cells: the leading label cells, i.e. every cell before the first gated
+// column or the first number (at least the first cell). E4's rows, for
+// instance, share their first cell and differ in the second. A reshaped
+// table, or a row whose key cells differ, is reported as skipped, not
+// failed, so adding a workload does not masquerade as a regression.
 //
-// Exit status: 0 no regressions, 1 regression found, 2 usage/parse error.
+// Exit status: 0 no regressions, 1 regression or exact mismatch found,
+// 2 usage/parse error.
 
 #include <algorithm>
 #include <cctype>
@@ -71,11 +79,28 @@ bool TimeLikeHeader(const std::string& header) {
          h.find("time") != std::string::npos;
 }
 
+/// Columns whose cells are machine-independent counts: they must match the
+/// baseline exactly.
+bool ExactHeader(const std::string& header) {
+  std::string h = Lower(header);
+  return h.find("answers") != std::string::npos ||
+         h.find("examined") != std::string::npos ||
+         h.find("derived") != std::string::npos;
+}
+
 bool ParseCell(const std::string& cell, double* out) {
   if (cell.empty() || cell == "-") return false;
   char* end = nullptr;
   *out = std::strtod(cell.c_str(), &end);
   return end != cell.c_str();
+}
+
+/// True when the whole cell is one number (unlike ParseCell, which accepts
+/// a numeric prefix such as the "2" of "2, 8").
+bool IsNumber(const std::string& cell) {
+  char* end = nullptr;
+  std::strtod(cell.c_str(), &end);
+  return !cell.empty() && end == cell.c_str() + cell.size();
 }
 
 /// A string cell's text; "" for a missing value or any other kind.
@@ -135,14 +160,33 @@ std::vector<FlatTable> ExtractTables(const ldl::json::Value& root) {
   return tables;
 }
 
-/// Compares one bench file pair; returns the number of regressions and
-/// prints each. `checked` counts the time-cell comparisons actually made.
-size_t DiffFile(const std::string& name, const ldl::json::Value& baseline,
-                const ldl::json::Value& current, const Options& options,
-                size_t* checked) {
+struct DiffCounts {
+  size_t time_checked = 0;   ///< time cells compared
+  size_t regressions = 0;    ///< time cells over the threshold
+  size_t exact_checked = 0;  ///< exact cells compared
+  size_t mismatches = 0;     ///< exact cells that differ
+};
+
+/// Number of key cells of a table row: the leading cells before the first
+/// gated column or the first number, and at least one.
+size_t KeyCells(const std::vector<std::string>& headers,
+                const std::vector<std::string>& row) {
+  size_t n = 0;
+  while (n < headers.size() && n < row.size() &&
+         !TimeLikeHeader(headers[n]) && !ExactHeader(headers[n]) &&
+         !IsNumber(row[n])) {
+    ++n;
+  }
+  return std::max<size_t>(n, 1);
+}
+
+/// Compares one bench file pair, adding its comparisons, regressions and
+/// mismatches into `counts` and printing each failure.
+void DiffFile(const std::string& name, const ldl::json::Value& baseline,
+              const ldl::json::Value& current, const Options& options,
+              DiffCounts* counts) {
   std::vector<FlatTable> base_tables = ExtractTables(baseline);
   std::vector<FlatTable> cur_tables = ExtractTables(current);
-  size_t regressions = 0;
 
   for (const FlatTable& cur : cur_tables) {
     const FlatTable* base = nullptr;
@@ -166,39 +210,60 @@ size_t DiffFile(const std::string& name, const ldl::json::Value& baseline,
                             : ": new table, skipped\n");
       continue;
     }
-    for (size_t c = 0; c < cur.headers.size(); ++c) {
-      if (!TimeLikeHeader(cur.headers[c])) continue;
-      size_t rows = std::min(cur.rows.size(), base->rows.size());
-      for (size_t r = 0; r < rows; ++r) {
-        const auto& cur_row = cur.rows[r];
-        const auto& base_row = base->rows[r];
-        // Positional match must agree on the label cell; a reshaped table
-        // is a skip, not a regression.
-        if (cur_row.empty() || base_row.empty() ||
-            cur_row[0] != base_row[0]) {
+    const size_t rows = std::min(cur.rows.size(), base->rows.size());
+    for (size_t r = 0; r < rows; ++r) {
+      const auto& cur_row = cur.rows[r];
+      const auto& base_row = base->rows[r];
+      // Positional match must agree on the key cells; a reshaped row is a
+      // skip, not a regression.
+      if (cur_row.empty() || base_row.empty()) continue;
+      const size_t keys = KeyCells(base->headers, base_row);
+      if (cur_row.size() < keys ||
+          !std::equal(base_row.begin(), base_row.begin() + keys,
+                      cur_row.begin())) {
+        std::cout << name << " " << cur.id << " row " << r
+                  << ": key cells differ from the baseline (reshaped), "
+                     "skipped\n";
+        continue;
+      }
+      std::string label = base_row[0];
+      for (size_t k = 1; k < keys; ++k) {
+        label.append(" | ").append(base_row[k]);
+      }
+      for (size_t c = 0; c < cur.headers.size(); ++c) {
+        if (c >= cur_row.size() || c >= base_row.size()) break;
+        if (ExactHeader(cur.headers[c])) {
+          ++counts->exact_checked;
+          if (cur_row[c] != base_row[c]) {
+            ++counts->mismatches;
+            std::printf("%s %s [%s] row %zu \"%s\": %s -> %s (must match "
+                        "exactly)\n",
+                        name.c_str(), cur.id.c_str(), cur.headers[c].c_str(),
+                        r, label.c_str(), base_row[c].c_str(),
+                        cur_row[c].c_str());
+          }
           continue;
         }
+        if (!TimeLikeHeader(cur.headers[c])) continue;
         double cur_v = 0, base_v = 0;
-        if (c >= cur_row.size() || c >= base_row.size() ||
-            !ParseCell(cur_row[c], &cur_v) ||
+        if (!ParseCell(cur_row[c], &cur_v) ||
             !ParseCell(base_row[c], &base_v)) {
           continue;
         }
-        ++*checked;
+        ++counts->time_checked;
         if (std::max(cur_v, base_v) < options.min_baseline_ms) continue;
         double limit = base_v * (1.0 + options.threshold_pct / 100.0);
         if (cur_v > limit) {
-          ++regressions;
+          ++counts->regressions;
           double pct = base_v > 0 ? (cur_v / base_v - 1.0) * 100.0 : 0;
           std::printf(
               "%s %s [%s] row \"%s\": %.3f -> %.3f ms (+%.0f%% > %.0f%%)\n",
               name.c_str(), cur.id.c_str(), cur.headers[c].c_str(),
-              cur_row[0].c_str(), base_v, cur_v, pct, options.threshold_pct);
+              label.c_str(), base_v, cur_v, pct, options.threshold_pct);
         }
       }
     }
   }
-  return regressions;
 }
 
 }  // namespace
@@ -265,8 +330,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  size_t regressions = 0;
-  size_t checked = 0;
+  DiffCounts counts;
   for (const fs::path& cur_path : current_files) {
     const std::string name = cur_path.filename().string();
     fs::path base_path = fs::path(options.baseline_dir) / name;
@@ -292,12 +356,15 @@ int main(int argc, char** argv) {
                 << current.status().message() << "\n";
       return 2;
     }
-    regressions += DiffFile(name, *baseline, *current, options, &checked);
+    DiffFile(name, *baseline, *current, options, &counts);
   }
 
   std::printf("bench_diff: %zu time cells checked, %zu regression%s "
-              "(threshold %.0f%%, floor %.1f ms)\n",
-              checked, regressions, regressions == 1 ? "" : "s",
-              options.threshold_pct, options.min_baseline_ms);
-  return regressions > 0 ? 1 : 0;
+              "(threshold %.0f%%, floor %.1f ms); %zu exact cells checked, "
+              "%zu mismatch%s\n",
+              counts.time_checked, counts.regressions,
+              counts.regressions == 1 ? "" : "s", options.threshold_pct,
+              options.min_baseline_ms, counts.exact_checked,
+              counts.mismatches, counts.mismatches == 1 ? "" : "es");
+  return counts.regressions > 0 || counts.mismatches > 0 ? 1 : 0;
 }
