@@ -6,7 +6,6 @@
 
 #include "base/strings.h"
 #include "engine/builtins.h"
-#include "engine/unify.h"
 #include "obs/metrics.h"
 #include "storage/database.h"
 #include "storage/statistics.h"
@@ -20,7 +19,7 @@ namespace {
 constexpr double kCardCap = 1e18;
 
 /// Comparison bands in the engine's term order (TermKind order with the
-/// numeric kinds merged — EvalBuiltin compares numerics by value).
+/// numeric kinds merged — EvalGroundBuiltin compares numerics by value).
 enum Band : int {
   kBandNumeric = 0,
   kBandString = 1,
@@ -502,8 +501,7 @@ void ProgramAnalyzer::CheckRules(ProgramAnalysis* a) const {
       const Term& lhs = lit.args()[0];
       const Term& rhs = lit.args()[1];
       if (lhs.IsGround() && rhs.IsGround()) {
-        Substitution subst;
-        if (EvalBuiltin(lit, &subst) == BuiltinOutcome::kFailed) {
+        if (!EvalGroundBuiltin(lit.builtin(), lhs, rhs)) {
           a->findings_.push_back({"L012", Severity::kWarning,
                                   StrCat("comparison ", lit.ToString(),
                                          " is always false"),

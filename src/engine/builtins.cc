@@ -83,66 +83,77 @@ int CompareGround(const Term& a, const Term& b) {
   return a < b ? -1 : 1;
 }
 
-BuiltinOutcome FromBool(bool ok) {
-  return ok ? BuiltinOutcome::kSatisfied : BuiltinOutcome::kFailed;
-}
-
 }  // namespace
 
-BuiltinOutcome EvalBuiltin(const Literal& lit, Substitution* subst) {
-  const Term lhs = subst->Apply(lit.args()[0]);
-  const Term rhs = subst->Apply(lit.args()[1]);
-  const bool lhs_ground = lhs.IsGround();
-  const bool rhs_ground = rhs.IsGround();
-
-  if (lit.builtin() == BuiltinKind::kEq) {
-    if (!lhs_ground && !rhs_ground) return BuiltinOutcome::kNotComputable;
-    // A ground side can be evaluated and unified against the other side
-    // only if that side is a constructor pattern; residual arithmetic
-    // would require equation solving.
-    if (!lhs_ground && ContainsArithmetic(lhs)) {
-      return BuiltinOutcome::kNotComputable;
+bool GroundUnifies(const Term& a, const Term& b) {
+  const Term* x = &a;
+  const Term* y = &b;
+  // Loops down the last argument, so a long list costs no stack.
+  while (true) {
+    if (x->kind() != y->kind()) {
+      return x->IsNumeric() && y->IsNumeric() &&
+             x->AsDouble() == y->AsDouble();
     }
-    if (!rhs_ground && ContainsArithmetic(rhs)) {
-      return BuiltinOutcome::kNotComputable;
+    switch (x->kind()) {
+      case TermKind::kInt:
+        return x->int_value() == y->int_value();
+      case TermKind::kReal:
+        return x->real_value() == y->real_value();
+      case TermKind::kString:
+      case TermKind::kSymbol:
+        return x->text() == y->text();
+      case TermKind::kFunction: {
+        const std::vector<Term>& xs = x->args();
+        const std::vector<Term>& ys = y->args();
+        if (x->text() != y->text() || xs.size() != ys.size()) return false;
+        if (xs.empty()) return true;
+        for (size_t i = 0; i + 1 < xs.size(); ++i) {
+          if (!GroundUnifies(xs[i], ys[i])) return false;
+        }
+        x = &xs.back();
+        y = &ys.back();
+        break;
+      }
+      case TermKind::kVariable:
+        return false;
     }
-    size_t mark = subst->Mark();
-    Term l = lhs;
-    Term r = rhs;
-    if (lhs_ground) {
-      auto folded = EvalArithmetic(l);
-      if (!folded.ok()) return BuiltinOutcome::kFailed;
-      l = std::move(folded).value();
-    }
-    if (rhs_ground) {
-      auto folded = EvalArithmetic(r);
-      if (!folded.ok()) return BuiltinOutcome::kFailed;
-      r = std::move(folded).value();
-    }
-    if (Unify(l, r, subst)) return BuiltinOutcome::kSatisfied;
-    subst->UndoTo(mark);
-    return BuiltinOutcome::kFailed;
   }
+}
 
-  // Ordering comparisons need both sides ground.
-  if (!lhs_ground || !rhs_ground) return BuiltinOutcome::kNotComputable;
-  auto l = EvalArithmetic(lhs);
-  auto r = EvalArithmetic(rhs);
-  if (!l.ok() || !r.ok()) return BuiltinOutcome::kFailed;
-  int cmp = CompareGround(*l, *r);
-  switch (lit.builtin()) {
+bool EvalGroundBuiltin(BuiltinKind kind, const Term& lhs, const Term& rhs) {
+  // Fold only what holds arithmetic: EvalArithmetic leaves anything else
+  // equal to its input.
+  Term lhs_folded;
+  Term rhs_folded;
+  const Term* l = &lhs;
+  const Term* r = &rhs;
+  if (ContainsArithmetic(lhs)) {
+    auto folded = EvalArithmetic(lhs);
+    if (!folded.ok()) return false;
+    lhs_folded = std::move(folded).value();
+    l = &lhs_folded;
+  }
+  if (ContainsArithmetic(rhs)) {
+    auto folded = EvalArithmetic(rhs);
+    if (!folded.ok()) return false;
+    rhs_folded = std::move(folded).value();
+    r = &rhs_folded;
+  }
+  if (kind == BuiltinKind::kEq) return GroundUnifies(*l, *r);
+  const int cmp = CompareGround(*l, *r);
+  switch (kind) {
     case BuiltinKind::kNe:
-      return FromBool(cmp != 0);
+      return cmp != 0;
     case BuiltinKind::kLt:
-      return FromBool(cmp < 0);
+      return cmp < 0;
     case BuiltinKind::kLe:
-      return FromBool(cmp <= 0);
+      return cmp <= 0;
     case BuiltinKind::kGt:
-      return FromBool(cmp > 0);
+      return cmp > 0;
     case BuiltinKind::kGe:
-      return FromBool(cmp >= 0);
+      return cmp >= 0;
     default:
-      return BuiltinOutcome::kFailed;
+      return false;
   }
 }
 

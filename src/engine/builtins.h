@@ -4,27 +4,17 @@
 #include "ast/literal.h"
 #include "ast/term.h"
 #include "base/status.h"
-#include "engine/unify.h"
 
 namespace ldl {
 
 // Reentrancy contract: every function in this header is a pure function of
-// its arguments plus the passed-in Substitution — no mutable static or
-// global state (audited; the only function-local statics in the evaluation
-// stack are immutable empty-collection singletons with thread-safe
-// initialization, in term.cc and relation.cc). Concurrently evaluating
-// LdlSystem instances may therefore call these from any number of threads,
-// as long as each Substitution is thread-private (they always are: one per
-// RuleEvaluator). Pinned by LdlSystemTest.ConcurrentIndependentSystems in
-// tests/ldl_test.cc, which the TSan CI leg runs.
-
-/// Outcome of attempting one builtin literal under a substitution.
-enum class BuiltinOutcome {
-  kSatisfied,      ///< test passed / assignment made (subst may be extended)
-  kFailed,         ///< test failed (or arithmetic error); prune this branch
-  kNotComputable,  ///< insufficient bindings: the literal is an infinite
-                   ///< relation here (paper section 8); evaluation order bug
-};
+// its arguments — no mutable static or global state (audited; the only
+// function-local statics in the evaluation stack are immutable
+// empty-collection singletons with thread-safe initialization, in term.cc
+// and relation.cc). Concurrently evaluating LdlSystem instances may
+// therefore call these from any number of threads. Pinned by
+// LdlSystemTest.ConcurrentIndependentSystems in tests/ldl_test.cc, which
+// the TSan CI leg runs.
 
 /// Evaluates ground arithmetic inside `t`: function terms with functors
 /// + - * / mod over numeric arguments are folded to numeric constants;
@@ -35,27 +25,32 @@ Result<Term> EvalArithmetic(const Term& t);
 /// True iff `t` contains any arithmetic functor (+ - * / mod).
 bool ContainsArithmetic(const Term& t);
 
-/// Attempts the builtin comparison literal `lit` under `*subst`:
-///  - comparisons (< <= > >= !=) require both sides ground; compares
-///    numerically when both sides are numeric, by term order otherwise;
-///  - `=` evaluates whichever side is ground (folding arithmetic) and
-///    unifies it with the other side, possibly binding variables.
-/// On kFailed/kNotComputable the substitution is unchanged.
-BuiltinOutcome EvalBuiltin(const Literal& lit, Substitution* subst);
+/// True iff the ground terms `a` and `b` unify: structural equality in
+/// which numbers compare by value across kinds (1 unifies with 1.0, at any
+/// depth). This is the one equality of matching and of `=`.
+bool GroundUnifies(const Term& a, const Term& b);
+
+/// The ground builtin evaluator: the outcome of the comparison
+/// `lhs <kind> rhs` over ground sides. Both sides are folded first
+/// (EvalArithmetic); an arithmetic error makes the comparison false.
+/// `=` compares by GroundUnifies; < <= > >= != compare numerically when
+/// both sides are numeric, by term order otherwise.
+bool EvalGroundBuiltin(BuiltinKind kind, const Term& lhs, const Term& rhs);
 
 /// Static EC test used by the safety analysis and by the adornment walk:
-/// given which argument sides are fully bound, would EvalBuiltin be
-/// computable? (paper section 8.1: "patterns of argument bindings that
-/// ensure EC are simple to derive for comparison predicates"). This raw
-/// form ignores term structure; prefer BuiltinComputable below.
+/// given which argument sides are fully bound, is the builtin computable?
+/// (paper section 8.1: "patterns of argument bindings that ensure EC are
+/// simple to derive for comparison predicates"). This raw form ignores
+/// term structure; prefer BuiltinComputable below.
 bool BuiltinComputableWith(BuiltinKind kind, bool lhs_bound, bool rhs_bound);
 
-/// Structure-aware EC test for a builtin literal. For `=` the paper's rule
-/// is directional: "we are ensured of EC as soon as all the variables in
-/// *expression* are instantiated". Evaluating a ground side and unifying it
-/// against the other side works only when the unbound side is a pure
-/// constructor pattern — an unbound side containing arithmetic (X = Y / 2
-/// with Y free) would need equation solving, which the engine does not do.
+/// Structure-aware EC test for a builtin literal, the one the compiled rule
+/// applies. For `=` the paper's rule is directional: "we are ensured of EC
+/// as soon as all the variables in *expression* are instantiated".
+/// Evaluating a ground side and matching the other side against it works
+/// only when the unbound side is a pure constructor pattern — an unbound
+/// side containing arithmetic (X = Y / 2 with Y free) would need equation
+/// solving, which the engine does not do.
 bool BuiltinComputable(const Literal& lit, bool lhs_bound, bool rhs_bound);
 
 }  // namespace ldl

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 
 #include "base/strings.h"
 #include "graph/dependency_graph.h"
@@ -62,7 +63,12 @@ class ProgramEvaluator {
         base_(base),
         scratch_(scratch),
         stats_(stats),
-        options_(options) {}
+        options_(options),
+        compiled_(program.rules().size()) {
+    rule_options_.max_derivations = options.max_derivations;
+    rule_options_.cancel = options.trace.cancel;
+    rule_options_.accountant = options.trace.accountant;
+  }
 
   Status Run() {
     DependencyGraph graph = DependencyGraph::Build(program_);
@@ -95,22 +101,26 @@ class ProgramEvaluator {
     };
   }
 
-  RuleEvalOptions OptionsForRule(size_t rule_index) const {
-    RuleEvalOptions opts;
-    opts.max_derivations = options_.max_derivations;
-    opts.cancel = options_.trace.cancel;
-    opts.accountant = options_.trace.accountant;
-    auto it = options_.rule_orders.find(rule_index);
-    if (it != options_.rule_orders.end()) opts.order = it->second;
-    return opts;
-  }
-
-  /// Fires one rule, emitting straight into its head's full relation.
+  /// Fires one rule, emitting straight into its head's full relation. The
+  /// rule is compiled for its body order on its first firing, and that
+  /// compiled rule serves every later firing of this evaluation: all
+  /// rounds and all differentiated occurrences.
   Status Fire(size_t rule_index, const RelationResolver& resolve) {
     const Rule& rule = program_.rules()[rule_index];
-    return EvaluateRule(rule, resolve,
+    std::unique_ptr<CompiledRule>& compiled = compiled_[rule_index];
+    if (compiled == nullptr) {
+      auto it = options_.rule_orders.find(rule_index);
+      LDL_ASSIGN_OR_RETURN(
+          CompiledRule fresh,
+          CompiledRule::Compile(rule, it == options_.rule_orders.end()
+                                          ? std::vector<size_t>{}
+                                          : it->second));
+      compiled = std::make_unique<CompiledRule>(std::move(fresh));
+      stats_->counters.rules_compiled++;
+    }
+    return EvaluateRule(compiled.get(), resolve,
                         scratch_->GetOrCreate(rule.head().predicate()),
-                        &stats_->counters, OptionsForRule(rule_index))
+                        &stats_->counters, rule_options_)
         .status();
   }
 
@@ -349,6 +359,9 @@ class ProgramEvaluator {
   Database* scratch_;
   FixpointStats* stats_;
   const FixpointOptions& options_;
+  RuleEvalOptions rule_options_;
+  /// Per rule index: its compiled form, built by the rule's first firing.
+  std::vector<std::unique_ptr<CompiledRule>> compiled_;
 };
 
 }  // namespace

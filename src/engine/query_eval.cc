@@ -7,7 +7,7 @@
 #include "base/strings.h"
 #include "engine/counting.h"
 #include "engine/magic.h"
-#include "engine/unify.h"
+#include "engine/rule_eval.h"
 #include "graph/dependency_graph.h"
 
 namespace ldl {
@@ -47,28 +47,16 @@ Program ReachableSubprogram(const Program& program, const Literal& goal,
 Relation SelectMatching(Relation* rel, const Literal& goal) {
   Relation out("answers", goal.arity());
   if (rel == nullptr) return out;
-  // Index on the ground positions of the goal.
-  std::vector<int> bound_cols;
-  Tuple key;
-  for (size_t i = 0; i < goal.arity(); ++i) {
-    if (goal.args()[i].IsGround()) {
-      bound_cols.push_back(static_cast<int>(i));
-      key.push_back(goal.args()[i]);
-    }
-  }
-  // One substitution for every tuple, rolled back after each.
-  Substitution subst;
-  const size_t mark = subst.Mark();
+  // The goal compiled as a one-literal pattern: its ground arguments are
+  // the index key, the rest match each candidate tuple.
+  RegisterScope scope;
+  LiteralPattern pattern = LiteralPattern::Compile(goal, &scope);
+  std::vector<Term> regs(scope.size());
   auto consider = [&](const Tuple& t) {
-    bool ok = true;
-    for (size_t i = 0; i < goal.arity() && ok; ++i) {
-      ok = Unify(goal.args()[i], t[i], &subst);
-    }
-    subst.UndoTo(mark);
-    if (ok) out.Insert(t);
+    if (pattern.Match(t, regs.data())) out.Insert(t);
   };
-  if (!bound_cols.empty()) {
-    for (uint32_t id : rel->Lookup(bound_cols, key)) {
+  if (!pattern.key_cols.empty()) {
+    for (uint32_t id : rel->Lookup(pattern.key_cols, pattern.key)) {
       consider(rel->tuple(id));
     }
   } else {

@@ -4,7 +4,6 @@
 
 #include "base/strings.h"
 #include "engine/builtins.h"
-#include "engine/unify.h"
 
 namespace ldl {
 
@@ -16,13 +15,14 @@ void EvalCounters::Add(const EvalCounters& other) {
   dedup_probes += other.dedup_probes;
   index_probes += other.index_probes;
   delta_rows += other.delta_rows;
+  rules_compiled += other.rules_compiled;
 }
 
 std::string EvalCounters::ToString() const {
   return StrCat("examined=", tuples_examined, " derivations=", derivations,
                 " inserts=", inserts, " firings=", rule_firings,
                 " dedup_probes=", dedup_probes, " index_probes=", index_probes,
-                " delta_rows=", delta_rows);
+                " delta_rows=", delta_rows, " rules_compiled=", rules_compiled);
 }
 
 void EvalCounters::ExportTo(MetricsRegistry* metrics) const {
@@ -34,98 +34,323 @@ void EvalCounters::ExportTo(MetricsRegistry* metrics) const {
   metrics->counter("engine.dedup_probes")->Increment(dedup_probes);
   metrics->counter("engine.index_probes")->Increment(index_probes);
   metrics->counter("engine.delta_rows")->Increment(delta_rows);
+  metrics->counter("engine.rules_compiled")->Increment(rules_compiled);
 }
 
-namespace {
+bool TermCode::Match(const Term& value, Term* regs) const {
+  switch (op) {
+    case Op::kWrite:
+      regs[reg] = value;
+      return true;
+    case Op::kRead:
+      return GroundUnifies(regs[reg], value);
+    case Op::kConst:
+      return GroundUnifies(term, value);
+    case Op::kFunction: {
+      if (value.kind() != TermKind::kFunction || value.text() != term.text() ||
+          value.arity() != args.size()) {
+        return false;
+      }
+      const std::vector<Term>& values = value.args();
+      for (size_t i = 0; i < args.size(); ++i) {
+        if (!args[i].Match(values[i], regs)) return false;
+      }
+      return true;
+    }
+  }
+  return false;
+}
 
-/// Backtracking join over the rule body. Holds evaluation state so the
-/// recursive walk stays readable.
-class RuleEvaluator {
- public:
-  RuleEvaluator(const Rule& rule, const RelationResolver& resolve,
-                Relation* out, EvalCounters* counters,
-                const RuleEvalOptions& options)
-      : rule_(rule),
-        resolve_(resolve),
-        out_(out),
-        counters_(counters),
-        options_(options) {}
+Term TermCode::Build(const Term* regs) const {
+  switch (op) {
+    case Op::kRead:
+      return regs[reg];
+    case Op::kFunction: {
+      std::vector<Term> built;
+      built.reserve(args.size());
+      for (const TermCode& a : args) built.push_back(a.Build(regs));
+      return Term::MakeFunction(term.text(), std::move(built));
+    }
+    case Op::kConst:
+    case Op::kWrite:
+      return term;
+  }
+  return term;
+}
 
-  Result<size_t> Run() {
-    order_ = options_.order;
-    if (order_.empty()) {
-      order_.resize(rule_.body().size());
-      for (size_t i = 0; i < order_.size(); ++i) order_[i] = i;
+const Term& TermCode::Value(const Term* regs, Term* storage) const {
+  if (op == Op::kRead) return regs[reg];
+  if (op != Op::kFunction) return term;
+  *storage = Build(regs);
+  return *storage;
+}
+
+bool TermCode::ReadsArithmetic(const Term* regs) const {
+  if (op == Op::kRead) return ContainsArithmetic(regs[reg]);
+  for (const TermCode& a : args) {
+    if (a.ReadsArithmetic(regs)) return true;
+  }
+  return false;
+}
+
+uint32_t RegisterScope::RegisterOf(const std::string& var) {
+  auto [it, added] = registers_.emplace(var, bound_.size());
+  if (added) bound_.push_back(false);
+  return it->second;
+}
+
+bool RegisterScope::IsBound(const std::string& var) const {
+  auto it = registers_.find(var);
+  return it != registers_.end() && bound_[it->second];
+}
+
+bool RegisterScope::AllBound(const Term& t) const {
+  if (t.IsVariable()) return IsBound(t.text());
+  for (const Term& a : t.args()) {
+    if (!AllBound(a)) return false;
+  }
+  return true;
+}
+
+TermCode RegisterScope::CompileMatch(const Term& t) {
+  TermCode code;
+  if (t.IsVariable()) {
+    code.reg = RegisterOf(t.text());
+    code.op = bound_[code.reg] ? TermCode::Op::kRead : TermCode::Op::kWrite;
+    bound_[code.reg] = true;
+  } else if (t.IsGround()) {
+    code.term = t;
+  } else {
+    code.op = TermCode::Op::kFunction;
+    code.term = t;
+    for (const Term& a : t.args()) code.args.push_back(CompileMatch(a));
+  }
+  return code;
+}
+
+TermCode RegisterScope::CompileBuild(const Term& t) {
+  TermCode code;
+  if (t.IsVariable()) {
+    if (IsBound(t.text())) {
+      code.op = TermCode::Op::kRead;
+      code.reg = RegisterOf(t.text());
+    } else {
+      code.term = t;  // shown as the variable itself
     }
-    if (order_.size() != rule_.body().size()) {
-      return Status::Internal("rule evaluation order has wrong size");
+  } else if (t.IsGround()) {
+    code.term = t;
+  } else {
+    code.op = TermCode::Op::kFunction;
+    code.term = t;
+    for (const Term& a : t.args()) code.args.push_back(CompileBuild(a));
+  }
+  return code;
+}
+
+LiteralPattern LiteralPattern::Compile(const Literal& lit,
+                                       RegisterScope* scope) {
+  LiteralPattern p;
+  // Key columns first, while no variable of the literal is bound yet.
+  std::vector<bool> is_key(lit.arity(), false);
+  for (size_t i = 0; i < lit.arity(); ++i) {
+    if (!scope->AllBound(lit.args()[i])) continue;
+    is_key[i] = true;
+    p.key_cols.push_back(static_cast<int>(i));
+    p.key_code.push_back(scope->CompileBuild(lit.args()[i]));
+    p.key.push_back(p.key_code.back().term);
+  }
+  for (size_t i = 0; i < lit.arity(); ++i) {
+    if (is_key[i]) continue;
+    p.match_cols.push_back(i);
+    p.match_code.push_back(scope->CompileMatch(lit.args()[i]));
+  }
+  return p;
+}
+
+void LiteralPattern::BuildKey(const Term* regs) {
+  for (size_t i = 0; i < key_code.size(); ++i) {
+    const TermCode& code = key_code[i];
+    if (code.op == TermCode::Op::kRead) {
+      key[i] = regs[code.reg];
+    } else if (code.op == TermCode::Op::kFunction) {
+      key[i] = code.Build(regs);
     }
-    // Resolve every literal once and freeze its row window: rows appended
-    // from here on, by this firing or anyone else, stay invisible to it.
-    views_.assign(rule_.body().size(), RelationView{});
-    for (size_t i = 0; i < views_.size(); ++i) {
-      const Literal& lit = rule_.body()[i];
-      if (lit.IsBuiltin()) continue;
-      RelationView view = resolve_(lit, i);
-      if (view.rel != nullptr) view.end = std::min(view.end, view.rel->size());
-      views_[i] = view;
+  }
+}
+
+Result<CompiledRule> CompiledRule::Compile(const Rule& rule,
+                                           const std::vector<size_t>& order) {
+  const std::vector<Literal>& body = rule.body();
+  std::vector<size_t> visit = order;
+  if (visit.empty()) {
+    visit.resize(body.size());
+    for (size_t i = 0; i < visit.size(); ++i) visit[i] = i;
+  }
+  if (visit.size() != body.size()) {
+    return Status::Internal("rule evaluation order has wrong size");
+  }
+  std::vector<bool> seen(body.size(), false);
+  for (size_t pos : visit) {
+    if (pos >= body.size() || seen[pos]) {
+      return Status::Internal(StrCat("rule evaluation order is not a "
+                                     "permutation of the body of rule ",
+                                     rule.ToString()));
     }
-    counters_->rule_firings++;
-    LDL_RETURN_NOT_OK(Step(0));
-    FlushWork();
-    if (options_.accountant != nullptr && inserted_ != 0) {
-      options_.accountant->AddTuplesDerived(inserted_);
-    }
-    return inserted_;
+    seen[pos] = true;
   }
 
- private:
+  CompiledRule compiled;
+  compiled.rule_ = &rule;
+  RegisterScope scope;
+  for (size_t pos : visit) {
+    const Literal& lit = body[pos];
+    BodyStep step;
+    step.body_pos = pos;
+    if (!lit.IsBuiltin() && !lit.negated()) {
+      step.kind = BodyStep::Kind::kScan;
+      step.pattern = LiteralPattern::Compile(lit, &scope);
+      compiled.steps_.push_back(std::move(step));
+      continue;
+    }
+    // Builtin and negated literals: their arguments as bound before them.
+    bool all_bound = true;
+    std::vector<bool> side_bound;
+    for (const Term& a : lit.args()) {
+      side_bound.push_back(scope.AllBound(a));
+      all_bound = all_bound && side_bound.back();
+      step.args.push_back(scope.CompileBuild(a));
+    }
+    if (lit.negated()) {
+      step.kind = all_bound ? BodyStep::Kind::kNegated
+                            : BodyStep::Kind::kUnsafeNegation;
+      step.key.resize(lit.arity());
+    } else if (!BuiltinComputable(lit, side_bound[0], side_bound[1])) {
+      step.kind = BodyStep::Kind::kUnsafeBuiltin;
+    } else if (all_bound) {
+      step.kind = BodyStep::Kind::kTest;
+    } else {
+      // `=` with exactly one side bound: the other side binds.
+      step.kind = BodyStep::Kind::kAssign;
+      step.bound_side = side_bound[0] ? 0 : 1;
+      step.target = scope.CompileMatch(lit.args()[1 - step.bound_side]);
+    }
+    compiled.steps_.push_back(std::move(step));
+  }
+  for (const Term& a : rule.head().args()) {
+    compiled.head_bound_.push_back(scope.AllBound(a));
+    compiled.head_.push_back(scope.CompileBuild(a));
+  }
+  compiled.registers_.resize(scope.size());
+  compiled.views_.resize(body.size());
+  return compiled;
+}
+
+/// One firing of a compiled rule: a backtracking walk over its steps.
+/// Nothing is undone on backtrack: a register that is unbound at a step is
+/// simply overwritten by the next match that writes it.
+struct CompiledRule::Firing {
+  CompiledRule& rule;
+  Relation* out;
+  EvalCounters* counters;
+  const RuleEvalOptions& options;
+  Term* regs;
+  size_t inserted = 0;
+  size_t since_check = 0;  ///< examined tuples since the last check-point
+
+  Result<size_t> Run(const RelationResolver& resolve) {
+    // Resolve every literal once and freeze its row window: rows appended
+    // from here on, by this firing or anyone else, stay invisible to it.
+    const std::vector<Literal>& body = rule.rule().body();
+    for (size_t i = 0; i < body.size(); ++i) {
+      if (body[i].IsBuiltin()) continue;
+      RelationView view = resolve(body[i], i);
+      if (view.rel != nullptr) view.end = std::min(view.end, view.rel->size());
+      rule.views_[i] = view;
+    }
+    counters->rule_firings++;
+    LDL_RETURN_NOT_OK(Step(0));
+    FlushWork();
+    if (options.accountant != nullptr && inserted != 0) {
+      options.accountant->AddTuplesDerived(inserted);
+    }
+    return inserted;
+  }
+
   /// Counts one examined tuple; every kCheckIntervalTuples of them, flushes
   /// work into the accountant and polls the cancellation token. The
   /// disabled path (no token, no accountant) is the increment + compare.
   Status CountExamined() {
-    counters_->tuples_examined++;
-    if (++since_check_ < CancellationToken::kCheckIntervalTuples) {
+    counters->tuples_examined++;
+    if (++since_check < CancellationToken::kCheckIntervalTuples) {
       return Status::OK();
     }
     FlushWork();
-    if (options_.cancel != nullptr) {
-      LDL_RETURN_NOT_OK(options_.cancel->Check());
+    if (options.cancel != nullptr) {
+      LDL_RETURN_NOT_OK(options.cancel->Check());
     }
     return Status::OK();
   }
 
   /// Pushes locally accumulated work into the accountant.
   void FlushWork() {
-    if (options_.accountant != nullptr && since_check_ != 0) {
-      options_.accountant->AddTuplesExamined(since_check_);
+    if (options.accountant != nullptr && since_check != 0) {
+      options.accountant->AddTuplesExamined(since_check);
     }
-    since_check_ = 0;
+    since_check = 0;
   }
 
   Status Step(size_t depth) {
-    if (depth == order_.size()) return EmitHead();
-    const Literal& lit = rule_.body()[order_[depth]];
-    if (lit.IsBuiltin()) return StepBuiltin(lit, depth);
-    if (lit.negated()) return StepNegated(lit, depth);
-    return StepPositive(lit, depth);
+    if (depth == rule.steps_.size()) return EmitHead();
+    CompiledRule::BodyStep& step = rule.steps_[depth];
+    switch (step.kind) {
+      case BodyStep::Kind::kScan:
+        return StepScan(step, depth);
+      case BodyStep::Kind::kNegated:
+        return StepNegated(step, depth);
+      case BodyStep::Kind::kTest:
+        return StepTest(step, depth);
+      case BodyStep::Kind::kAssign:
+        return StepAssign(step, depth);
+      case BodyStep::Kind::kUnsafeBuiltin:
+        return UnsafeBuiltin(step);
+      case BodyStep::Kind::kUnsafeNegation:
+        return Status::Unsafe(StrCat("negated literal ", Shown(step),
+                                     " has unbound variables in rule ",
+                                     rule.rule().ToString()));
+    }
+    return Status::Internal("unreachable");
+  }
+
+  /// The literal of `step` as far as it is bound, as errors show it.
+  std::string Shown(const CompiledRule::BodyStep& step) const {
+    std::vector<Term> args;
+    for (const TermCode& a : step.args) args.push_back(a.Build(regs));
+    return rule.rule().body()[step.body_pos].WithArgs(std::move(args))
+        .ToString();
+  }
+
+  Status UnsafeBuiltin(const CompiledRule::BodyStep& step) const {
+    return Status::Unsafe(StrCat("builtin ", Shown(step),
+                                 " is not computable at this point of rule ",
+                                 rule.rule().ToString(),
+                                 " (unsafe literal order)"));
   }
 
   Status EmitHead() {
-    counters_->derivations++;
-    if (counters_->derivations > options_.max_derivations) {
+    counters->derivations++;
+    if (counters->derivations > options.max_derivations) {
       return Status::ResourceExhausted(
-          StrCat("rule ", rule_.ToString(), " exceeded ",
-                 options_.max_derivations, " derivations"));
+          StrCat("rule ", rule.rule().ToString(), " exceeded ",
+                 options.max_derivations, " derivations"));
     }
     Tuple t;
-    t.reserve(rule_.head().arity());
-    for (const Term& a : rule_.head().args()) {
-      Term v = subst_.Apply(a);
-      if (!v.IsGround()) {
+    t.reserve(rule.head_.size());
+    for (size_t i = 0; i < rule.head_.size(); ++i) {
+      Term v = rule.head_[i].Build(regs);
+      if (!rule.head_bound_[i]) {
         return Status::Unsafe(
             StrCat("non-ground head value ", v.ToString(), " in rule ",
-                   rule_.ToString(),
+                   rule.rule().ToString(),
                    " (rule is not range-restricted under this order)"));
       }
       // Fold any arithmetic the head may carry, e.g. p(X+1) <- q(X).
@@ -136,75 +361,67 @@ class RuleEvaluator {
       }
       t.push_back(std::move(v));
     }
-    counters_->dedup_probes++;
-    if (out_->Insert(std::move(t))) {
-      counters_->inserts++;
-      ++inserted_;
+    counters->dedup_probes++;
+    if (out->Insert(std::move(t))) {
+      counters->inserts++;
+      ++inserted;
     }
     return Status::OK();
   }
 
-  Status StepBuiltin(const Literal& lit, size_t depth) {
-    size_t mark = subst_.Mark();
-    BuiltinOutcome outcome = EvalBuiltin(lit, &subst_);
-    switch (outcome) {
-      case BuiltinOutcome::kSatisfied: {
-        Status st = Step(depth + 1);
-        subst_.UndoTo(mark);
-        return st;
-      }
-      case BuiltinOutcome::kFailed:
-        return Status::OK();
-      case BuiltinOutcome::kNotComputable:
-        return Status::Unsafe(
-            StrCat("builtin ", subst_.Apply(lit).ToString(),
-                   " is not computable at this point of rule ",
-                   rule_.ToString(), " (unsafe literal order)"));
+  Status StepTest(const CompiledRule::BodyStep& step, size_t depth) {
+    const BuiltinKind kind = rule.rule().body()[step.body_pos].builtin();
+    Term lhs_storage;
+    Term rhs_storage;
+    if (!EvalGroundBuiltin(kind, step.args[0].Value(regs, &lhs_storage),
+                           step.args[1].Value(regs, &rhs_storage))) {
+      return Status::OK();
     }
-    return Status::Internal("unreachable");
-  }
-
-  Status StepNegated(const Literal& lit, size_t depth) {
-    Literal grounded = subst_.Apply(lit);
-    for (const Term& a : grounded.args()) {
-      if (!a.IsGround()) {
-        return Status::Unsafe(
-            StrCat("negated literal ", grounded.ToString(),
-                   " has unbound variables in rule ", rule_.ToString()));
-      }
-    }
-    // Negation reads a lower, already complete stratum: no window needed.
-    Relation* rel = views_[order_[depth]].rel;
-    LDL_RETURN_NOT_OK(CountExamined());
-    Tuple key(grounded.args().begin(), grounded.args().end());
-    if (rel != nullptr && rel->Contains(key)) return Status::OK();
     return Step(depth + 1);
   }
 
-  Status StepPositive(const Literal& lit, size_t depth) {
-    // Determine bound argument positions under the current substitution.
-    std::vector<int> bound_cols;
-    Tuple key;
-    std::vector<Term> patterns(lit.arity());
-    for (size_t i = 0; i < lit.arity(); ++i) {
-      patterns[i] = subst_.Apply(lit.args()[i]);
-      if (patterns[i].IsGround()) {
-        bound_cols.push_back(static_cast<int>(i));
-        key.push_back(patterns[i]);
-      }
+  Status StepAssign(const CompiledRule::BodyStep& step, size_t depth) {
+    // A stored value holding arithmetic makes the unbound side need
+    // equation solving, exactly as arithmetic written there would.
+    if (step.target.ReadsArithmetic(regs)) return UnsafeBuiltin(step);
+    Term storage;
+    const Term* value = &step.args[step.bound_side].Value(regs, &storage);
+    if (ContainsArithmetic(*value)) {
+      auto folded = EvalArithmetic(*value);
+      if (!folded.ok()) return Status::OK();  // arithmetic error: fails
+      storage = std::move(folded).value();
+      value = &storage;
     }
+    // The bound side reads only registers bound before the literal, and
+    // the target writes only ones that were not, so `value` survives it.
+    if (!step.target.Match(*value, regs)) return Status::OK();
+    return Step(depth + 1);
+  }
 
-    const RelationView& view = views_[order_[depth]];
+  Status StepNegated(CompiledRule::BodyStep& step, size_t depth) {
+    for (size_t i = 0; i < step.args.size(); ++i) {
+      step.key[i] = step.args[i].Build(regs);
+    }
+    // Negation reads a lower, already complete stratum: no window needed.
+    Relation* rel = rule.views_[step.body_pos].rel;
+    LDL_RETURN_NOT_OK(CountExamined());
+    if (rel != nullptr && rel->Contains(step.key)) return Status::OK();
+    return Step(depth + 1);
+  }
+
+  Status StepScan(CompiledRule::BodyStep& step, size_t depth) {
+    const RelationView& view = rule.views_[step.body_pos];
     Relation* rel = view.rel;
     if (rel == nullptr || view.begin >= view.end) return Status::OK();
+    LiteralPattern& pattern = step.pattern;
 
     // Zero-copy reads. `rel` may be the relation this firing emits into,
     // so it can grow while it is being read, and the reads stay valid
     // because:
     //  - the only insert happens in EmitHead, deeper in the recursion and
-    //    after the examined tuple's unification is done; Unify copies into
-    //    the substitution every value it keeps, so the tuple reference is
-    //    never used once Step(depth + 1) may have moved the tuple storage;
+    //    after the examined tuple's match is done; Match copies into a
+    //    register every value it keeps, so the tuple reference is dead once
+    //    Step(depth + 1) may have grown the relation and moved its storage;
     //  - the posting list is a node of the index's unordered_map, whose
     //    address survives inserts and rehashes; it is walked by position,
     //    so a reallocation of its vector is harmless;
@@ -212,22 +429,15 @@ class RuleEvaluator {
     //    and postings are ascending ids, so the walk stops at view.end.
     auto try_tuple = [&](const Tuple& t) -> Status {
       LDL_RETURN_NOT_OK(CountExamined());
-      size_t mark = subst_.Mark();
-      bool ok = true;
-      for (size_t i = 0; i < lit.arity(); ++i) {
-        if (!Unify(patterns[i], t[i], &subst_)) {
-          ok = false;
-          break;
-        }
-      }
-      Status st = ok ? Step(depth + 1) : Status::OK();
-      subst_.UndoTo(mark);
-      return st;
+      if (!pattern.Match(t, regs)) return Status::OK();
+      return Step(depth + 1);
     };
 
-    if (!bound_cols.empty()) {
-      counters_->index_probes++;
-      const std::vector<uint32_t>& ids = rel->Lookup(bound_cols, key);
+    if (!pattern.key_cols.empty()) {
+      counters->index_probes++;
+      pattern.BuildKey(regs);
+      const std::vector<uint32_t>& ids = rel->Lookup(pattern.key_cols,
+                                                     pattern.key);
       size_t i = std::lower_bound(ids.begin(), ids.end(), view.begin) -
                  ids.begin();
       for (; i < ids.size() && ids[i] < view.end; ++i) {
@@ -240,26 +450,15 @@ class RuleEvaluator {
     }
     return Status::OK();
   }
-
-  const Rule& rule_;
-  const RelationResolver& resolve_;
-  Relation* out_;
-  EvalCounters* counters_;
-  const RuleEvalOptions& options_;
-  std::vector<size_t> order_;
-  std::vector<RelationView> views_;  ///< per body position, frozen in Run
-  Substitution subst_;
-  size_t inserted_ = 0;
-  size_t since_check_ = 0;  ///< examined tuples since the last check-point
 };
 
-}  // namespace
-
-Result<size_t> EvaluateRule(const Rule& rule, const RelationResolver& resolve,
-                            Relation* out, EvalCounters* counters,
+Result<size_t> EvaluateRule(CompiledRule* rule,
+                            const RelationResolver& resolve, Relation* out,
+                            EvalCounters* counters,
                             const RuleEvalOptions& options) {
-  RuleEvaluator evaluator(rule, resolve, out, counters, options);
-  return evaluator.Run();
+  CompiledRule::Firing firing{*rule, out, counters, options,
+                              rule->registers_.data()};
+  return firing.Run(resolve);
 }
 
 }  // namespace ldl

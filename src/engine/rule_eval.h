@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "ast/rule.h"
@@ -30,6 +31,9 @@ struct EvalCounters {
   /// Rows the semi-naive recursive rounds appended, each round's rows being
   /// the next round's delta: the sum of FixpointIteration::delta_tuples.
   size_t delta_rows = 0;
+  /// Rules compiled into join programs: one per (rule, body order) per
+  /// EvaluateProgram call, however many times the rule then fires.
+  size_t rules_compiled = 0;
 
   void Add(const EvalCounters& other);
   std::string ToString() const;
@@ -37,7 +41,7 @@ struct EvalCounters {
   /// Adds the counters into the registry under the engine.* names
   /// (engine.tuples_examined, engine.derivations, engine.inserts,
   /// engine.rule_firings, engine.dedup_probes, engine.index_probes,
-  /// engine.delta_rows). No-op on nullptr.
+  /// engine.delta_rows, engine.rules_compiled). No-op on nullptr.
   void ExportTo(MetricsRegistry* metrics) const;
 };
 
@@ -60,8 +64,6 @@ using RelationResolver =
     std::function<RelationView(const Literal& lit, size_t body_pos)>;
 
 struct RuleEvalOptions {
-  /// Order in which to visit body literals; empty = textual order.
-  std::vector<size_t> order;
   /// Guard against runaway evaluation (unsafe programs).
   size_t max_derivations = 200'000'000;
   /// Cooperative cancellation: checked every
@@ -73,24 +75,161 @@ struct RuleEvalOptions {
   ResourceAccountant* accountant = nullptr;
 };
 
-/// Evaluates one rule bottom-up: enumerates all substitutions satisfying
-/// the body (visiting literals in `options.order`), and for each one emits
-/// the instantiated head tuple into `out`.
+/// A term compiled against the variables bound where it is evaluated
+/// (DESIGN.md §19). Variables are register numbers into a register file
+/// of ground values; nothing is looked up by name at run time.
+struct TermCode {
+  enum class Op : uint8_t {
+    kConst,     ///< `term` itself: a variable-free subterm, or (in code
+                ///< built for display) a variable not bound yet
+    kRead,      ///< the value in register `reg`
+    kWrite,     ///< match only: store the matched value in register `reg`
+    kFunction,  ///< a function term with the functor and arity of `term`,
+                ///< whose arguments are `args`
+  };
+  Op op = Op::kConst;
+  uint32_t reg = 0;
+  Term term;
+  std::vector<TermCode> args;
+
+  /// One-way match against the ground `value`, left to right, depth first:
+  /// writes store into `regs`; reads and constants compare by
+  /// GroundUnifies, so 1 matches 1.0. A failed match may leave registers
+  /// written; they are dead, since every later use writes them first.
+  bool Match(const Term& value, Term* regs) const;
+  /// The term with every read replaced by its register's value.
+  Term Build(const Term* regs) const;
+  /// Like Build, but returns a register or the constant itself without
+  /// copying; only a function term is built, into `*storage`.
+  const Term& Value(const Term* regs, Term* storage) const;
+  /// True iff some register this code reads holds an arithmetic term.
+  bool ReadsArithmetic(const Term* regs) const;
+};
+
+/// Compile-time register allocation: one register per variable name, and
+/// which variables are bound at the point being compiled. Compiling in
+/// evaluation order makes every binding state static.
+class RegisterScope {
+ public:
+  /// The register of `var`, allocated on first sight.
+  uint32_t RegisterOf(const std::string& var);
+  /// True iff every variable of `t` is bound.
+  bool AllBound(const Term& t) const;
+
+  /// Compiles `t` as a match pattern: a bound variable reads its register,
+  /// the first occurrence of an unbound one writes it (and binds it for
+  /// everything compiled later), and a variable-free subterm is a constant.
+  TermCode CompileMatch(const Term& t);
+  /// Compiles `t` as a builder: bound variables read their registers and
+  /// unbound ones stay variables, so Build yields `t` as far as it is
+  /// bound (the text error messages show).
+  TermCode CompileBuild(const Term& t);
+
+  /// Registers allocated so far.
+  size_t size() const { return bound_.size(); }
+
+ private:
+  bool IsBound(const std::string& var) const;
+
+  std::unordered_map<std::string, uint32_t> registers_;
+  std::vector<bool> bound_;
+};
+
+/// A positive literal's arguments split by what is bound before it. Key
+/// columns are chosen before any variable of the literal is bound: every
+/// variable of a key column is bound earlier, so its value is known when
+/// the literal is reached and the index filters on it (by Term ==). The
+/// other columns are match patterns, run in column order.
+struct LiteralPattern {
+  std::vector<int> key_cols;         ///< ascending
+  std::vector<TermCode> key_code;    ///< one builder per key column
+  Tuple key;                         ///< key buffer; constants pre-filled
+  std::vector<size_t> match_cols;    ///< ascending, disjoint from key_cols
+  std::vector<TermCode> match_code;  ///< one pattern per match column
+
+  static LiteralPattern Compile(const Literal& lit, RegisterScope* scope);
+  /// Refreshes `key` from the registers.
+  void BuildKey(const Term* regs);
+  /// Matches the match columns of `t` (the index already matched the key
+  /// columns).
+  bool Match(const Tuple& t, Term* regs) const {
+    for (size_t i = 0; i < match_cols.size(); ++i) {
+      if (!match_code[i].Match(t[match_cols[i]], regs)) return false;
+    }
+    return true;
+  }
+};
+
+/// A rule compiled for one body order into a join program over a register
+/// file (DESIGN.md §19). With the order fixed, every literal's binding
+/// pattern is decided here, once: key columns, match patterns, which side
+/// of an `=` is bound, and which literals can only raise Unsafe. Compile
+/// once and fire any number of times; a compiled rule holds its register
+/// file and key buffers, so it runs one firing at a time.
+class CompiledRule {
+ public:
+  /// Compiles `rule` for the body order `order` (empty = textual order).
+  /// `rule` must outlive the result. Fails only when `order` is not a
+  /// permutation of the body positions.
+  static Result<CompiledRule> Compile(const Rule& rule,
+                                      const std::vector<size_t>& order = {});
+
+  const Rule& rule() const { return *rule_; }
+
+ private:
+  /// One body literal, compiled for the registers bound before it.
+  struct BodyStep {
+    enum class Kind : uint8_t {
+      kScan,            ///< positive: index probe or scan, then match
+      kNegated,         ///< absence test of a fully bound literal
+      kTest,            ///< builtin with both sides bound
+      kAssign,          ///< `=` with one side bound: fold it, match the other
+      kUnsafeBuiltin,   ///< builtin not computable here
+      kUnsafeNegation,  ///< negated literal with an unbound variable
+    };
+    Kind kind = Kind::kScan;
+    size_t body_pos = 0;
+    LiteralPattern pattern;  ///< kScan
+    /// Negated and builtin literals: the arguments as bound before the
+    /// literal (what error messages show; builders when all bound).
+    std::vector<TermCode> args;
+    Tuple key;              ///< kNegated: key buffer
+    size_t bound_side = 0;  ///< kAssign: index in `args` of the bound side
+    TermCode target;        ///< kAssign: the unbound side's pattern
+  };
+  struct Firing;
+  friend Result<size_t> EvaluateRule(CompiledRule* rule,
+                                     const RelationResolver& resolve,
+                                     Relation* out, EvalCounters* counters,
+                                     const RuleEvalOptions& options);
+
+  const Rule* rule_ = nullptr;
+  std::vector<BodyStep> steps_;      ///< in evaluation order
+  std::vector<TermCode> head_;       ///< head arguments, built for display
+  std::vector<bool> head_bound_;     ///< per head argument: all bound
+  std::vector<Term> registers_;      ///< the register file
+  std::vector<RelationView> views_;  ///< per body position, set per firing
+};
+
+/// Fires a compiled rule bottom-up: enumerates all register assignments
+/// satisfying the body (in the compiled order), and for each one emits the
+/// instantiated head tuple into `out`.
 ///
 /// Every body literal is resolved once, when the firing starts, and its
 /// view's `end` is capped at the relation's size at that moment: the firing
 /// reads every relation as of its own start, even when `out` is one of
 /// them.
 ///
-/// Positive literals are matched via hash-index lookups on their bound
-/// argument positions. Builtins are computed inline; a kNotComputable
-/// builtin aborts with kUnsafe (the optimizer is responsible for choosing
-/// orders where this cannot happen). Negated literals require all their
-/// variables bound and test for absence.
+/// Positive literals are matched via hash-index lookups on their key
+/// columns. Builtins are computed inline; one that is not computable in
+/// the compiled order aborts with kUnsafe when it is reached (the optimizer
+/// is responsible for choosing orders where this cannot happen). Negated
+/// literals require all their variables bound and test for absence.
 ///
 /// Returns the number of *new* tuples added to `out`.
-Result<size_t> EvaluateRule(const Rule& rule, const RelationResolver& resolve,
-                            Relation* out, EvalCounters* counters,
+Result<size_t> EvaluateRule(CompiledRule* rule,
+                            const RelationResolver& resolve, Relation* out,
+                            EvalCounters* counters,
                             const RuleEvalOptions& options = {});
 
 }  // namespace ldl

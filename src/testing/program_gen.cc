@@ -320,6 +320,49 @@ GeneratedProgram GenerateProgram(Rng* rng, const ProgramGenOptions& options) {
         std::vector<Literal>{Edge(pick_edb(), V("X"), V("Y"))});
   }
 
+  // --- complex terms (engine match paths) ---------------------------------
+  // Drawn after everything else, and only when enabled, for the same reason
+  // as the dead clauses above. All of it sits above the query predicate, so
+  // no arithmetic enters a recursive clique.
+  bool has_complex =
+      options.complex_term_probability > 0 &&
+      rng->UniformDouble() < options.complex_term_probability;
+  if (has_complex) {
+    auto wrap = [](Term a, Term b) {
+      return Literal::Make("w", {Term::MakeFunction("f", {std::move(a),
+                                                          std::move(b)})});
+    };
+    const std::string cx = "cx";
+    // w(f(X, Y)) <- top(X, Y).
+    out.rules.emplace_back(wrap(V("X"), V("Y")),
+                           std::vector<Literal>{Edge(top, V("X"), V("Y"))});
+    // cx(X, Y) <- w(f(X, Y)).
+    out.rules.emplace_back(Edge(cx, V("X"), V("Y")),
+                           std::vector<Literal>{wrap(V("X"), V("Y"))});
+    // cx(X, Y) <- w(f(X, X)), e(X, Y).
+    out.rules.emplace_back(
+        Edge(cx, V("X"), V("Y")),
+        std::vector<Literal>{wrap(V("X"), V("X")),
+                             Edge(pick_edb(), V("X"), V("Y"))});
+    // cx(X, Y) <- e(c, X), top(X, Y).
+    out.rules.emplace_back(
+        Edge(cx, V("X"), V("Y")),
+        std::vector<Literal>{
+            Edge(pick_edb(), C(static_cast<int64_t>(
+                                 rng->Uniform(options.domain))),
+                 V("X")),
+            Edge(top, V("X"), V("Y"))});
+    // cx(X, Z) <- top(X, Y), Z = Y + 1.
+    out.rules.emplace_back(
+        Edge(cx, V("X"), V("Z")),
+        std::vector<Literal>{
+            Edge(top, V("X"), V("Y")),
+            Literal::MakeBuiltin(
+                BuiltinKind::kEq, V("Z"),
+                Term::MakeFunction("+", {V("Y"), C(1)}))});
+    out.query = Literal::Make(cx, out.query.args());
+  }
+
   // --- summary -------------------------------------------------------------
   std::string shape_list;
   for (size_t i = 0; i < shapes.size(); ++i) {
@@ -329,7 +372,8 @@ GeneratedProgram GenerateProgram(Rng* rng, const ProgramGenOptions& options) {
       "shape=", shape_list, " rec=", RecursionKindToString(rec),
       has_view ? " view" : "", has_builtin ? " builtin" : "",
       has_negation ? " neg" : "", has_dead_rule ? " dead" : "",
-      has_unreachable ? " unreach" : "", " adorn=", bound1 ? "b" : "f",
+      has_unreachable ? " unreach" : "", has_complex ? " complex" : "",
+      " adorn=", bound1 ? "b" : "f",
       bound2 ? "b" : "f");
   return out;
 }

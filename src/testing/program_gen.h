@@ -78,6 +78,15 @@ struct ProgramGenOptions {
   /// reachability-based dead-rule elimination must drop.
   /// Off (0.0) by default to preserve existing seed -> program mappings.
   double unreachable_predicate_probability = 0.0;
+  /// Probability of wrapping the query predicate in rules over complex
+  /// terms: a view that builds `w(f(X, Y))` and a query predicate `cx` that
+  /// destructures it, reads it with a repeated variable (`w(f(X, X))`),
+  /// probes an EDB relation on a body constant, and assigns `Z = Y + 1`.
+  /// The query keeps its arguments and moves to `cx`. Exercises the engine's
+  /// match paths (function patterns, repeated variables, constants, `=`)
+  /// under every method's binding states.
+  /// Off (0.0) by default to preserve existing seed -> program mappings.
+  double complex_term_probability = 0.0;
 };
 
 /// One generated program: stratified rules, a random EDB state, and one

@@ -300,6 +300,65 @@ TEST(FixpointTest, AttributionCountersOnSemiNaiveSg) {
             std::string::npos);
 }
 
+// Each rule is compiled once per evaluation, on its first firing, and that
+// compiled rule serves every later round and every differentiated
+// occurrence.
+TEST(FixpointTest, CompilesEachRuleOncePerEvaluation) {
+  Program p = P(kSgRules);
+  Database db;
+  testing::MakeSameGenerationData(3, 3, &db);
+  Database scratch;
+  FixpointStats stats =
+      RunRecorded(p, RecursionMethod::kSemiNaive, &db, &scratch);
+  const EvalCounters& c = stats.counters;
+  EXPECT_GT(stats.iterations, 3u);
+  EXPECT_EQ(c.rules_compiled, p.rules().size());
+  EXPECT_LE(c.rules_compiled, c.rule_firings);
+  EXPECT_GT(c.rule_firings, c.rules_compiled);
+
+  // Only the goal's subprogram is compiled, once per rule.
+  Program wider = P(R"(
+    sg(X, Y) <- flat(X, Y).
+    sg(X, Y) <- up(X, X1), sg(X1, Y1), dn(Y1, Y).
+    loop(X) <- flat(X, X).
+    reach(X, Y) <- up(X, Y).
+    reach(X, Y) <- up(X, Z), reach(Z, Y).
+  )");
+  auto result = EvaluateQuery(wider, &db, L("sg(X, Y)"),
+                              RecursionMethod::kSemiNaive, {});
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->stats.counters.rules_compiled, 2u);
+  EXPECT_EQ(result->stats.counters.rule_firings, c.rule_firings);
+
+  MetricsRegistry metrics;
+  c.ExportTo(&metrics);
+  EXPECT_EQ(metrics.counter("engine.rules_compiled")->value(),
+            c.rules_compiled);
+  EvalCounters twice = c;
+  twice.Add(c);
+  EXPECT_EQ(twice.rules_compiled, 2 * c.rules_compiled);
+  EXPECT_NE(c.ToString().find(StrCat("rules_compiled=", c.rules_compiled)),
+            std::string::npos);
+}
+
+// A rule order comes from outside the engine: one that is not a
+// permutation of the body is an error, not an out-of-range read.
+TEST(FixpointTest, InvalidRuleOrderRejected) {
+  Program p = P(kAncestorRules);
+  Database db;
+  testing::MakeTreeParentData(2, 3, &db);
+  for (std::vector<size_t> order :
+       {std::vector<size_t>{0}, std::vector<size_t>{0, 0},
+        std::vector<size_t>{0, 2}}) {
+    Database scratch;
+    FixpointOptions options;
+    options.rule_orders[1] = order;
+    Status st = EvaluateProgram(p, RecursionMethod::kSemiNaive, &db,
+                                &scratch, nullptr, options);
+    EXPECT_EQ(st.code(), StatusCode::kInternal) << st;
+  }
+}
+
 TEST(FixpointTest, NonStratifiedRejected) {
   Program p = P("win(X) <- move(X, Y), not win(Y).");
   Database db, scratch;

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "ast/parser.h"
 #include "engine/builtins.h"
-#include "engine/unify.h"
+#include "engine/rule_eval.h"
 
 namespace ldl {
 namespace {
@@ -13,65 +16,79 @@ Term T(const char* text) {
   return *r;
 }
 
+/// A pattern compiled against an empty scope, with its register file.
+struct Pattern {
+  RegisterScope scope;
+  TermCode code;
+  std::vector<Term> regs;
+
+  explicit Pattern(const char* text) : code(scope.CompileMatch(T(text))) {
+    regs.resize(scope.size());
+  }
+  bool Match(const char* value) { return code.Match(T(value), regs.data()); }
+  const Term& operator[](const char* var) {
+    return regs[scope.RegisterOf(var)];
+  }
+};
+
 TEST(UnifyTest, VariableBindsToConstant) {
-  Substitution s;
-  EXPECT_TRUE(Unify(T("X"), T("42"), &s));
-  EXPECT_EQ(s.Apply(T("X")).int_value(), 42);
+  Pattern p("X");
+  EXPECT_TRUE(p.Match("42"));
+  EXPECT_EQ(p["X"].int_value(), 42);
 }
 
 TEST(UnifyTest, FunctionTermsUnifyStructurally) {
-  Substitution s;
-  EXPECT_TRUE(Unify(T("f(X, g(Y))"), T("f(1, g(a))"), &s));
-  EXPECT_EQ(s.Apply(T("X")).int_value(), 1);
-  EXPECT_EQ(s.Apply(T("Y")).text(), "a");
+  Pattern p("f(X, g(Y))");
+  EXPECT_TRUE(p.Match("f(1, g(a))"));
+  EXPECT_EQ(p["X"].int_value(), 1);
+  EXPECT_EQ(p["Y"].text(), "a");
 }
 
 TEST(UnifyTest, FunctorMismatchFails) {
-  Substitution s;
-  EXPECT_FALSE(Unify(T("f(X)"), T("g(1)"), &s));
-  EXPECT_TRUE(s.empty());  // failure leaves no residue
+  Pattern p("f(X)");
+  EXPECT_FALSE(p.Match("g(1)"));
+  EXPECT_FALSE(p.Match("f(1, 2)"));  // arity is part of the functor
+  EXPECT_FALSE(p.Match("1"));
 }
 
 TEST(UnifyTest, ConflictingBindingFails) {
-  Substitution s;
-  EXPECT_FALSE(Unify(T("f(X, X)"), T("f(1, 2)"), &s));
-  EXPECT_TRUE(s.empty());
+  // The second X reads what the first one wrote.
+  Pattern p("f(X, X)");
+  EXPECT_FALSE(p.Match("f(1, 2)"));
+  EXPECT_TRUE(p.Match("f(3, 3)"));
+  EXPECT_EQ(p["X"].int_value(), 3);
 }
 
 TEST(UnifyTest, SharedVariableAcrossCalls) {
-  Substitution s;
-  EXPECT_TRUE(Unify(T("X"), T("7"), &s));
-  EXPECT_FALSE(Unify(T("X"), T("8"), &s));
-  EXPECT_TRUE(Unify(T("X"), T("7"), &s));
-}
-
-TEST(UnifyTest, VariableToVariableAliasing) {
-  Substitution s;
-  EXPECT_TRUE(Unify(T("X"), T("Y"), &s));
-  EXPECT_TRUE(Unify(T("Y"), T("3"), &s));
-  EXPECT_EQ(s.Apply(T("X")).int_value(), 3);
-}
-
-TEST(UnifyTest, TrailUndoRestoresState) {
-  Substitution s;
-  size_t mark = s.Mark();
-  EXPECT_TRUE(Unify(T("f(X, Y)"), T("f(1, 2)"), &s));
-  EXPECT_EQ(s.size(), 2u);
-  s.UndoTo(mark);
-  EXPECT_TRUE(s.empty());
+  // A variable bound by an earlier pattern is a read in a later one.
+  RegisterScope scope;
+  TermCode first = scope.CompileMatch(T("X"));
+  TermCode later = scope.CompileMatch(T("X"));
+  EXPECT_EQ(first.op, TermCode::Op::kWrite);
+  EXPECT_EQ(later.op, TermCode::Op::kRead);
+  std::vector<Term> regs(scope.size());
+  EXPECT_TRUE(first.Match(T("7"), regs.data()));
+  EXPECT_FALSE(later.Match(T("8"), regs.data()));
+  EXPECT_TRUE(later.Match(T("7"), regs.data()));
 }
 
 TEST(UnifyTest, ListPatterns) {
-  Substitution s;
-  EXPECT_TRUE(Unify(T("[H | Rest]"), T("[1, 2, 3]"), &s));
-  EXPECT_EQ(s.Apply(T("H")).int_value(), 1);
-  EXPECT_EQ(s.Apply(T("Rest")).ToString(), "[2, 3]");
+  Pattern p("[H | Rest]");
+  EXPECT_TRUE(p.Match("[1, 2, 3]"));
+  EXPECT_EQ(p["H"].int_value(), 1);
+  EXPECT_EQ(p["Rest"].ToString(), "[2, 3]");
+  EXPECT_FALSE(p.Match("[]"));
 }
 
 TEST(UnifyTest, NumericCrossKindEquality) {
-  Substitution s;
-  EXPECT_TRUE(Unify(T("1"), T("1.0"), &s));
-  EXPECT_FALSE(Unify(T("1"), T("1.5"), &s));
+  EXPECT_TRUE(GroundUnifies(T("1"), T("1.0")));
+  EXPECT_FALSE(GroundUnifies(T("1"), T("1.5")));
+  EXPECT_TRUE(GroundUnifies(T("f(1, [2])"), T("f(1.0, [2.0])")));
+  // Constants and reads inside a pattern compare the same way.
+  Pattern p("f(X, 1, X)");
+  EXPECT_TRUE(p.Match("f(2, 1.0, 2.0)"));
+  EXPECT_EQ(p["X"].kind(), TermKind::kInt);  // the first occurrence wrote
+  EXPECT_FALSE(p.Match("f(2, 1.5, 2)"));
 }
 
 TEST(ArithmeticTest, FoldsGroundExpressions) {
@@ -108,58 +125,67 @@ TEST(ArithmeticTest, DataConstructorsAreNotArithmetic) {
   EXPECT_FALSE(ContainsArithmetic(*r));
 }
 
-Literal MakeCmp(BuiltinKind k, const char* lhs, const char* rhs) {
-  return Literal::MakeBuiltin(k, T(lhs), T(rhs));
+bool Holds(BuiltinKind k, const char* lhs, const char* rhs) {
+  return EvalGroundBuiltin(k, T(lhs), T(rhs));
+}
+
+/// Fires the single rule of `text` once over an empty database and returns
+/// the rows it derived, or the error.
+std::string FireOnce(const char* text) {
+  auto program = ParseProgram(text);
+  if (!program.ok()) return program.status().ToString();
+  auto compiled = CompiledRule::Compile(program->rules()[0]);
+  if (!compiled.ok()) return compiled.status().ToString();
+  Relation out("out", program->rules()[0].head().arity());
+  EvalCounters counters;
+  auto fired = EvaluateRule(
+      &*compiled, [](const Literal&, size_t) { return RelationView{}; }, &out,
+      &counters);
+  if (!fired.ok()) return fired.status().ToString();
+  return out.ToString();
 }
 
 TEST(BuiltinTest, ComparisonOnGroundValues) {
-  Substitution s;
-  EXPECT_EQ(EvalBuiltin(MakeCmp(BuiltinKind::kLt, "1", "2"), &s),
-            BuiltinOutcome::kSatisfied);
-  EXPECT_EQ(EvalBuiltin(MakeCmp(BuiltinKind::kGe, "1", "2"), &s),
-            BuiltinOutcome::kFailed);
-  EXPECT_EQ(EvalBuiltin(MakeCmp(BuiltinKind::kNe, "a", "b"), &s),
-            BuiltinOutcome::kSatisfied);
+  EXPECT_TRUE(Holds(BuiltinKind::kLt, "1", "2"));
+  EXPECT_FALSE(Holds(BuiltinKind::kGe, "1", "2"));
+  EXPECT_TRUE(Holds(BuiltinKind::kNe, "a", "b"));
+  EXPECT_TRUE(Holds(BuiltinKind::kLe, "2 * 3", "6.0"));
+  EXPECT_FALSE(Holds(BuiltinKind::kLt, "1 / 0", "2"));  // arithmetic error
 }
 
 TEST(BuiltinTest, ComparisonWithUnboundVariableNotComputable) {
-  Substitution s;
-  EXPECT_EQ(EvalBuiltin(MakeCmp(BuiltinKind::kLt, "X", "2"), &s),
-            BuiltinOutcome::kNotComputable);
+  Literal lt = Literal::MakeBuiltin(BuiltinKind::kLt, T("X"), T("2"));
+  EXPECT_FALSE(BuiltinComputable(lt, false, true));
+  EXPECT_EQ(FireOnce("p(X) <- X < 2."),
+            "Unsafe: builtin X < 2 is not computable at this point of rule "
+            "p(X) <- X < 2. (unsafe literal order)");
 }
 
 TEST(BuiltinTest, EqBindsVariableToArithmeticResult) {
-  Substitution s;
-  EXPECT_EQ(EvalBuiltin(MakeCmp(BuiltinKind::kEq, "X", "2 * 21"), &s),
-            BuiltinOutcome::kSatisfied);
-  EXPECT_EQ(s.Apply(T("X")).int_value(), 42);
+  EXPECT_EQ(FireOnce("p(X) <- X = 2 * 21."), FireOnce("p(42) <- 1 = 1."));
 }
 
 TEST(BuiltinTest, EqWorksInBothDirections) {
-  Substitution s;
-  EXPECT_EQ(EvalBuiltin(MakeCmp(BuiltinKind::kEq, "3 + 4", "Y"), &s),
-            BuiltinOutcome::kSatisfied);
-  EXPECT_EQ(s.Apply(T("Y")).int_value(), 7);
+  EXPECT_EQ(FireOnce("p(Y) <- 3 + 4 = Y."), FireOnce("p(7) <- 1 = 1."));
 }
 
 TEST(BuiltinTest, EqBothUnboundNotComputable) {
-  Substitution s;
-  EXPECT_EQ(EvalBuiltin(MakeCmp(BuiltinKind::kEq, "X", "Y + 1"), &s),
-            BuiltinOutcome::kNotComputable);
+  Literal eq = Literal::MakeBuiltin(BuiltinKind::kEq, T("X"), T("Y + 1"));
+  EXPECT_FALSE(BuiltinComputable(eq, false, false));
+  EXPECT_EQ(FireOnce("p(X) <- X = Y + 1."),
+            "Unsafe: builtin X = Y + 1 is not computable at this point of "
+            "rule p(X) <- X = Y + 1. (unsafe literal order)");
 }
 
 TEST(BuiltinTest, EqStructuralDecomposition) {
-  Substitution s;
-  EXPECT_EQ(EvalBuiltin(MakeCmp(BuiltinKind::kEq, "f(X, 2)", "f(1, 2)"), &s),
-            BuiltinOutcome::kSatisfied);
-  EXPECT_EQ(s.Apply(T("X")).int_value(), 1);
+  EXPECT_EQ(FireOnce("p(X) <- f(X, 2) = f(1, 2)."), FireOnce("p(1) <- 1 = 1."));
+  EXPECT_EQ(FireOnce("p(X) <- f(X, 2) = f(1, 3)."), FireOnce("p(1) <- 1 = 2."));
 }
 
 TEST(BuiltinTest, EqGroundMismatchFails) {
-  Substitution s;
-  EXPECT_EQ(EvalBuiltin(MakeCmp(BuiltinKind::kEq, "1 + 1", "3"), &s),
-            BuiltinOutcome::kFailed);
-  EXPECT_TRUE(s.empty());
+  EXPECT_FALSE(Holds(BuiltinKind::kEq, "1 + 1", "3"));
+  EXPECT_TRUE(Holds(BuiltinKind::kEq, "1 + 1", "2.0"));
+  EXPECT_FALSE(Holds(BuiltinKind::kEq, "1 / 0", "1 / 0"));
 }
 
 TEST(BuiltinTest, ComputabilityTable) {

@@ -17,6 +17,11 @@
 //   --no-feedback        skip the opt:feedback configuration (planning
 //                        under the blended measured-statistics overlay a
 //                        warm pass accumulated; see obs/feedback.h)
+//   --complex-terms      give half the generated programs rules over
+//                        complex terms above the query predicate (a built
+//                        and destructured f(X, Y), a repeated variable, a
+//                        body constant, a Z = Y + 1 assignment), so every
+//                        method's engine match paths meet them
 //   --repro-dir DIR      where repro-*.ldl files are written (default ".")
 //   --max-shrink-evals N shrinker budget per failure (default 2000)
 //   --skip N             generate and discard the first N programs per seed
@@ -55,6 +60,7 @@ int Usage() {
       "                    [--methods naive,magic,counting]\n"
       "                    [--no-metamorphic] [--no-analysis] "
       "[--no-feedback]\n"
+      "                    [--complex-terms]\n"
       "                    [--repro-dir DIR] [--max-shrink-evals N]\n"
       "                    [--inject-fault] [--verbose]\n");
   return 2;
@@ -172,6 +178,8 @@ int main(int argc, char** argv) {
       no_analysis = true;
     } else if (arg == "--no-feedback") {
       options.run_feedback = false;
+    } else if (arg == "--complex-terms") {
+      options.gen.complex_term_probability = 0.5;
     } else if (arg == "--repro-dir" && i + 1 < argc) {
       repro_dir = argv[++i];
     } else if (arg == "--max-shrink-evals" && i + 1 < argc) {
