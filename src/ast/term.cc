@@ -142,28 +142,35 @@ size_t Term::Depth() const {
 }
 
 bool Term::operator==(const Term& other) const {
-  if (kind_ != other.kind_) return false;
-  switch (kind_) {
-    case TermKind::kInt:
-      return int_value_ == other.int_value_;
-    case TermKind::kReal:
-      return real_value_ == other.real_value_;
-    case TermKind::kVariable:
-    case TermKind::kString:
-    case TermKind::kSymbol:
-      return text_ == other.text_;
-    case TermKind::kFunction: {
-      if (text_ != other.text_) return false;
-      const auto& a = args();
-      const auto& b = other.args();
-      if (a.size() != b.size()) return false;
-      for (size_t i = 0; i < a.size(); ++i) {
-        if (!(a[i] == b[i])) return false;
-      }
-      return true;
+  // Iterative down the last argument, so comparing two long lists cannot
+  // overflow the stack.
+  const Term* a = this;
+  const Term* b = &other;
+  while (true) {
+    if (a->kind_ != b->kind_) return false;
+    switch (a->kind_) {
+      case TermKind::kInt:
+        return a->int_value_ == b->int_value_;
+      case TermKind::kReal:
+        return a->real_value_ == b->real_value_;
+      case TermKind::kVariable:
+      case TermKind::kString:
+      case TermKind::kSymbol:
+        return a->text_ == b->text_;
+      case TermKind::kFunction:
+        break;
     }
+    if (a->text_ != b->text_) return false;
+    const auto& x = a->args();
+    const auto& y = b->args();
+    if (x.size() != y.size()) return false;
+    if (x.empty()) return true;
+    for (size_t i = 0; i + 1 < x.size(); ++i) {
+      if (!(x[i] == y[i])) return false;
+    }
+    a = &x.back();
+    b = &y.back();
   }
-  return false;
 }
 
 bool Term::operator<(const Term& other) const {
@@ -193,25 +200,40 @@ bool Term::operator<(const Term& other) const {
 }
 
 size_t Term::Hash() const {
-  size_t seed = static_cast<size_t>(kind_);
-  switch (kind_) {
+  // Iterative down the last argument, so hashing a long list cannot
+  // overflow the stack: each function term's seed covers its functor and
+  // all but its last argument, and the seeds fold in bottom-up, giving the
+  // value the recursive definition does.
+  std::vector<size_t> spine;
+  const Term* t = this;
+  while (t->IsFunction() && !t->args().empty()) {
+    size_t seed = static_cast<size_t>(t->kind_);
+    HashValue(&seed, t->text_);
+    const auto& args = t->args();
+    for (size_t i = 0; i + 1 < args.size(); ++i) {
+      HashCombine(&seed, args[i].Hash());
+    }
+    spine.push_back(seed);
+    t = &args.back();
+  }
+  size_t hash = static_cast<size_t>(t->kind_);
+  switch (t->kind_) {
     case TermKind::kInt:
-      HashValue(&seed, int_value_);
+      HashValue(&hash, t->int_value_);
       break;
     case TermKind::kReal:
-      HashValue(&seed, real_value_);
+      HashValue(&hash, t->real_value_);
       break;
-    case TermKind::kVariable:
-    case TermKind::kString:
-    case TermKind::kSymbol:
-      HashValue(&seed, text_);
-      break;
-    case TermKind::kFunction:
-      HashValue(&seed, text_);
-      for (const Term& a : args()) HashCombine(&seed, a.Hash());
+    default:
+      HashValue(&hash, t->text_);
       break;
   }
-  return seed;
+  for (auto it = spine.rbegin(); it != spine.rend(); ++it) {
+    size_t seed = *it;
+    HashCombine(&seed, hash);
+    hash = seed;
+  }
+  return hash;
 }
 
 namespace {

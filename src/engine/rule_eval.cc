@@ -422,9 +422,10 @@ struct CompiledRule::Firing {
     //    after the examined tuple's match is done; Match copies into a
     //    register every value it keeps, so the tuple reference is dead once
     //    Step(depth + 1) may have grown the relation and moved its storage;
-    //  - the posting list is a node of the index's unordered_map, whose
-    //    address survives inserts and rehashes; it is walked by position,
-    //    so a reallocation of its vector is harmless;
+    //  - the posting list is an element of the index's deque, which only
+    //    grows at its end, so its address survives new keys and rehashes
+    //    of the key table; it is walked by position, so a reallocation of
+    //    its vector is harmless;
     //  - rows are only appended, so ids below view.end keep their tuples,
     //    and postings are ascending ids, so the walk stops at view.end.
     auto try_tuple = [&](const Tuple& t) -> Status {

@@ -2,9 +2,9 @@
 #define LDLOPT_STORAGE_RELATION_H_
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "base/status.h"
@@ -15,6 +15,8 @@ namespace ldl {
 
 /// A set-semantics relation: duplicate-free bag of ground tuples with
 /// lazily built, incrementally maintained hash indexes on column subsets.
+/// Dedup, index keys and distinct counts share one table type, RowTable,
+/// which stores row ids and compares through the rows they name.
 ///
 /// Indexes survive inserts (they are extended on next access), which matters
 /// because fixpoint evaluation keeps inserting into the relations it reads.
@@ -33,65 +35,12 @@ class Relation {
 
   ~Relation() { ChargeDelta(0, charged_bytes_); }
 
-  Relation(const Relation& other)
-      : name_(other.name_),
-        arity_(other.arity_),
-        tuples_(other.tuples_),
-        dedup_(other.dedup_),
-        indexes_(other.indexes_),
-        distinct_(other.distinct_),
-        accountant_(other.accountant_) {
-    charged_bytes_ = 0;
-    ChargeDelta(other.charged_bytes_, 0);
-  }
-  Relation& operator=(const Relation& other) {
-    if (this == &other) return *this;
-    ChargeDelta(0, charged_bytes_);
-    name_ = other.name_;
-    arity_ = other.arity_;
-    tuples_ = other.tuples_;
-    dedup_ = other.dedup_;
-    indexes_ = other.indexes_;
-    distinct_ = other.distinct_;
-    accountant_ = other.accountant_;
-    charged_bytes_ = 0;
-    ChargeDelta(other.charged_bytes_, 0);
-    return *this;
-  }
-  Relation(Relation&& other) noexcept
-      : name_(std::move(other.name_)),
-        arity_(other.arity_),
-        tuples_(std::move(other.tuples_)),
-        dedup_(std::move(other.dedup_)),
-        indexes_(std::move(other.indexes_)),
-        distinct_(std::move(other.distinct_)),
-        accountant_(other.accountant_),
-        charged_bytes_(other.charged_bytes_) {
-    // The charge moves with the data: the source no longer owes anything.
-    other.charged_bytes_ = 0;
-    other.tuples_.clear();
-    other.dedup_.clear();
-    other.indexes_.clear();
-    other.distinct_.clear();
-  }
-  Relation& operator=(Relation&& other) noexcept {
-    if (this == &other) return *this;
-    ChargeDelta(0, charged_bytes_);
-    name_ = std::move(other.name_);
-    arity_ = other.arity_;
-    tuples_ = std::move(other.tuples_);
-    dedup_ = std::move(other.dedup_);
-    indexes_ = std::move(other.indexes_);
-    distinct_ = std::move(other.distinct_);
-    accountant_ = other.accountant_;
-    charged_bytes_ = other.charged_bytes_;
-    other.charged_bytes_ = 0;
-    other.tuples_.clear();
-    other.dedup_.clear();
-    other.indexes_.clear();
-    other.distinct_.clear();
-    return *this;
-  }
+  Relation(const Relation& other) { *this = other; }
+  Relation(Relation&& other) noexcept { *this = std::move(other); }
+  Relation& operator=(const Relation& other);
+  /// The charge moves with the data: the source is left empty, owing
+  /// nothing, with its arity kept.
+  Relation& operator=(Relation&& other) noexcept;
 
   /// Attaches (or detaches, with nullptr) a resource accountant. Current
   /// contents are re-charged against the new accountant and released from
@@ -124,8 +73,10 @@ class Relation {
 
   /// Posting list of tuple ids whose values at `cols` equal `key` (same
   /// order). `cols` must be strictly increasing. Builds/extends the index
-  /// on demand. Ids ascend. The list is a node of a hash map, so its
-  /// address survives later inserts (which only append to it) until Clear.
+  /// on demand. Ids ascend. The list is an element of a deque that only
+  /// grows at its end, so the reference survives later inserts and lookups
+  /// (which only append to the list) until Clear; walk it by position, as
+  /// its buffer may move.
   const std::vector<uint32_t>& Lookup(const std::vector<int>& cols,
                                       const Tuple& key);
 
@@ -139,32 +90,37 @@ class Relation {
   std::string ToString(size_t max_tuples = 20) const;
 
  private:
+  /// An open-addressing table of row ids (linear probing, load at most one
+  /// half, doubling). It holds no values: each use hashes and compares
+  /// through the rows its ids name, so no Term is ever copied into it.
+  struct RowTable {
+    std::vector<uint32_t> slots;  // an id or kEmptySlot; size 0 or 2^k
+    size_t count = 0;             // occupied slots
+    // Rows only append until Clear, so an index or distinct table is
+    // extended from here; dedup sees each row at Insert and leaves it 0.
+    size_t built_upto = 0;
+  };
+
+  /// Adds `id` to `table` unless an id that `same` accepts is there, and
+  /// returns the id the table holds for the probed value. `hash` is that
+  /// value's hash, and `hash_of(id)` re-hashes stored ids when the table
+  /// doubles. Charges the slots it adds.
+  template <typename Same, typename HashOf>
+  uint32_t FindOrAdd(RowTable* table, size_t hash, const Same& same,
+                     const HashOf& hash_of, uint32_t id) const;
+
+  /// One index: `keys` holds group ids, each compared through the first
+  /// row of its posting list at the index's columns. A posting list is a
+  /// deque element so a reference to it survives new groups (see Lookup).
   struct Index {
-    // Key: projected column values. Value: ids of matching tuples.
-    std::unordered_map<Tuple, std::vector<uint32_t>, TupleHash> postings;
-    size_t built_upto = 0;  // tuples_[0, built_upto) are indexed
+    RowTable keys;
+    std::deque<std::vector<uint32_t>> postings;  // per group: ascending ids
   };
 
   void ExtendIndex(const std::vector<int>& cols, Index* index);
 
-  /// The distinct values of one column: an open-addressing (linear probing)
-  /// table of row ids, one per value, hashed by Term::Hash and compared
-  /// through tuples_[row][col], so no Term is copied. Rows are only ever
-  /// appended until Clear, so the table stays valid and is extended from
-  /// `built_upto`, exactly like an Index.
-  struct DistinctSet {
-    std::vector<uint32_t> slots;  // row id or kEmptySlot; size 0 or 2^k
-    size_t count = 0;             // occupied slots = distinct values
-    size_t built_upto = 0;        // tuples_[0, built_upto) are counted
-  };
-
-  void ExtendDistinct(size_t col, DistinctSet* set) const;
-  /// Inserts row `row`'s value of column `col` into `set` unless an equal
-  /// value is already there. `set` must have a free slot.
-  void AddDistinct(size_t col, uint32_t row, DistinctSet* set) const;
-
-  /// Fresh estimate of tuple, dedup, index and distinct-table storage from
-  /// current contents.
+  /// Fresh estimate of tuple, table-slot and posting storage from current
+  /// contents, by the formula the charges use.
   uint64_t EstimateBytes() const;
 
   /// Adjusts charged_bytes_ and forwards the delta to the accountant.
@@ -181,14 +137,15 @@ class Relation {
   std::string name_;
   size_t arity_ = 0;
   std::vector<Tuple> tuples_;
-  // Dedup structure: hash -> tuple ids with that hash.
-  std::unordered_map<size_t, std::vector<uint32_t>> dedup_;
+  // Row ids keyed on all columns.
+  RowTable dedup_;
   // Secondary indexes keyed by the (sorted) column list.
   std::map<std::vector<int>, Index> indexes_;
-  // Per-column distinct-value tables, built by the first DistinctCount.
-  // Mutable (with charged_bytes_, which charges them) because counting is
-  // a const read that caches, the way Statistics::Collect uses it.
-  mutable std::vector<DistinctSet> distinct_;
+  // Per-column tables of one row id per distinct value, built by the first
+  // DistinctCount. Mutable (with charged_bytes_, which charges them)
+  // because counting is a const read that caches, the way
+  // Statistics::Collect uses it.
+  mutable std::vector<RowTable> distinct_;
   ResourceAccountant* accountant_ = nullptr;
   mutable uint64_t charged_bytes_ = 0;
 };

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -123,12 +124,39 @@ struct ModelRelation {
   }
 };
 
-void ExpectMatchesModel(const Relation& r, const ModelRelation& model,
+// The relation holds exactly the model's rows, in insertion order, and its
+// dedup table, every index and every distinct table agree with them. Index
+// probes cover every strictly increasing column subset, keyed on every key
+// the model holds, so the probes also extend (or build) each index from
+// wherever the mutation left it.
+void ExpectMatchesModel(Relation& r, const ModelRelation& model,
                         const std::string& where) {
   ASSERT_EQ(r.size(), model.rows.size()) << where;
+  ASSERT_TRUE(r.tuples() == model.rows) << where << ": row order";
+  for (const Tuple& t : model.rows) {
+    ASSERT_TRUE(r.Contains(t)) << where << ": " << TupleToString(t);
+  }
+  Tuple absent(r.arity(), Term::MakeSymbol("absent"));
+  ASSERT_FALSE(r.Contains(absent)) << where;
   for (size_t c = 0; c < r.arity(); ++c) {
     ASSERT_EQ(r.DistinctCount(c), model.DistinctCount(c))
         << where << " column " << c;
+  }
+  for (unsigned mask = 1; mask < (1u << r.arity()); ++mask) {
+    std::vector<int> cols;
+    for (size_t c = 0; c < r.arity(); ++c) {
+      if (mask & (1u << c)) cols.push_back(static_cast<int>(c));
+    }
+    std::map<Tuple, std::vector<uint32_t>> expected;
+    for (size_t row = 0; row < model.rows.size(); ++row) {
+      Tuple key;
+      for (int c : cols) key.push_back(model.rows[row][c]);
+      expected[key].push_back(static_cast<uint32_t>(row));
+    }
+    for (const auto& [key, rows] : expected) {
+      ASSERT_EQ(r.Lookup(cols, key), rows)
+          << where << " mask " << mask << " key " << TupleToString(key);
+    }
   }
 }
 
@@ -194,6 +222,57 @@ TEST(RelationTest, DistinctCountMatchesSetReferenceUnderMutation) {
       ExpectMatchesModel(b, mb, where + " b");
     }
   }
+}
+
+// A posting list walked by position, the way the rule evaluator walks
+// tc(X, Z) <- tc(X, Y), tc(Y, Z), sees every id appended to it during the
+// walk, while new keys grow (and rehash) the same index and probes on the
+// same and other columns run between its steps.
+TEST(RelationTest, PostingListSurvivesGrowthDuringWalk) {
+  Relation r("tc", 2);
+  for (int64_t i = 0; i < 4; ++i) r.Insert(Pair(1, i));
+  const std::vector<uint32_t>& ids = r.Lookup({0}, {Term::MakeInt(1)});
+  std::vector<uint32_t> seen;
+  std::vector<uint32_t> expected;
+  int64_t next_key = 1000;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    seen.push_back(ids[i]);
+    if (i < 40) {
+      r.Insert(Pair(1, 100 + static_cast<int64_t>(i)));
+      for (int n = 0; n < 25; ++n) r.Insert(Pair(next_key++, 0));
+    }
+    EXPECT_EQ(r.Lookup({0}, {Term::MakeInt(next_key - 1)}).size(), 1u);
+    EXPECT_EQ(r.Lookup({1}, {Term::MakeInt(0)}).size(),
+              static_cast<size_t>(next_key - 999));
+  }
+  for (uint32_t id = 0; id < r.size(); ++id) {
+    if (r.tuple(id)[0] == Term::MakeInt(1)) expected.push_back(id);
+  }
+  EXPECT_EQ(expected.size(), 44u);
+  EXPECT_EQ(seen, expected);
+}
+
+// A million-element list is an ordinary column value: dedup, Contains,
+// index probes and the accountant's byte estimate all walk its spine
+// without recursion.
+TEST(RelationTest, MillionElementListColumn) {
+  std::vector<Term> items;
+  for (int i = 0; i < 1000000; ++i) items.push_back(Term::MakeInt(i % 10));
+  const Term list = Term::MakeList(items);
+  const Term copy = Term::MakeList(items);
+  ResourceAccountant accountant;
+  {
+    Relation r("deep", 2);
+    r.set_accountant(&accountant);
+    EXPECT_TRUE(r.Insert({list, Term::MakeInt(1)}));
+    EXPECT_FALSE(r.Insert({copy, Term::MakeInt(1)}));
+    EXPECT_TRUE(r.Contains({copy, Term::MakeInt(1)}));
+    EXPECT_FALSE(r.Contains({copy, Term::MakeInt(2)}));
+    EXPECT_EQ(r.Lookup({0}, {copy}), std::vector<uint32_t>{0});
+    EXPECT_GT(accountant.current_bytes(), 1000000 * sizeof(Term));
+    EXPECT_EQ(accountant.current_bytes(), r.charged_bytes());
+  }
+  EXPECT_EQ(accountant.current_bytes(), 0u);
 }
 
 // The distinct-value tables are charged like index postings, and released

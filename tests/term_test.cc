@@ -35,6 +35,47 @@ TEST(TermTest, EqualityAndHash) {
   EXPECT_EQ(a.Hash(), b.Hash());
 }
 
+// Hash values are part of the storage contract: answer fingerprints are
+// sums of TupleHash values, so these values (recorded from the recursive
+// definition, on a 64-bit libstdc++) must not move.
+TEST(TermTest, HashValuesArePinned) {
+  EXPECT_EQ(Term::MakeInt(42).Hash(), 11400714819323198590u);
+  EXPECT_EQ(Term::MakeInt(-7).Hash(), 11400714819323198543u);
+  EXPECT_EQ(Term::MakeReal(1.5).Hash(), 16383221891972305278u);
+  EXPECT_EQ(Term::MakeSymbol("austin").Hash(), 2004589216498171991u);
+  EXPECT_EQ(Term::MakeString("austin").Hash(), 2004589216498171921u);
+  EXPECT_EQ(Term::MakeVariable("X").Hash(), 4997345185781462783u);
+  EXPECT_EQ(
+      Term::MakeFunction("f", {Term::MakeSymbol("a"), Term::MakeInt(1)}).Hash(),
+      13900311536383269941u);
+  EXPECT_EQ(Term::MakeList({Term::MakeInt(1), Term::MakeInt(2),
+                            Term::MakeInt(3)})
+                .Hash(),
+            9055882476250103098u);
+  Term g = Term::MakeFunction(
+      "g", {Term::MakeFunction("h", {Term::MakeInt(0)}),
+            Term::MakeList({Term::MakeSymbol("a")}, Term::MakeVariable("T"))});
+  EXPECT_EQ(g.Hash(), 2247567297270417267u);
+  std::vector<Term> items;
+  for (int i = 0; i < 1000; ++i) items.push_back(Term::MakeInt(i));
+  EXPECT_EQ(Term::MakeList(items).Hash(), 8444857781790793562u);
+}
+
+// Hash and == walk a list's spine iteratively: separately built lists far
+// deeper than the stack allows recursion for compare and hash alike.
+TEST(TermTest, DeepListsHashAndCompareWithoutRecursion) {
+  std::vector<Term> items;
+  for (int i = 0; i < 400000; ++i) items.push_back(Term::MakeInt(i % 7));
+  Term a = Term::MakeList(items);
+  Term b = Term::MakeList(items);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a.Hash(), b.Hash());
+  items.back() = Term::MakeInt(100);
+  Term c = Term::MakeList(items);
+  EXPECT_NE(a, c);
+  EXPECT_NE(a.Hash(), c.Hash());
+}
+
 TEST(TermTest, NumericKindsCompareDistinctly) {
   // Term equality is structural: 1 (int) != 1.0 (real) as stored values;
   // numeric equality is the builtin layer's job.
