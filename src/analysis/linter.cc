@@ -1,9 +1,9 @@
 #include "analysis/linter.h"
 
-#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/strings.h"
@@ -15,47 +15,6 @@ namespace {
 
 SourceLocation RuleLoc(size_t index, const Rule& rule) {
   return SourceLocation::ForRule(index, rule.ToString());
-}
-
-/// Variables of `rule` grounded by the body: every variable of a positive,
-/// non-builtin literal, closed under `=` propagation (X = expr grounds X
-/// once all of expr's variables are grounded, and vice versa). This is the
-/// same closure Rule::IsRangeRestricted computes; recomputed here so the
-/// linter can name the offending variables instead of answering yes/no.
-std::set<std::string> GroundedVariables(const Rule& rule) {
-  std::set<std::string> grounded;
-  for (const Literal& l : rule.body()) {
-    if (l.IsBuiltin() || l.negated()) continue;
-    std::vector<std::string> vars;
-    l.CollectVariables(&vars);
-    grounded.insert(vars.begin(), vars.end());
-  }
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const Literal& l : rule.body()) {
-      if (l.builtin() != BuiltinKind::kEq) continue;
-      auto all_ground = [&grounded](const Term& t) {
-        std::vector<std::string> vars;
-        t.CollectVariables(&vars);
-        return std::all_of(
-            vars.begin(), vars.end(),
-            [&grounded](const std::string& v) { return grounded.count(v); });
-      };
-      auto ground_all = [&grounded, &changed](const Term& t) {
-        std::vector<std::string> vars;
-        t.CollectVariables(&vars);
-        for (const std::string& v : vars) {
-          if (grounded.insert(v).second) changed = true;
-        }
-      };
-      const Term& lhs = l.args()[0];
-      const Term& rhs = l.args()[1];
-      if (all_ground(rhs) && !all_ground(lhs)) ground_all(lhs);
-      if (all_ground(lhs) && !all_ground(rhs)) ground_all(rhs);
-    }
-  }
-  return grounded;
 }
 
 }  // namespace
@@ -104,7 +63,7 @@ void ProgramLinter::CheckArities(DiagnosticSink* sink) const {
 void ProgramLinter::CheckRangeRestriction(DiagnosticSink* sink) const {
   for (size_t i = 0; i < program_.rules().size(); ++i) {
     const Rule& rule = program_.rules()[i];
-    std::set<std::string> grounded = GroundedVariables(rule);
+    std::set<std::string> grounded = rule.GroundedVariables();
     std::vector<std::string> head_vars;
     rule.head().CollectVariables(&head_vars);
     std::set<std::string> reported;

@@ -229,15 +229,13 @@ void PlanVerifier::VerifyAnd(const PlanNode& node,
   // V003: the chosen execution order must be effectively computable under
   // the incoming adornment (paper §8.1) — the safety the optimizer folds
   // into the search as infinite cost.
-  if (options_.check_ec) {
-    Status ec = CheckRuleEc(rule, node.body_order, node.binding);
-    if (!ec.ok()) {
-      sink->Error("V003",
-                  StrCat("body order is not effectively computable under "
-                         "adornment ",
-                         node.binding.ToString(), ": ", ec.message()),
-                  NodeLoc(node));
-    }
+  Status ec = CheckRuleEc(rule, node.body_order, node.binding);
+  if (!ec.ok()) {
+    sink->Error("V003",
+                StrCat("body order is not effectively computable under "
+                       "adornment ",
+                       node.binding.ToString(), ": ", ec.message()),
+                NodeLoc(node));
   }
 
   // V002: child adornments must equal the sideways-information-passing walk

@@ -15,10 +15,6 @@ namespace ldl {
 struct PlanVerifierOptions {
   bool allow_magic = true;
   bool allow_counting = true;
-  /// Run the effective-computability check (CheckRuleEc) on every AND node
-  /// that carries an incoming adornment. Off for hand-built trees that were
-  /// never meant to execute.
-  bool check_ec = true;
 };
 
 /// Structural invariant checker for processing trees (paper §4/§5). The

@@ -1,7 +1,7 @@
 #include "ast/parser.h"
 
 #include <cctype>
-#include <cstdlib>
+#include <charconv>
 #include <optional>
 #include <vector>
 
@@ -13,6 +13,7 @@ namespace {
 
 enum class TokenKind {
   kEnd,
+  kError,    // a character no token starts with, or an unterminated string
   kIdent,    // lower-case identifier: predicate, symbol, functor
   kVar,      // upper-case / underscore identifier
   kInt,
@@ -37,247 +38,86 @@ enum class TokenKind {
   kMinus,
   kStar,
   kSlash,
-  kMod,      // `mod` keyword is lexed as kIdent and promoted by the parser
-  kNot,      // `not` keyword (promoted from kIdent)
+  kMod,      // the identifier `mod`
+  kNot,      // the identifier `not`
 };
 
+/// One token: a span of the input. A kString span is the whole literal,
+/// quotes included and escapes still encoded; a kError span starts at the
+/// offending character (a `"` for an unterminated string).
 struct Token {
   TokenKind kind = TokenKind::kEnd;
-  std::string text;
-  int64_t int_value = 0;
-  double real_value = 0.0;
+  std::string_view text;
   size_t line = 1;
 };
 
-/// Converts program text into a token stream. Reports the first lexical
-/// error through status().
-class Lexer {
- public:
-  explicit Lexer(std::string_view text) : text_(text) {}
-
-  Status Tokenize(std::vector<Token>* out) {
-    while (true) {
-      SkipWhitespaceAndComments();
-      if (pos_ >= text_.size()) break;
-      Token tok;
-      tok.line = line_;
-      char c = text_[pos_];
-      if (std::isdigit(static_cast<unsigned char>(c))) {
-        LDL_RETURN_NOT_OK(LexNumber(&tok));
-      } else if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-        LexIdent(&tok);
-      } else if (c == '"') {
-        LDL_RETURN_NOT_OK(LexString(&tok));
-      } else {
-        LDL_RETURN_NOT_OK(LexPunct(&tok));
-      }
-      out->push_back(std::move(tok));
-    }
-    Token end;
-    end.kind = TokenKind::kEnd;
-    end.line = line_;
-    out->push_back(end);
-    return Status::OK();
-  }
-
- private:
-  void SkipWhitespaceAndComments() {
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (c == '\n') {
-        ++line_;
-        ++pos_;
-      } else if (std::isspace(static_cast<unsigned char>(c))) {
-        ++pos_;
-      } else if (c == '%') {
-        while (pos_ < text_.size() && text_[pos_] != '\n') ++pos_;
-      } else if (c == '/' && pos_ + 1 < text_.size() &&
-                 text_[pos_ + 1] == '/') {
-        while (pos_ < text_.size() && text_[pos_] != '\n') ++pos_;
-      } else {
-        break;
-      }
-    }
-  }
-
-  Status LexNumber(Token* tok) {
-    size_t start = pos_;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-    bool is_real = false;
-    if (pos_ + 1 < text_.size() && text_[pos_] == '.' &&
-        std::isdigit(static_cast<unsigned char>(text_[pos_ + 1]))) {
-      is_real = true;
-      ++pos_;
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    std::string num(text_.substr(start, pos_ - start));
-    if (is_real) {
-      tok->kind = TokenKind::kReal;
-      tok->real_value = std::strtod(num.c_str(), nullptr);
-    } else {
-      tok->kind = TokenKind::kInt;
-      tok->int_value = std::strtoll(num.c_str(), nullptr, 10);
-    }
-    return Status::OK();
-  }
-
-  void LexIdent(Token* tok) {
-    size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '_')) {
-      ++pos_;
-    }
-    tok->text = std::string(text_.substr(start, pos_ - start));
-    char first = tok->text[0];
-    if (tok->text == "not") {
-      tok->kind = TokenKind::kNot;
-    } else if (tok->text == "mod") {
-      tok->kind = TokenKind::kMod;
-    } else if (std::isupper(static_cast<unsigned char>(first)) ||
-               first == '_') {
-      tok->kind = TokenKind::kVar;
-    } else {
-      tok->kind = TokenKind::kIdent;
-    }
-  }
-
-  Status LexString(Token* tok) {
-    ++pos_;  // opening quote
-    std::string value;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      if (text_[pos_] == '\\' && pos_ + 1 < text_.size()) {
-        ++pos_;
-        char esc = text_[pos_];
-        value += (esc == 'n') ? '\n' : (esc == 't') ? '\t' : esc;
-      } else {
-        value += text_[pos_];
-      }
-      ++pos_;
-    }
-    if (pos_ >= text_.size()) {
-      return Status::InvalidArgument(
-          StrCat("line ", line_, ": unterminated string literal"));
-    }
-    ++pos_;  // closing quote
-    tok->kind = TokenKind::kString;
-    tok->text = std::move(value);
-    return Status::OK();
-  }
-
-  Status LexPunct(Token* tok) {
-    auto two = [this](char a, char b) {
-      return pos_ + 1 < text_.size() && text_[pos_] == a &&
-             text_[pos_ + 1] == b;
-    };
-    if (two('<', '-') || two(':', '-')) {
-      tok->kind = TokenKind::kArrow;
-      pos_ += 2;
-      return Status::OK();
-    }
-    if (two('<', '=')) {
-      tok->kind = TokenKind::kLe;
-      pos_ += 2;
-      return Status::OK();
-    }
-    if (two('>', '=')) {
-      tok->kind = TokenKind::kGe;
-      pos_ += 2;
-      return Status::OK();
-    }
-    if (two('!', '=') || two('\\', '=')) {
-      tok->kind = TokenKind::kNe;
-      pos_ += 2;
-      return Status::OK();
-    }
-    char c = text_[pos_];
-    ++pos_;
-    switch (c) {
-      case '(':
-        tok->kind = TokenKind::kLParen;
-        return Status::OK();
-      case ')':
-        tok->kind = TokenKind::kRParen;
-        return Status::OK();
-      case '[':
-        tok->kind = TokenKind::kLBracket;
-        return Status::OK();
-      case ']':
-        tok->kind = TokenKind::kRBracket;
-        return Status::OK();
-      case ',':
-        tok->kind = TokenKind::kComma;
-        return Status::OK();
-      case '.':
-        tok->kind = TokenKind::kDot;
-        return Status::OK();
-      case '|':
-        tok->kind = TokenKind::kBar;
-        return Status::OK();
-      case '?':
-        tok->kind = TokenKind::kQuestion;
-        return Status::OK();
-      case '=':
-        tok->kind = TokenKind::kEq;
-        return Status::OK();
-      case '<':
-        tok->kind = TokenKind::kLt;
-        return Status::OK();
-      case '>':
-        tok->kind = TokenKind::kGt;
-        return Status::OK();
-      case '+':
-        tok->kind = TokenKind::kPlus;
-        return Status::OK();
-      case '-':
-        tok->kind = TokenKind::kMinus;
-        return Status::OK();
-      case '*':
-        tok->kind = TokenKind::kStar;
-        return Status::OK();
-      case '/':
-        tok->kind = TokenKind::kSlash;
-        return Status::OK();
-      default:
-        return Status::InvalidArgument(
-            StrCat("line ", line_, ": unexpected character '", c, "'"));
-    }
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
-  size_t line_ = 1;
+struct Punct {
+  std::string_view spelling;
+  TokenKind kind;
 };
 
-/// Recursive-descent parser over the token stream.
+/// Every punctuation token, longest spellings first so `<-` is not read as
+/// `<` followed by `-`.
+constexpr Punct kPuncts[] = {
+    {"<-", TokenKind::kArrow},    {":-", TokenKind::kArrow},
+    {"<=", TokenKind::kLe},       {">=", TokenKind::kGe},
+    {"!=", TokenKind::kNe},       {"\\=", TokenKind::kNe},
+    {"(", TokenKind::kLParen},    {")", TokenKind::kRParen},
+    {",", TokenKind::kComma},     {".", TokenKind::kDot},
+    {"[", TokenKind::kLBracket},  {"]", TokenKind::kRBracket},
+    {"|", TokenKind::kBar},       {"?", TokenKind::kQuestion},
+    {"=", TokenKind::kEq},        {"<", TokenKind::kLt},
+    {">", TokenKind::kGt},        {"+", TokenKind::kPlus},
+    {"-", TokenKind::kMinus},     {"*", TokenKind::kStar},
+    {"/", TokenKind::kSlash},
+};
+
+bool IsDigit(char c) { return std::isdigit(static_cast<unsigned char>(c)); }
+bool IsWordChar(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+}
+
+/// The value of a closed string literal, quotes included: `\n` and `\t`
+/// decode to newline and tab, any other escaped character stands for
+/// itself.
+std::string Unescape(std::string_view literal) {
+  std::string value;
+  value.reserve(literal.size());
+  for (size_t i = 1; i + 1 < literal.size(); ++i) {
+    char c = literal[i];
+    if (c == '\\') {
+      c = literal[++i];  // in range: the closing quote is never escaped
+      c = c == 'n' ? '\n' : c == 't' ? '\t' : c;
+    }
+    value += c;
+  }
+  return value;
+}
+
+/// Recursive-descent parser that lexes as it goes: it holds the current
+/// token and lexes the next one when it advances, so the input is read
+/// once, front to back, and the first error in reading order is the one
+/// reported.
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  explicit Parser(std::string_view text) : text_(text) { Advance(); }
 
   Result<Program> ParseProgram() {
     Program program;
-    while (Peek().kind != TokenKind::kEnd) {
+    while (tok_.kind != TokenKind::kEnd) {
+      const size_t vars_before = vars_read_;
       LDL_ASSIGN_OR_RETURN(Literal head, ParseLiteralInternal());
-      if (Peek().kind == TokenKind::kQuestion) {
-        Advance();
+      if (Accept(TokenKind::kQuestion)) {
         program.AddQuery(QueryForm{std::move(head)});
         continue;
       }
-      if (Peek().kind == TokenKind::kDot) {
-        Advance();
-        // Head-only clause: a fact if ground, else a bodiless rule.
-        bool ground = true;
-        for (const Term& t : head.args()) ground = ground && t.IsGround();
+      if (Accept(TokenKind::kDot)) {
         if (head.IsBuiltin()) {
           return Err("builtin cannot stand alone as a clause");
         }
-        if (ground) {
+        // Head-only clause: a fact if no variable was read in it, else a
+        // bodiless rule.
+        if (vars_read_ == vars_before) {
           program.AddFact(std::move(head));
         } else {
           program.AddRule(Rule(std::move(head), {}));
@@ -286,15 +126,10 @@ class Parser {
       }
       LDL_RETURN_NOT_OK(Expect(TokenKind::kArrow, "'<-', '.' or '?'"));
       std::vector<Literal> body;
-      while (true) {
+      do {
         LDL_ASSIGN_OR_RETURN(Literal lit, ParseLiteralInternal());
         body.push_back(std::move(lit));
-        if (Peek().kind == TokenKind::kComma) {
-          Advance();
-          continue;
-        }
-        break;
-      }
+      } while (Accept(TokenKind::kComma));
       LDL_RETURN_NOT_OK(Expect(TokenKind::kDot, "'.'"));
       program.AddRule(Rule(std::move(head), std::move(body)));
     }
@@ -315,23 +150,98 @@ class Parser {
   }
 
  private:
-  const Token& Peek(size_t ahead = 0) const {
-    size_t i = pos_ + ahead;
-    return i < tokens_.size() ? tokens_[i] : tokens_.back();
-  }
-  const Token& Advance() { return tokens_[pos_++]; }
+  // --- lexing ---------------------------------------------------------------
 
+  /// Makes the next token of the input current. The parser never advances
+  /// past a kError token: every parse step that reaches one fails.
+  void Advance() {
+    SkipWhitespaceAndComments();
+    tok_.line = line_;
+    const size_t start = pos_;
+    if (pos_ >= text_.size()) {
+      tok_.kind = TokenKind::kEnd;
+    } else if (const char c = text_[pos_]; IsDigit(c)) {
+      while (pos_ < text_.size() && IsDigit(text_[pos_])) ++pos_;
+      tok_.kind = TokenKind::kInt;
+      if (pos_ + 1 < text_.size() && text_[pos_] == '.' &&
+          IsDigit(text_[pos_ + 1])) {
+        ++pos_;
+        while (pos_ < text_.size() && IsDigit(text_[pos_])) ++pos_;
+        tok_.kind = TokenKind::kReal;
+      }
+    } else if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
+      while (pos_ < text_.size() && IsWordChar(text_[pos_])) ++pos_;
+      const std::string_view word = text_.substr(start, pos_ - start);
+      tok_.kind = word == "not"   ? TokenKind::kNot
+                  : word == "mod" ? TokenKind::kMod
+                  : std::isupper(static_cast<unsigned char>(c)) || c == '_'
+                      ? TokenKind::kVar
+                      : TokenKind::kIdent;
+    } else if (c == '"') {
+      // Newlines inside a string literal do not advance the line count.
+      ++pos_;
+      while (pos_ < text_.size() && text_[pos_] != '"') {
+        pos_ += text_[pos_] == '\\' && pos_ + 1 < text_.size() ? 2 : 1;
+      }
+      tok_.kind = pos_ < text_.size() ? TokenKind::kString : TokenKind::kError;
+      if (pos_ < text_.size()) ++pos_;  // closing quote
+    } else {
+      tok_.kind = TokenKind::kError;
+      ++pos_;
+      for (const Punct& p : kPuncts) {
+        if (p.spelling[0] == c &&
+            text_.compare(start, p.spelling.size(), p.spelling) == 0) {
+          tok_.kind = p.kind;
+          pos_ = start + p.spelling.size();
+          break;
+        }
+      }
+    }
+    tok_.text = text_.substr(start, pos_ - start);
+  }
+
+  void SkipWhitespaceAndComments() {
+    while (pos_ < text_.size()) {
+      char c = text_[pos_];
+      if (c == '\n') {
+        ++line_;
+        ++pos_;
+      } else if (std::isspace(static_cast<unsigned char>(c))) {
+        ++pos_;
+      } else if (c == '%' || (c == '/' && pos_ + 1 < text_.size() &&
+                              text_[pos_ + 1] == '/')) {
+        while (pos_ < text_.size() && text_[pos_] != '\n') ++pos_;
+      } else {
+        break;
+      }
+    }
+  }
+
+  // --- parsing helpers ------------------------------------------------------
+
+  /// Consumes the current token if it is of `kind`.
+  bool Accept(TokenKind kind) {
+    if (tok_.kind != kind) return false;
+    Advance();
+    return true;
+  }
+
+  /// An error at the current token. When that token is a lexical error,
+  /// the lexical error is what the parser has reached, so it is reported
+  /// instead of `what`.
   Status Err(std::string_view what) const {
-    return Status::InvalidArgument(
-        StrCat("line ", Peek().line, ": ", what));
+    if (tok_.kind == TokenKind::kError) {
+      return Status::InvalidArgument(
+          tok_.text[0] == '"'
+              ? StrCat("line ", tok_.line, ": unterminated string literal")
+              : StrCat("line ", tok_.line, ": unexpected character '",
+                       tok_.text[0], "'"));
+    }
+    return Status::InvalidArgument(StrCat("line ", tok_.line, ": ", what));
   }
 
   Status Expect(TokenKind kind, std::string_view what) {
-    if (Peek().kind != kind) {
-      return Err(StrCat("expected ", what));
-    }
-    Advance();
-    return Status::OK();
+    return Accept(kind) ? Status::OK() : Err(StrCat("expected ", what));
   }
 
   static std::optional<BuiltinKind> AsComparison(TokenKind kind) {
@@ -379,12 +289,13 @@ class Parser {
     return Err(StrCat("nesting deeper than ", kMaxNesting, " levels"));
   }
 
+  // --- grammar --------------------------------------------------------------
+
   // literal := "not" atom | atom | expr relop expr
   Result<Literal> ParseLiteralInternal() {
     Nesting nesting(&depth_);
     if (!nesting.Descend()) return TooDeep();
-    if (Peek().kind == TokenKind::kNot) {
-      Advance();
+    if (Accept(TokenKind::kNot)) {
       LDL_ASSIGN_OR_RETURN(Literal lit, ParseLiteralInternal());
       if (lit.IsBuiltin()) {
         return Status::InvalidArgument("'not' cannot be applied to a builtin");
@@ -393,7 +304,7 @@ class Parser {
                                   std::vector<Term>(lit.args()));
     }
     LDL_ASSIGN_OR_RETURN(Term lhs, ParseExpr());
-    if (auto cmp = AsComparison(Peek().kind)) {
+    if (auto cmp = AsComparison(tok_.kind)) {
       Advance();
       LDL_ASSIGN_OR_RETURN(Term rhs, ParseExpr());
       return Literal::MakeBuiltin(*cmp, std::move(lhs), std::move(rhs));
@@ -412,13 +323,12 @@ class Parser {
   Result<Term> ParseExpr() {
     Nesting nesting(&depth_);
     LDL_ASSIGN_OR_RETURN(Term lhs, ParseAddend());
-    while (Peek().kind == TokenKind::kPlus ||
-           Peek().kind == TokenKind::kMinus) {
+    while (tok_.kind == TokenKind::kPlus || tok_.kind == TokenKind::kMinus) {
       if (!nesting.Descend()) return TooDeep();
-      std::string op = Peek().kind == TokenKind::kPlus ? "+" : "-";
+      std::string op(tok_.text);
       Advance();
       LDL_ASSIGN_OR_RETURN(Term rhs, ParseAddend());
-      lhs = Term::MakeFunction(op, {std::move(lhs), std::move(rhs)});
+      lhs = Term::MakeFunction(std::move(op), {std::move(lhs), std::move(rhs)});
     }
     return lhs;
   }
@@ -427,26 +337,32 @@ class Parser {
   Result<Term> ParseAddend() {
     Nesting nesting(&depth_);
     LDL_ASSIGN_OR_RETURN(Term lhs, ParseFactor());
-    while (Peek().kind == TokenKind::kStar ||
-           Peek().kind == TokenKind::kSlash ||
-           Peek().kind == TokenKind::kMod) {
+    while (tok_.kind == TokenKind::kStar || tok_.kind == TokenKind::kSlash ||
+           tok_.kind == TokenKind::kMod) {
       if (!nesting.Descend()) return TooDeep();
-      std::string op = Peek().kind == TokenKind::kStar    ? "*"
-                       : Peek().kind == TokenKind::kSlash ? "/"
-                                                          : "mod";
+      std::string op(tok_.text);
       Advance();
       LDL_ASSIGN_OR_RETURN(Term rhs, ParseFactor());
-      lhs = Term::MakeFunction(op, {std::move(lhs), std::move(rhs)});
+      lhs = Term::MakeFunction(std::move(op), {std::move(lhs), std::move(rhs)});
     }
     return lhs;
+  }
+
+  /// Reads the current number token into `*value`.
+  template <typename T>
+  Status ReadNumber(T* value) const {
+    const char* end = tok_.text.data() + tok_.text.size();
+    if (std::from_chars(tok_.text.data(), end, *value).ec != std::errc()) {
+      return Err("number out of range");
+    }
+    return Status::OK();
   }
 
   // factor := "-" factor | "(" expr ")" | list | scalar | ident [ "(" args ")" ]
   Result<Term> ParseFactor() {
     Nesting nesting(&depth_);
     if (!nesting.Descend()) return TooDeep();
-    const Token& tok = Peek();
-    switch (tok.kind) {
+    switch (tok_.kind) {
       case TokenKind::kMinus: {
         Advance();
         LDL_ASSIGN_OR_RETURN(Term inner, ParseFactor());
@@ -467,46 +383,41 @@ class Parser {
       case TokenKind::kLBracket:
         return ParseList();
       case TokenKind::kInt: {
-        int64_t v = tok.int_value;
+        int64_t v = 0;
+        LDL_RETURN_NOT_OK(ReadNumber(&v));
         Advance();
         return Term::MakeInt(v);
       }
       case TokenKind::kReal: {
-        double v = tok.real_value;
+        double v = 0;
+        LDL_RETURN_NOT_OK(ReadNumber(&v));
         Advance();
         return Term::MakeReal(v);
       }
       case TokenKind::kString: {
-        std::string v = tok.text;
+        Term t = Term::MakeString(Unescape(tok_.text));
         Advance();
-        return Term::MakeString(std::move(v));
+        return t;
       }
       case TokenKind::kVar: {
-        std::string v = tok.text;
+        Term t = Term::MakeVariable(std::string(tok_.text));
+        ++vars_read_;
         Advance();
-        return Term::MakeVariable(std::move(v));
+        return t;
       }
       case TokenKind::kIdent: {
-        std::string name = tok.text;
+        std::string name(tok_.text);
         Advance();
-        if (Peek().kind == TokenKind::kLParen) {
-          Advance();
-          std::vector<Term> args;
-          if (Peek().kind != TokenKind::kRParen) {
-            while (true) {
-              LDL_ASSIGN_OR_RETURN(Term arg, ParseExpr());
-              args.push_back(std::move(arg));
-              if (Peek().kind == TokenKind::kComma) {
-                Advance();
-                continue;
-              }
-              break;
-            }
-          }
-          LDL_RETURN_NOT_OK(Expect(TokenKind::kRParen, "')'"));
-          return Term::MakeFunction(std::move(name), std::move(args));
+        if (!Accept(TokenKind::kLParen)) return Term::MakeSymbol(std::move(name));
+        std::vector<Term> args;
+        if (tok_.kind != TokenKind::kRParen) {
+          do {
+            LDL_ASSIGN_OR_RETURN(Term arg, ParseExpr());
+            args.push_back(std::move(arg));
+          } while (Accept(TokenKind::kComma));
         }
-        return Term::MakeSymbol(std::move(name));
+        LDL_RETURN_NOT_OK(Expect(TokenKind::kRParen, "')'"));
+        return Term::MakeFunction(std::move(name), std::move(args));
       }
       default:
         return Err("expected a term");
@@ -515,60 +426,41 @@ class Parser {
 
   // list := "[" "]" | "[" expr ("," expr)* ("|" expr)? "]"
   Result<Term> ParseList() {
-    LDL_RETURN_NOT_OK(Expect(TokenKind::kLBracket, "'['"));
-    if (Peek().kind == TokenKind::kRBracket) {
-      Advance();
-      return Term::MakeSymbol("[]");
-    }
+    Advance();  // "["
+    if (Accept(TokenKind::kRBracket)) return Term::MakeSymbol("[]");
     std::vector<Term> items;
-    while (true) {
+    do {
       LDL_ASSIGN_OR_RETURN(Term item, ParseExpr());
       items.push_back(std::move(item));
-      if (Peek().kind == TokenKind::kComma) {
-        Advance();
-        continue;
-      }
-      break;
-    }
+    } while (Accept(TokenKind::kComma));
     Term tail = Term::MakeSymbol("[]");
-    if (Peek().kind == TokenKind::kBar) {
-      Advance();
+    if (Accept(TokenKind::kBar)) {
       LDL_ASSIGN_OR_RETURN(tail, ParseExpr());
     }
     LDL_RETURN_NOT_OK(Expect(TokenKind::kRBracket, "']'"));
     return Term::MakeList(items, std::move(tail));
   }
 
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
-  size_t depth_ = 0;  ///< current recursive-descent nesting
+  std::string_view text_;
+  size_t pos_ = 0;        ///< first byte not yet lexed
+  size_t line_ = 1;       ///< line of pos_
+  Token tok_;             ///< the current token
+  size_t depth_ = 0;      ///< current recursive-descent nesting
+  size_t vars_read_ = 0;  ///< variable tokens consumed so far
 };
-
-Result<std::vector<Token>> TokenizeAll(std::string_view text) {
-  Lexer lexer(text);
-  std::vector<Token> tokens;
-  LDL_RETURN_NOT_OK(lexer.Tokenize(&tokens));
-  return tokens;
-}
 
 }  // namespace
 
 Result<Program> ParseProgram(std::string_view text) {
-  LDL_ASSIGN_OR_RETURN(std::vector<Token> tokens, TokenizeAll(text));
-  Parser parser(std::move(tokens));
-  return parser.ParseProgram();
+  return Parser(text).ParseProgram();
 }
 
 Result<Literal> ParseLiteral(std::string_view text) {
-  LDL_ASSIGN_OR_RETURN(std::vector<Token> tokens, TokenizeAll(text));
-  Parser parser(std::move(tokens));
-  return parser.ParseSingleLiteral();
+  return Parser(text).ParseSingleLiteral();
 }
 
 Result<Term> ParseTerm(std::string_view text) {
-  LDL_ASSIGN_OR_RETURN(std::vector<Token> tokens, TokenizeAll(text));
-  Parser parser(std::move(tokens));
-  return parser.ParseSingleTerm();
+  return Parser(text).ParseSingleTerm();
 }
 
 }  // namespace ldl

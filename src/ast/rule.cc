@@ -18,7 +18,7 @@ std::vector<std::string> Rule::Variables() const {
   return out;
 }
 
-bool Rule::IsRangeRestricted() const {
+std::set<std::string> Rule::GroundedVariables() const {
   // Variables grounded directly by positive non-builtin literals.
   std::set<std::string> grounded;
   for (const Literal& l : body_) {
@@ -55,6 +55,11 @@ bool Rule::IsRangeRestricted() const {
       if (all_ground(lhs) && !all_ground(rhs)) ground_all(rhs);
     }
   }
+  return grounded;
+}
+
+bool Rule::IsRangeRestricted() const {
+  const std::set<std::string> grounded = GroundedVariables();
   std::vector<std::string> head_vars;
   head_.CollectVariables(&head_vars);
   return std::all_of(

@@ -2,6 +2,7 @@
 #define LDLOPT_AST_RULE_H_
 
 #include <ostream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,11 @@ class Rule {
   /// Distinct variable names occurring anywhere in the rule, in first-
   /// occurrence order.
   std::vector<std::string> Variables() const;
+
+  /// Variables the body grounds: every variable of a positive, non-builtin
+  /// literal, closed under `=` (X = expr grounds X once all of expr's
+  /// variables are grounded, and vice versa).
+  std::set<std::string> GroundedVariables() const;
 
   /// Range restriction: every head variable occurs in a positive,
   /// non-builtin body literal or in the right-hand side chain of `=`

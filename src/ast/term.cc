@@ -88,17 +88,18 @@ const std::vector<Term>& Term::args() const {
 }
 
 bool Term::IsGround() const {
-  switch (kind_) {
-    case TermKind::kVariable:
-      return false;
-    case TermKind::kFunction:
-      for (const Term& a : args()) {
-        if (!a.IsGround()) return false;
-      }
-      return true;
-    default:
-      return true;
+  // Iterative down the last argument, so a long list cannot overflow the
+  // stack.
+  const Term* t = this;
+  while (t->IsFunction()) {
+    const auto& args = t->args();
+    if (args.empty()) return true;
+    for (size_t i = 0; i + 1 < args.size(); ++i) {
+      if (!args[i].IsGround()) return false;
+    }
+    t = &args.back();
   }
+  return !t->IsVariable();
 }
 
 void Term::CollectVariables(std::vector<std::string>* out) const {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 #include <utility>
 
@@ -13,13 +12,7 @@
 namespace ldl {
 namespace {
 
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-/// Same vocabulary as EXPLAIN's node labels (plan/explain.cc), minus the
+/// Same vocabulary as PlanNode::Label(), EXPLAIN's node labels, minus the
 /// rule/clique suffixes, so the CALIBRATION table reads against the PLAN
 /// table line by line.
 std::string NodeLabel(const PlanNode& node) {
@@ -197,8 +190,7 @@ std::string CalibrationReport::ToString() const {
   for (const NodeCalibration& nc : nodes_) {
     Row row;
     row.label = std::string(nc.depth * 2, ' ') + nc.label;
-    row.cells = {FormatDouble(nc.est_rows), FormatDouble(nc.act_rows),
-                 FormatDouble(nc.q_error)};
+    row.cells = {StrCat(nc.est_rows), StrCat(nc.act_rows), StrCat(nc.q_error)};
     rows.push_back(std::move(row));
   }
 
@@ -234,8 +226,8 @@ std::string CalibrationReport::ToString() const {
   for (const Row& row : rows) emit(row.label, row.cells);
 
   os << "aggregate: " << nodes_.size() << " nodes, q-error median "
-     << FormatDouble(median_q_error()) << " p95 " << FormatDouble(p95_q_error())
-     << " max " << FormatDouble(max_q_error()) << '\n';
+     << StrCat(median_q_error()) << " p95 " << StrCat(p95_q_error())
+     << " max " << StrCat(max_q_error()) << '\n';
   auto emit_group =
       [&](const char* title,
           const std::map<std::string, std::unique_ptr<Histogram>>& hists) {
@@ -246,8 +238,8 @@ std::string CalibrationReport::ToString() const {
           if (!first) os << "  |";
           first = false;
           os << ' ' << key << " n=" << h->count()
-             << " p50=" << FormatDouble(h->percentile(0.5))
-             << " max=" << FormatDouble(h->max());
+             << " p50=" << StrCat(h->percentile(0.5))
+             << " max=" << StrCat(h->max());
         }
         os << '\n';
       };
@@ -259,13 +251,13 @@ std::string CalibrationReport::ToString() const {
     os << "  not computed: " << regret_.note << '\n';
   } else {
     os << "  est cost (chosen plan):        "
-       << FormatDouble(regret_.est_cost_chosen) << '\n'
+       << StrCat(regret_.est_cost_chosen) << '\n'
        << "  measured cost (chosen plan):   "
-       << FormatDouble(regret_.measured_cost_chosen) << '\n'
+       << StrCat(regret_.measured_cost_chosen) << '\n'
        << "  measured cost (hindsight-opt): "
-       << FormatDouble(regret_.measured_cost_hindsight) << '\n'
-       << "  regret: " << FormatDouble(regret_.regret()) << " (ratio "
-       << FormatDouble(regret_.ratio()) << ")\n";
+       << StrCat(regret_.measured_cost_hindsight) << '\n'
+       << "  regret: " << StrCat(regret_.regret()) << " (ratio "
+       << StrCat(regret_.ratio()) << ")\n";
     if (regret_.changes.empty()) {
       os << "  hindsight plan: identical decisions\n";
     } else {

@@ -1,6 +1,5 @@
 #include "plan/explain.h"
 
-#include <cstdio>
 #include <iterator>
 #include <sstream>
 #include <vector>
@@ -10,35 +9,6 @@
 namespace ldl {
 namespace {
 
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-/// The tree-structure label of one node: everything EXPLAIN shows apart
-/// from the numeric columns. Matches PlanNode::ToString's vocabulary so the
-/// two views read the same.
-std::string NodeLabel(const PlanNode& node) {
-  std::string label = PlanNodeKindToString(node.kind);
-  label += node.materialized ? " [mat]" : " [pipe]";
-  if (!node.method.empty()) StrAppend(&label, " ", node.method);
-  StrAppend(&label, " ", node.goal.ToString());
-  if (node.binding.size() > 0) StrAppend(&label, " :", node.binding.ToString());
-  if (node.kind == PlanNodeKind::kAnd && node.rule_index != SIZE_MAX) {
-    StrAppend(&label, " (rule ", node.rule_index, ")");
-  }
-  if (node.kind == PlanNodeKind::kCc) {
-    label += " {";
-    for (size_t i = 0; i < node.clique_predicates.size(); ++i) {
-      if (i) label += ", ";
-      label += node.clique_predicates[i].ToString();
-    }
-    label += "}";
-  }
-  return label;
-}
-
 struct Row {
   std::string label;
   std::vector<std::string> cells;
@@ -47,12 +17,12 @@ struct Row {
 void CollectRows(const PlanNode& node, size_t depth,
                  const NodeActualRowsFn& actual_rows, std::vector<Row>* rows) {
   Row row;
-  row.label = std::string(depth * 2, ' ') + NodeLabel(node);
-  row.cells.push_back(FormatDouble(node.est_cost));
-  row.cells.push_back(FormatDouble(node.est_cardinality));
+  row.label = std::string(depth * 2, ' ') + node.Label();
+  row.cells.push_back(StrCat(node.est_cost));
+  row.cells.push_back(StrCat(node.est_cardinality));
   if (actual_rows) {
     const std::optional<double> act = actual_rows(node);
-    row.cells.push_back(act ? FormatDouble(*act) : "-");
+    row.cells.push_back(act ? StrCat(*act) : "-");
   }
   rows->push_back(std::move(row));
   for (const auto& child : node.children) {
@@ -154,7 +124,7 @@ std::string RenderExplainOptimize(const SearchTracer& tracer,
     const size_t d = c.scope < scopes.size() ? depth[c.scope] + 1 : 1;
     os << std::string(2 + 2 * d, ' ') << "["
        << CandidateDispositionToString(c.disposition) << "] cost "
-       << FormatDouble(c.cost);
+       << StrCat(c.cost);
     std::vector<size_t> order = tracer.OrderOf(c);
     if (!order.empty()) {
       os << "  order";
@@ -174,8 +144,8 @@ std::string RenderExplainOptimize(const SearchTracer& tracer,
       os << "  UNSAFE";
       if (!node.note.empty()) os << " (" << node.note << ")";
     } else {
-      os << "  cost " << FormatDouble(node.cost) << "  card "
-         << FormatDouble(node.card);
+      os << "  cost " << StrCat(node.cost) << "  card "
+         << StrCat(node.card);
       if (!node.method.empty()) os << "  via " << node.method;
     }
     if (!node.children.empty()) {

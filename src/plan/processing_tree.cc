@@ -42,26 +42,31 @@ std::unique_ptr<PlanNode> PlanNode::Clone() const {
   return copy;
 }
 
+std::string PlanNode::Label() const {
+  std::string label = PlanNodeKindToString(kind);
+  label += materialized ? " [mat]" : " [pipe]";
+  if (!method.empty()) StrAppend(&label, " ", method);
+  StrAppend(&label, " ", goal.ToString());
+  if (binding.size() > 0) StrAppend(&label, " :", binding.ToString());
+  if (kind == PlanNodeKind::kAnd && rule_index != SIZE_MAX) {
+    StrAppend(&label, " (rule ", rule_index, ")");
+  }
+  if (kind == PlanNodeKind::kCc) {
+    label += " {";
+    for (size_t i = 0; i < clique_predicates.size(); ++i) {
+      if (i) label += ", ";
+      label += clique_predicates[i].ToString();
+    }
+    label += "}";
+  }
+  return label;
+}
+
 namespace {
 
 void Render(const PlanNode& node, size_t depth, std::ostringstream& os) {
   for (size_t i = 0; i < depth; ++i) os << "  ";
-  os << PlanNodeKindToString(node.kind);
-  os << (node.materialized ? " [mat]" : " [pipe]");
-  if (!node.method.empty()) os << ' ' << node.method;
-  os << ' ' << node.goal.ToString();
-  if (node.binding.size() > 0) os << " :" << node.binding.ToString();
-  if (node.kind == PlanNodeKind::kAnd && node.rule_index != SIZE_MAX) {
-    os << " (rule " << node.rule_index << ")";
-  }
-  if (node.kind == PlanNodeKind::kCc) {
-    os << " {";
-    for (size_t i = 0; i < node.clique_predicates.size(); ++i) {
-      if (i) os << ", ";
-      os << node.clique_predicates[i].ToString();
-    }
-    os << "}";
-  }
+  os << node.Label();
   if (node.est_cost > 0) {
     os << " cost=" << node.est_cost << " card=" << node.est_cardinality;
   }

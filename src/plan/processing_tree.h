@@ -76,6 +76,11 @@ struct PlanNode {
 
   std::unique_ptr<PlanNode> Clone() const;
 
+  /// One-line label: kind, [mat]/[pipe], method, goal, binding, and the
+  /// rule index (AND) or clique predicates (CC). The tree rendering and
+  /// EXPLAIN's PLAN table both print it.
+  std::string Label() const;
+
   /// Multi-line ASCII rendering (indented tree).
   std::string ToString() const;
 };

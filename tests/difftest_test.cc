@@ -51,18 +51,34 @@ TEST(ProgramGenTest, DeterministicBySeed) {
 }
 
 TEST(ProgramGenTest, RoundTripsThroughParser) {
-  Rng rng(202);
-  ProgramGenOptions options;
-  for (int i = 0; i < 25; ++i) {
-    GeneratedProgram prog = GenerateProgram(&rng, options);
-    LdlSystem sys;
-    Status st = sys.LoadProgram(prog.ToLdl());
-    ASSERT_TRUE(st.ok()) << prog.summary << ": " << st.ToString() << "\n"
-                         << prog.ToLdl();
-    // The embedded query form survives the round trip too.
-    ASSERT_EQ(sys.pending_queries().size(), 1u) << prog.ToLdl();
-    EXPECT_EQ(sys.pending_queries()[0].goal.ToString(),
-              prog.query.ToString());
+  // A second pass with complex terms sends lists, function terms and `=`
+  // arithmetic through the printer and back.
+  ProgramGenOptions complex;
+  complex.complex_term_probability = 0.5;
+  for (const ProgramGenOptions& options : {ProgramGenOptions(), complex}) {
+    Rng rng(202);
+    for (int i = 0; i < 25; ++i) {
+      GeneratedProgram prog = GenerateProgram(&rng, options);
+      LdlSystem sys;
+      Status st = sys.LoadProgram(prog.ToLdl());
+      ASSERT_TRUE(st.ok()) << prog.summary << ": " << st.ToString() << "\n"
+                           << prog.ToLdl();
+      // The embedded query form survives the round trip too.
+      ASSERT_EQ(sys.pending_queries().size(), 1u) << prog.ToLdl();
+      EXPECT_EQ(sys.pending_queries()[0].goal.ToString(),
+                prog.query.ToString());
+      // Every rule and fact prints back exactly as generated.
+      auto parsed = ParseProgram(prog.ToLdl());
+      ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+      ASSERT_EQ(parsed->rules().size(), prog.rules.size()) << prog.ToLdl();
+      for (size_t r = 0; r < prog.rules.size(); ++r) {
+        EXPECT_EQ(parsed->rules()[r].ToString(), prog.rules[r].ToString());
+      }
+      ASSERT_EQ(parsed->facts().size(), prog.facts.size()) << prog.ToLdl();
+      for (size_t f = 0; f < prog.facts.size(); ++f) {
+        EXPECT_EQ(parsed->facts()[f].ToString(), prog.facts[f].ToString());
+      }
+    }
   }
 }
 

@@ -4,6 +4,8 @@
 
 #include <string>
 
+#include "ldl/ldl.h"
+
 namespace ldl {
 namespace {
 
@@ -170,11 +172,99 @@ TEST(ParserTest, NestingWithinTheLimitParses) {
 }
 
 TEST(ParserTest, ListLengthDoesNotCountTowardNesting) {
-  std::string text = "l([";
-  for (int i = 0; i < 5000; ++i) text += i ? ", 1" : "1";
-  auto result = ParseProgram(text + "]).");
+  // 400k elements: every later walk of the fact (the ground check when it
+  // is stored, hashing, comparison) must loop down the list, not recurse.
+  std::string text = "big([";
+  for (int i = 0; i < 400000; ++i) text += i ? ", 1" : "1";
+  text += "]).";
+  auto result = ParseProgram(text);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result->facts().size(), 1u);
+
+  LdlSystem sys;
+  ASSERT_TRUE(sys.LoadProgram(text).ok());
+  auto answer = sys.Query("big(X)");
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_EQ(answer->answers.size(), 1u);
+}
+
+// Every error site of the grammar, one input each, with the exact text.
+TEST(ParserTest, ErrorMessagesArePinned) {
+  enum Entry { kProgram, kLiteral, kTerm };
+  struct Case {
+    Entry entry;
+    std::string text;
+    std::string error;
+  };
+  const Case cases[] = {
+      {kProgram, "p(a).\nq(b) @.",
+       "InvalidArgument: line 2: unexpected character '@'"},
+      {kProgram, "p(a).\nq(\"oops).",
+       "InvalidArgument: line 2: unterminated string literal"},
+      // A newline inside a string literal does not advance the line count.
+      {kProgram, "s(\"two\nlines\").\nt(,).",
+       "InvalidArgument: line 2: expected a term"},
+      {kProgram, "p(a) q(b).",
+       "InvalidArgument: line 1: expected '<-', '.' or '?'"},
+      {kProgram, "p(X) <- q(X) r(X).", "InvalidArgument: line 1: expected '.'"},
+      {kProgram, "p(1,\n2", "InvalidArgument: line 2: expected ')'"},
+      {kProgram, "p(X) <- q(Y), X = (Y + 1.",
+       "InvalidArgument: line 1: expected ')'"},
+      {kProgram, "p([1, 2).", "InvalidArgument: line 1: expected ']'"},
+      {kProgram, "p(,).", "InvalidArgument: line 1: expected a term"},
+      {kLiteral, "p(X) q", "InvalidArgument: line 1: expected end of input"},
+      {kTerm, "f(a) b", "InvalidArgument: line 1: expected end of input"},
+      {kProgram, "p(a).\n42.",
+       "InvalidArgument: line 2: expected a literal, got term 42"},
+      // The line is the one of the token after the clause's '.'.
+      {kProgram, "X = 1.\nq(a).",
+       "InvalidArgument: line 2: builtin cannot stand alone as a clause"},
+      {kProgram, "p(X) <- q(X), not X > 3.",
+       "InvalidArgument: 'not' cannot be applied to a builtin"},
+      {kProgram, "q(a).\n" + NestedCalls(1100),
+       "InvalidArgument: line 2: nesting deeper than 1024 levels"},
+  };
+  for (const Case& c : cases) {
+    Status status;
+    switch (c.entry) {
+      case kProgram:
+        status = ParseProgram(c.text).status();
+        break;
+      case kLiteral:
+        status = ParseLiteral(c.text).status();
+        break;
+      case kTerm:
+        status = ParseTerm(c.text).status();
+        break;
+    }
+    EXPECT_EQ(status.ToString(), c.error) << c.text.substr(0, 80);
+  }
+}
+
+// The parser reads the input once, front to back, so the first error in
+// reading order is the one reported: the syntax error on line 1 wins over
+// the stray character on line 2.
+TEST(ParserTest, FirstErrorInReadingOrderIsReported) {
+  auto result = ParseProgram("p(1) q(2).\n@");
+  EXPECT_EQ(result.status().ToString(),
+            "InvalidArgument: line 1: expected '<-', '.' or '?'");
+}
+
+TEST(ParserTest, NumbersOutOfRangeAreTypedErrors) {
+  const std::string texts[] = {"99999999999999999999", "-9223372036854775808",
+                               std::string(400, '9') + ".5"};
+  for (const std::string& text : texts) {
+    auto result = ParseTerm(text);
+    ASSERT_FALSE(result.ok()) << text << " -> " << result->ToString();
+    EXPECT_EQ(result.status().ToString(),
+              "InvalidArgument: line 1: number out of range");
+  }
+  auto max = ParseTerm("9223372036854775807");
+  ASSERT_TRUE(max.ok());
+  EXPECT_EQ(max->int_value(), 9223372036854775807);
+  auto min = ParseTerm("-9223372036854775807");
+  ASSERT_TRUE(min.ok());
+  EXPECT_EQ(min->int_value(), -9223372036854775807);
 }
 
 }  // namespace
