@@ -6,12 +6,48 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "base/strings.h"
 
 namespace ldl {
 namespace bench {
+
+#ifndef LDLOPT_BUILD_TYPE
+#define LDLOPT_BUILD_TYPE ""
+#endif
+
+/// The machine a bench ran on, as every BENCH_*.json records it: timings
+/// are comparable only between runs on the same kind of host.
+struct HostRecord {
+  std::string cpu;  ///< /proc/cpuinfo "model name"; "unknown" elsewhere
+  unsigned nproc = 0;
+  std::string compiler;
+  std::string build_type;
+
+  static HostRecord Current() {
+    HostRecord host;
+    host.cpu = "unknown";
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    for (std::string line; std::getline(cpuinfo, line);) {
+      if (line.rfind("model name", 0) != 0) continue;
+      const size_t start = line.find_first_not_of(" \t:", line.find(':'));
+      if (start != std::string::npos) host.cpu = line.substr(start);
+      break;
+    }
+    host.nproc = std::thread::hardware_concurrency();
+#if defined(__clang__)
+    host.compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+    host.compiler = "gcc " __VERSION__;
+#else
+    host.compiler = "unknown";
+#endif
+    host.build_type = LDLOPT_BUILD_TYPE;
+    return host;
+  }
+};
 
 /// Process-wide collector mirroring every Banner section and printed Table
 /// into machine-readable JSON. Each bench binary calls FlushJson(name) at
@@ -35,7 +71,8 @@ class JsonSink {
   }
 
   /// Writes BENCH_<name>.json into $LDL_BENCH_JSON_DIR (default: the
-  /// current directory). Set LDL_BENCH_JSON=0 to disable.
+  /// current directory), with the host it ran on (HostRecord). Set
+  /// LDL_BENCH_JSON=0 to disable.
   void Flush(const std::string& name) const {
     const char* toggle = std::getenv("LDL_BENCH_JSON");
     if (toggle != nullptr && std::string(toggle) == "0") return;
@@ -48,7 +85,12 @@ class JsonSink {
       std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
       return;
     }
-    out << "{\"bench\":\"" << JsonEscape(name) << "\",\"experiments\":[";
+    const HostRecord host = HostRecord::Current();
+    out << "{\"bench\":\"" << JsonEscape(name) << "\",\"host\":{\"cpu\":\""
+        << JsonEscape(host.cpu) << "\",\"nproc\":" << host.nproc
+        << ",\"compiler\":\"" << JsonEscape(host.compiler)
+        << "\",\"build_type\":\"" << JsonEscape(host.build_type)
+        << "\"},\"experiments\":[";
     for (size_t s = 0; s < sections_.size(); ++s) {
       if (s) out << ",";
       const Section& section = sections_[s];

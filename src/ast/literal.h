@@ -74,6 +74,8 @@ class Literal {
   PredicateId predicate() const { return {predicate_, args_.size()}; }
   const std::vector<Term>& args() const { return args_; }
   size_t arity() const { return args_.size(); }
+  /// Moves the arguments out; the literal keeps none afterwards.
+  std::vector<Term> TakeArgs() { return std::move(args_); }
 
   bool negated() const { return negated_; }
   BuiltinKind builtin() const { return builtin_; }

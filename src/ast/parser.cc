@@ -300,8 +300,7 @@ class Parser {
       if (lit.IsBuiltin()) {
         return Status::InvalidArgument("'not' cannot be applied to a builtin");
       }
-      return Literal::MakeNegated(lit.predicate_name(),
-                                  std::vector<Term>(lit.args()));
+      return Literal::MakeNegated(lit.predicate_name(), lit.TakeArgs());
     }
     LDL_ASSIGN_OR_RETURN(Term lhs, ParseExpr());
     if (auto cmp = AsComparison(tok_.kind)) {
@@ -314,7 +313,7 @@ class Parser {
       return Literal::Make(lhs.text(), {});
     }
     if (lhs.kind() == TermKind::kFunction) {
-      return Literal::Make(lhs.text(), std::vector<Term>(lhs.args()));
+      return Literal::Make(lhs.text(), lhs.TakeArgs());
     }
     return Err(StrCat("expected a literal, got term ", lhs.ToString()));
   }

@@ -15,6 +15,12 @@ const std::vector<Term>& EmptyArgs() {
 // List constructors: '.'(Head, Tail) cons cells terminated by the symbol [].
 constexpr char kConsFunctor[] = ".";
 constexpr char kNilSymbol[] = "[]";
+
+/// -1, 0 or 1 as `a` orders before, with or after `b`.
+template <typename T>
+int ThreeWay(const T& a, const T& b) {
+  return (b < a) - (a < b);
+}
 }  // namespace
 
 Term Term::MakeVariable(std::string name) {
@@ -174,30 +180,48 @@ bool Term::operator==(const Term& other) const {
   }
 }
 
-bool Term::operator<(const Term& other) const {
-  if (kind_ != other.kind_) return kind_ < other.kind_;
-  switch (kind_) {
-    case TermKind::kInt:
-      return int_value_ < other.int_value_;
-    case TermKind::kReal:
-      return real_value_ < other.real_value_;
-    case TermKind::kVariable:
-    case TermKind::kString:
-    case TermKind::kSymbol:
-      return text_ < other.text_;
-    case TermKind::kFunction: {
-      if (text_ != other.text_) return text_ < other.text_;
-      const auto& a = args();
-      const auto& b = other.args();
-      if (a.size() != b.size()) return a.size() < b.size();
-      for (size_t i = 0; i < a.size(); ++i) {
-        if (a[i] < b[i]) return true;
-        if (b[i] < a[i]) return false;
-      }
-      return false;
+int Term::Compare(const Term& other) const {
+  // Iterative down the last argument, like ==: every other argument is
+  // compared once, so equal nested terms cost linear time, and a long list
+  // cannot overflow the stack.
+  const Term* a = this;
+  const Term* b = &other;
+  while (true) {
+    if (a->kind_ != b->kind_) return ThreeWay(a->kind_, b->kind_);
+    switch (a->kind_) {
+      case TermKind::kInt:
+        return ThreeWay(a->int_value_, b->int_value_);
+      case TermKind::kReal:
+        return ThreeWay(a->real_value_, b->real_value_);
+      case TermKind::kVariable:
+      case TermKind::kString:
+      case TermKind::kSymbol:
+        return ThreeWay(a->text_.compare(b->text_), 0);
+      case TermKind::kFunction:
+        break;
     }
+    if (const int c = ThreeWay(a->text_.compare(b->text_), 0)) return c;
+    const auto& x = a->args();
+    const auto& y = b->args();
+    if (x.size() != y.size()) return ThreeWay(x.size(), y.size());
+    if (x.empty()) return 0;
+    for (size_t i = 0; i + 1 < x.size(); ++i) {
+      if (const int c = x[i].Compare(y[i])) return c;
+    }
+    a = &x.back();
+    b = &y.back();
   }
-  return false;
+}
+
+std::vector<Term> Term::TakeArgs() {
+  if (args_ == nullptr) return {};
+  std::vector<Term> out =
+      args_.use_count() == 1
+          // Sole owner of a vector allocated non-const (MakeFunction).
+          ? std::move(const_cast<std::vector<Term>&>(*args_))
+          : *args_;
+  args_.reset();
+  return out;
 }
 
 size_t Term::Hash() const {

@@ -78,6 +78,10 @@ class Term {
   /// Function-term arguments; empty for non-function terms.
   const std::vector<Term>& args() const;
   size_t arity() const { return args().size(); }
+  /// Moves the arguments out of a function term, which keeps no arguments
+  /// afterwards: moved when this term holds them alone, copied when the
+  /// vector is shared. Empty for non-function terms.
+  std::vector<Term> TakeArgs();
 
   /// True iff no variable occurs anywhere in the term.
   bool IsGround() const;
@@ -102,7 +106,11 @@ class Term {
   bool operator==(const Term& other) const;
   bool operator!=(const Term& other) const { return !(*this == other); }
   /// Total order (by kind, then content). Suitable for sorting tuples.
-  bool operator<(const Term& other) const;
+  bool operator<(const Term& other) const { return Compare(other) < 0; }
+  /// Three-way form of the total order: -1, 0 or 1. By kind; then by value
+  /// (ints, reals) or text (variables, strings, symbols); function terms by
+  /// functor, then arity, then arguments left to right.
+  int Compare(const Term& other) const;
 
   size_t Hash() const;
 

@@ -39,6 +39,16 @@ std::set<std::string> VarsOfTerms(const std::vector<Term>& terms) {
 
 }  // namespace
 
+Literal CountingAnswerGoal(const Literal& query_goal) {
+  std::vector<Term> args;
+  args.push_back(Term::MakeInt(0));
+  for (const Term& arg : query_goal.args()) {
+    if (!arg.IsGround()) args.push_back(arg);
+  }
+  return Literal::Make(StrCat("ans.", query_goal.predicate_name()),
+                       std::move(args));
+}
+
 Result<CountingProgram> CountingRewrite(const Program& program,
                                         const Literal& query_goal) {
   const PredicateId qpred = query_goal.predicate();
@@ -273,16 +283,7 @@ Result<CountingProgram> CountingRewrite(const Program& program,
         Rule(Literal::Make(ans_name, std::move(head_args)), std::move(body)));
   }
 
-  // Answer goal: ans.p(0, free-arg terms of the query).
-  {
-    std::vector<Term> args;
-    args.push_back(Term::MakeInt(0));
-    for (size_t i = 0; i < adn.size(); ++i) {
-      if (!adn.IsBound(i)) args.push_back(query_goal.args()[i]);
-    }
-    out.answer_goal = Literal::Make(ans_name, std::move(args));
-  }
-
+  out.answer_goal = CountingAnswerGoal(query_goal);
   return out;
 }
 

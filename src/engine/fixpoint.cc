@@ -112,9 +112,11 @@ class ProgramEvaluator {
       auto it = options_.rule_orders.find(rule_index);
       LDL_ASSIGN_OR_RETURN(
           CompiledRule fresh,
-          CompiledRule::Compile(rule, it == options_.rule_orders.end()
-                                          ? std::vector<size_t>{}
-                                          : it->second));
+          CompiledRule::Compile(rule,
+                                it == options_.rule_orders.end()
+                                    ? std::vector<size_t>{}
+                                    : it->second,
+                                &options_.params));
       compiled = std::make_unique<CompiledRule>(std::move(fresh));
       stats_->counters.rules_compiled++;
     }

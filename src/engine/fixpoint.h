@@ -36,6 +36,10 @@ struct FixpointOptions {
   /// Body evaluation order per rule index (from the optimizer's chosen
   /// permutations); missing entries use textual order.
   std::unordered_map<size_t, std::vector<size_t>> rule_orders;
+  /// Values of the program's parameters: `$i` (ParameterVariable) in any
+  /// rule is compiled as the constant params[i]. A prepared query binds
+  /// its seed fact's parameters to the goal's constants this way.
+  std::vector<Term> params;
   /// Observability handle: spans per clique fixpoint, per-round counters
   /// and delta-size histograms. Inert by default.
   TraceContext trace;

@@ -96,28 +96,98 @@ bool AllDistinctVariables(const Literal& goal) {
   return true;
 }
 
-Result<QueryResult> EvaluateFull(const Program& program, Database* base,
-                                 const Literal& goal, RecursionMethod method,
-                                 const QueryEvalOptions& options) {
-  QueryResult result;
-  result.method_used = method;
+/// The goal's bound (ground) arguments in order: the values of a prepared
+/// seed's parameters.
+std::vector<Term> BoundArguments(const Literal& goal) {
+  std::vector<Term> out;
+  for (const Term& arg : goal.args()) {
+    if (arg.IsGround()) out.push_back(arg);
+  }
+  return out;
+}
+
+/// The bodiless rule `seed` with its arguments from position `first` on
+/// replaced by the parameters $0, $1, ...: the seed fact of every goal of
+/// the prepared shape.
+Rule ParameterizedSeed(const Literal& seed, size_t first) {
+  std::vector<Term> args(seed.args().begin(), seed.args().begin() + first);
+  for (size_t i = first; i < seed.arity(); ++i) {
+    args.push_back(ParameterVariable(i - first));
+  }
+  return Rule(seed.WithArgs(std::move(args)), {});
+}
+
+void PrepareFull(const Program& program, const Literal& goal,
+                 const QueryEvalOptions& options, PreparedQuery* out) {
   std::vector<size_t> index_map;
-  Program sub = ReachableSubprogram(program, goal, &index_map);
+  out->program = ReachableSubprogram(program, goal, &index_map);
   // options.fixpoint.rule_orders is keyed by indices into the *original*
   // program; remap to the subprogram's indices.
-  FixpointOptions fixpoint = options.fixpoint;
-  fixpoint.method_label = RecursionMethodToString(method);
-  fixpoint.rule_orders.clear();
+  const auto& orders = options.fixpoint.rule_orders;
   for (size_t sub_index = 0; sub_index < index_map.size(); ++sub_index) {
-    auto it = options.fixpoint.rule_orders.find(index_map[sub_index]);
-    if (it != options.fixpoint.rule_orders.end()) {
-      fixpoint.rule_orders[sub_index] = it->second;
-    }
+    auto it = orders.find(index_map[sub_index]);
+    if (it != orders.end()) out->rule_orders[sub_index] = it->second;
   }
+}
+
+Status PrepareMagic(const Program& program, const Literal& goal,
+                    const QueryEvalOptions& options, PreparedQuery* out) {
+  out->method = RecursionMethod::kMagic;
+  // Adornment itself only visits rules reachable from the goal, and
+  // options.sips is keyed by original rule indices — adorn the original
+  // program directly.
+  Span rewrite_span =
+      options.fixpoint.trace.StartSpan("magic-rewrite", "engine");
+  LDL_ASSIGN_OR_RETURN(AdornedProgram adorned,
+                       AdornProgramForQuery(program, goal, options.sips));
+  LDL_ASSIGN_OR_RETURN(MagicProgram magic, MagicRewrite(adorned));
+  // Install the seed as a bodiless rule so its predicate counts as derived
+  // (EvaluateProgram reads non-derived predicates from `base`).
+  magic.rewritten.AddRule(ParameterizedSeed(magic.seed, 0));
+  out->program = std::move(magic.rewritten);
+  out->answer_pred = magic.answer_pred;
+  out->adorned = std::move(adorned.predicates);
+  return Status::OK();
+}
+
+Status PrepareCounting(const Program& program, const Literal& goal,
+                       const QueryEvalOptions& options, PreparedQuery* out) {
+  Span rewrite_span =
+      options.fixpoint.trace.StartSpan("counting-rewrite", "engine");
+  auto rewritten = CountingRewrite(program, goal);
+  rewrite_span.Finish();
+  if (!rewritten.ok()) {
+    if (options.counting_fallback &&
+        rewritten.status().code() == StatusCode::kUnsupported) {
+      LDL_RETURN_NOT_OK(PrepareMagic(program, goal, options, out));
+      out->note = StrCat("counting inapplicable (",
+                         rewritten.status().message(),
+                         "); fell back to magic");
+      return Status::OK();
+    }
+    return rewritten.status();
+  }
+  CountingProgram counting = std::move(rewritten).value();
+  // The seed's first argument is the counter (0); the rest are the goal's
+  // constants.
+  counting.rewritten.AddRule(ParameterizedSeed(counting.seed, 1));
+  out->program = std::move(counting.rewritten);
+  out->answer_pred = counting.answer_pred;
+  return Status::OK();
+}
+
+Result<QueryResult> RunFull(const PreparedQuery& prepared, Database* base,
+                            const Literal& goal,
+                            const QueryEvalOptions& options) {
+  QueryResult result;
+  result.method_used = prepared.method;
+  FixpointOptions fixpoint = options.fixpoint;
+  fixpoint.method_label = RecursionMethodToString(prepared.method);
+  fixpoint.rule_orders = prepared.rule_orders;
   Database scratch;
   scratch.set_accountant(fixpoint.trace.accountant);
-  LDL_RETURN_NOT_OK(EvaluateProgram(sub, method, base, &scratch,
-                                    &result.stats, fixpoint));
+  LDL_RETURN_NOT_OK(EvaluateProgram(prepared.program, prepared.method, base,
+                                    &scratch, &result.stats, fixpoint));
   // The full bottom-up methods compute every reachable derived predicate in
   // its entirety: the scratch sizes are all-free cardinalities.
   for (const PredicateId& pred : scratch.Predicates()) {
@@ -139,40 +209,36 @@ Result<QueryResult> EvaluateFull(const Program& program, Database* base,
   return result;
 }
 
-Result<QueryResult> EvaluateMagic(const Program& program, Database* base,
-                                  const Literal& goal,
-                                  const QueryEvalOptions& options) {
-  QueryResult result;
-  result.method_used = RecursionMethod::kMagic;
-  // Adornment itself only visits rules reachable from the goal, and
-  // options.sips is keyed by original rule indices — adorn the original
-  // program directly.
-  Span rewrite_span =
-      options.fixpoint.trace.StartSpan("magic-rewrite", "engine");
-  LDL_ASSIGN_OR_RETURN(AdornedProgram adorned,
-                       AdornProgramForQuery(program, goal, options.sips));
-  LDL_ASSIGN_OR_RETURN(MagicProgram magic, MagicRewrite(adorned));
-  rewrite_span.Finish();
-
-  // Install the seed as a bodiless rule so its predicate counts as derived
-  // (EvaluateProgram reads non-derived predicates from `base`).
-  magic.rewritten.AddRule(Rule(magic.seed, {}));
-  Database scratch;
-  scratch.set_accountant(options.fixpoint.trace.accountant);
-  // The SIP orders are already baked into the rewritten rule bodies;
-  // rule_orders keyed by original-program indices must not leak through.
+/// The options a rewritten program runs under: semi-naive over its own
+/// rules (orders are baked into the rewritten bodies, so rule_orders keyed
+/// by original-program indices must not leak through), with the seed bound
+/// to the goal's constants, and the rounds labelled by `method`.
+FixpointOptions RewrittenRunOptions(const QueryEvalOptions& options,
+                                    const Literal& goal, const char* method) {
   FixpointOptions fixpoint = options.fixpoint;
   fixpoint.rule_orders.clear();
-  // The rewritten program runs semi-naive, but the rounds belong to magic.
-  fixpoint.method_label = "magic";
-  LDL_RETURN_NOT_OK(EvaluateProgram(magic.rewritten,
-                                    RecursionMethod::kSemiNaive, base,
-                                    &scratch, &result.stats, fixpoint));
+  fixpoint.params = BoundArguments(goal);
+  fixpoint.method_label = method;
+  return fixpoint;
+}
+
+Result<QueryResult> RunMagic(const PreparedQuery& prepared, Database* base,
+                             const Literal& goal,
+                             const QueryEvalOptions& options) {
+  QueryResult result;
+  result.method_used = RecursionMethod::kMagic;
+  result.note = prepared.note;
+  Database scratch;
+  scratch.set_accountant(options.fixpoint.trace.accountant);
+  LDL_RETURN_NOT_OK(EvaluateProgram(
+      prepared.program, RecursionMethod::kSemiNaive, base, &scratch,
+      &result.stats, RewrittenRunOptions(options, goal, "magic")));
   result.answers =
-      SelectMatching(scratch.Find(magic.answer_pred), magic.answer_goal);
+      SelectMatching(scratch.Find(prepared.answer_pred),
+                     goal.WithPredicateName(prepared.answer_pred.name));
   // p.a holds the answers for every binding magic.p.a received, so their
   // ratio is p's rows per binding under adornment a.
-  for (const AdornedPredicate& ap : adorned.predicates) {
+  for (const AdornedPredicate& ap : prepared.adorned) {
     const Relation* bindings = scratch.Find(MagicPredicateId(ap));
     if (bindings == nullptr || bindings->size() == 0) continue;
     const Relation* rows = scratch.Find(ap.RenamedId());
@@ -184,35 +250,15 @@ Result<QueryResult> EvaluateMagic(const Program& program, Database* base,
   return result;
 }
 
-Result<QueryResult> EvaluateCounting(const Program& program, Database* base,
-                                     const Literal& goal,
-                                     const QueryEvalOptions& options) {
-  Span rewrite_span =
-      options.fixpoint.trace.StartSpan("counting-rewrite", "engine");
-  auto rewritten = CountingRewrite(program, goal);
-  rewrite_span.Finish();
-  if (!rewritten.ok()) {
-    if (options.counting_fallback &&
-        rewritten.status().code() == StatusCode::kUnsupported) {
-      LDL_ASSIGN_OR_RETURN(QueryResult result,
-                           EvaluateMagic(program, base, goal, options));
-      result.note = StrCat("counting inapplicable (",
-                           rewritten.status().message(),
-                           "); fell back to magic");
-      return result;
-    }
-    return rewritten.status();
-  }
-  CountingProgram counting = std::move(rewritten).value();
-  counting.rewritten.AddRule(Rule(counting.seed, {}));
-
+Result<QueryResult> RunCounting(const PreparedQuery& prepared,
+                                const Program& source, Database* base,
+                                const Literal& goal,
+                                const QueryEvalOptions& options) {
   QueryResult result;
   result.method_used = RecursionMethod::kCounting;
   Database scratch;
   scratch.set_accountant(options.fixpoint.trace.accountant);
-  FixpointOptions fixpoint = options.fixpoint;
-  fixpoint.rule_orders.clear();
-  fixpoint.method_label = "counting";
+  FixpointOptions fixpoint = RewrittenRunOptions(options, goal, "counting");
   // Divergence guard. On acyclic data the ascent gains at least one new
   // counter level per round and the longest level chain is bounded by the
   // number of base tuples, so |EDB| + a few settling rounds suffices for
@@ -221,14 +267,17 @@ Result<QueryResult> EvaluateCounting(const Program& program, Database* base,
   // through the generic million-round safety cap.
   fixpoint.max_iterations =
       std::min(fixpoint.max_iterations,
-               base->TotalTuples() + counting.rewritten.rules().size() + 8);
-  Status st = EvaluateProgram(counting.rewritten, RecursionMethod::kSemiNaive,
+               base->TotalTuples() + prepared.program.rules().size() + 8);
+  Status st = EvaluateProgram(prepared.program, RecursionMethod::kSemiNaive,
                               base, &scratch, &result.stats, fixpoint);
   if (!st.ok()) {
     if (options.counting_fallback &&
         st.code() == StatusCode::kResourceExhausted) {
+      // Rare (cyclic data), so the fallback is prepared here, per run.
+      PreparedQuery magic;
+      LDL_RETURN_NOT_OK(PrepareMagic(source, goal, options, &magic));
       LDL_ASSIGN_OR_RETURN(QueryResult fallback,
-                           EvaluateMagic(program, base, goal, options));
+                           RunMagic(magic, base, goal, options));
       fallback.note =
           StrCat("counting diverged (", st.message(), "); fell back to magic");
       return fallback;
@@ -236,8 +285,8 @@ Result<QueryResult> EvaluateCounting(const Program& program, Database* base,
     return st;
   }
   // Answers: project the counter away; re-attach the goal's constants.
-  Relation matched = SelectMatching(scratch.Find(counting.answer_pred),
-                                    counting.answer_goal);
+  Relation matched = SelectMatching(scratch.Find(prepared.answer_pred),
+                                    CountingAnswerGoal(goal));
   Relation answers("answers", goal.arity());
   const Adornment adn = Adornment::FromGoal(goal);
   for (const Tuple& t : matched.tuples()) {
@@ -263,36 +312,69 @@ Result<QueryResult> EvaluateCounting(const Program& program, Database* base,
 
 }  // namespace
 
-Result<QueryResult> EvaluateQuery(const Program& program, Database* base,
-                                  const Literal& goal, RecursionMethod method,
-                                  const QueryEvalOptions& options) {
-  Span span = options.fixpoint.trace.StartSpan("query", "engine");
-  if (span.active()) {
-    span.AddArg("goal", goal.ToString());
-    span.AddArg("method", RecursionMethodToString(method));
-  }
-  if (options.fixpoint.trace.metrics != nullptr) {
-    options.fixpoint.trace.Count(
-        StrCat("engine.method.", RecursionMethodToString(method)));
-  }
-  LDL_RETURN_NOT_OK(options.fixpoint.trace.CheckCancel());
-  if (!program.IsDerived(goal.predicate())) {
-    // A pure base-relation query needs no rules.
-    QueryResult result;
-    result.method_used = method;
-    result.answers = SelectMatching(base->Find(goal.predicate()), goal);
-    return result;
-  }
+Result<PreparedQuery> PrepareQuery(const Program& program,
+                                   const Literal& goal,
+                                   RecursionMethod method,
+                                   const QueryEvalOptions& options) {
+  PreparedQuery out;
+  out.requested = method;
+  out.method = method;
+  // A pure base-relation query needs no rules.
+  out.derived = program.IsDerived(goal.predicate());
+  if (!out.derived) return out;
   switch (method) {
     case RecursionMethod::kNaive:
     case RecursionMethod::kSemiNaive:
-      return EvaluateFull(program, base, goal, method, options);
+      PrepareFull(program, goal, options, &out);
+      break;
     case RecursionMethod::kMagic:
-      return EvaluateMagic(program, base, goal, options);
+      LDL_RETURN_NOT_OK(PrepareMagic(program, goal, options, &out));
+      break;
     case RecursionMethod::kCounting:
-      return EvaluateCounting(program, base, goal, options);
+      LDL_RETURN_NOT_OK(PrepareCounting(program, goal, options, &out));
+      break;
+  }
+  return out;
+}
+
+Result<QueryResult> RunPrepared(const PreparedQuery& prepared,
+                                const Program& source, Database* base,
+                                const Literal& goal,
+                                const QueryEvalOptions& options) {
+  const char* method = RecursionMethodToString(prepared.requested);
+  Span span = options.fixpoint.trace.StartSpan("query", "engine");
+  if (span.active()) {
+    span.AddArg("goal", goal.ToString());
+    span.AddArg("method", method);
+  }
+  if (options.fixpoint.trace.metrics != nullptr) {
+    options.fixpoint.trace.Count(StrCat("engine.method.", method));
+  }
+  LDL_RETURN_NOT_OK(options.fixpoint.trace.CheckCancel());
+  if (!prepared.derived) {
+    QueryResult result;
+    result.method_used = prepared.requested;
+    result.answers = SelectMatching(base->Find(goal.predicate()), goal);
+    return result;
+  }
+  switch (prepared.method) {
+    case RecursionMethod::kNaive:
+    case RecursionMethod::kSemiNaive:
+      return RunFull(prepared, base, goal, options);
+    case RecursionMethod::kMagic:
+      return RunMagic(prepared, base, goal, options);
+    case RecursionMethod::kCounting:
+      return RunCounting(prepared, source, base, goal, options);
   }
   return Status::Internal("unknown recursion method");
+}
+
+Result<QueryResult> EvaluateQuery(const Program& program, Database* base,
+                                  const Literal& goal, RecursionMethod method,
+                                  const QueryEvalOptions& options) {
+  LDL_ASSIGN_OR_RETURN(PreparedQuery prepared,
+                       PrepareQuery(program, goal, method, options));
+  return RunPrepared(prepared, program, base, goal, options);
 }
 
 }  // namespace ldl

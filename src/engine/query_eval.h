@@ -2,6 +2,7 @@
 #define LDLOPT_ENGINE_QUERY_EVAL_H_
 
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -35,16 +36,79 @@ struct QueryResult {
 
 struct QueryEvalOptions {
   FixpointOptions fixpoint;
-  /// SIPs used for adornment when method is kMagic (defaults to textual
-  /// left-to-right order).
+  /// SIPs used for adornment when method is kMagic, and by counting's
+  /// divergence fallback to magic (defaults to textual left-to-right
+  /// order).
   SipStrategy sips;
   /// If true, kCounting falls back to kMagic when inapplicable or when the
   /// ascent hits the iteration guard (cyclic data).
   bool counting_fallback = true;
 };
 
+/// A query prepared for one goal shape: everything EvaluateQuery derives
+/// from the program, the goal's predicate and its adornment, and nothing
+/// from the goal's constants (DESIGN.md §22). Prepare once, then run it for
+/// any goal of the same predicate and adornment (RunPrepared).
+///
+/// The constants enter only at run time, as the values of the seed fact's
+/// parameters: the rewritten program carries the seed as the bodiless rule
+/// `magic.q.a($0, ..., $k)` / `cnt.q(0, $0, ..., $k)`, and RunPrepared binds
+/// `$i` to the goal's i-th bound argument (FixpointOptions::params).
+struct PreparedQuery {
+  /// The method the caller asked for.
+  RecursionMethod requested = RecursionMethod::kSemiNaive;
+  /// The method `program` runs by: `requested`, or kMagic when counting
+  /// was inapplicable at prepare time.
+  RecursionMethod method = RecursionMethod::kSemiNaive;
+  /// The goal's predicate is derived. A base-relation goal needs no
+  /// program: its answers are selected from the fact base.
+  bool derived = false;
+  /// What the fixpoint runs:
+  ///  - kNaive/kSemiNaive: the goal's reachable subprogram;
+  ///  - kMagic: the magic rewrite plus its parameterized seed fact;
+  ///  - kCounting: the counting rewrite plus its parameterized seed fact.
+  Program program;
+  /// kNaive/kSemiNaive: body order per rule, keyed by `program`'s rule
+  /// indices (remapped from the caller's).
+  std::unordered_map<size_t, std::vector<size_t>> rule_orders;
+  /// kMagic: the adorned predicates of the rewrite (derived_sizes).
+  std::vector<AdornedPredicate> adorned;
+  /// kMagic/kCounting: the predicate holding the answers (p.a / ans.p).
+  PredicateId answer_pred;
+  /// Why the method differs from the one requested, e.g. "counting
+  /// inapplicable (...); fell back to magic".
+  std::string note;
+};
+
+/// Prepares `goal`'s shape over `program` for `method`:
+///  - kNaive / kSemiNaive restrict the program to the goal's reachable
+///    part and remap options.fixpoint.rule_orders onto it;
+///  - kMagic adorns the program under options.sips and applies the magic
+///    rewrite;
+///  - kCounting applies the counting rewrite, falling back to magic when it
+///    is inapplicable and options.counting_fallback is set.
+/// Only the goal's predicate and adornment are read: every goal with the
+/// same ones may run the result.
+Result<PreparedQuery> PrepareQuery(const Program& program,
+                                   const Literal& goal,
+                                   RecursionMethod method,
+                                   const QueryEvalOptions& options = {});
+
+/// Runs a prepared query for `goal`, which must have the predicate and
+/// adornment it was prepared for: binds the seed to `goal`'s constants,
+/// evaluates to a fixpoint over `base`, and selects `goal`'s answers.
+/// options.fixpoint applies as in EvaluateQuery (its rule_orders were
+/// consumed by PrepareQuery and are ignored here). A counting run that
+/// trips its divergence guard falls back to magic when
+/// options.counting_fallback is set: `source`, the program `prepared` was
+/// prepared from, is adorned under options.sips on the spot.
+Result<QueryResult> RunPrepared(const PreparedQuery& prepared,
+                                const Program& source, Database* base,
+                                const Literal& goal,
+                                const QueryEvalOptions& options = {});
+
 /// Evaluates `goal` over `program` + `base` with the given recursion
-/// method:
+/// method: PrepareQuery, then RunPrepared.
 ///  - kNaive / kSemiNaive evaluate the reachable part of the program
 ///    bottom-up in full, then select the matching tuples;
 ///  - kMagic adorns the program for the goal, applies the magic rewrite and

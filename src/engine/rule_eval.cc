@@ -1,6 +1,7 @@
 #include "engine/rule_eval.h"
 
 #include <algorithm>
+#include <charconv>
 
 #include "base/strings.h"
 #include "engine/builtins.h"
@@ -93,6 +94,19 @@ bool TermCode::ReadsArithmetic(const Term* regs) const {
   return false;
 }
 
+Term ParameterVariable(size_t i) {
+  return Term::MakeVariable(StrCat("$", i));
+}
+
+const Term* RegisterScope::Parameter(const std::string& var) const {
+  if (params_ == nullptr || var.size() < 2 || var[0] != '$') return nullptr;
+  size_t i = 0;
+  const char* end = var.data() + var.size();
+  auto [ptr, ec] = std::from_chars(var.data() + 1, end, i);
+  if (ec != std::errc() || ptr != end || i >= params_->size()) return nullptr;
+  return &(*params_)[i];
+}
+
 uint32_t RegisterScope::RegisterOf(const std::string& var) {
   auto [it, added] = registers_.emplace(var, bound_.size());
   if (added) bound_.push_back(false);
@@ -100,6 +114,7 @@ uint32_t RegisterScope::RegisterOf(const std::string& var) {
 }
 
 bool RegisterScope::IsBound(const std::string& var) const {
+  if (Parameter(var) != nullptr) return true;
   auto it = registers_.find(var);
   return it != registers_.end() && bound_[it->second];
 }
@@ -114,7 +129,9 @@ bool RegisterScope::AllBound(const Term& t) const {
 
 TermCode RegisterScope::CompileMatch(const Term& t) {
   TermCode code;
-  if (t.IsVariable()) {
+  if (const Term* value = t.IsVariable() ? Parameter(t.text()) : nullptr) {
+    code.term = *value;
+  } else if (t.IsVariable()) {
     code.reg = RegisterOf(t.text());
     code.op = bound_[code.reg] ? TermCode::Op::kRead : TermCode::Op::kWrite;
     bound_[code.reg] = true;
@@ -130,7 +147,9 @@ TermCode RegisterScope::CompileMatch(const Term& t) {
 
 TermCode RegisterScope::CompileBuild(const Term& t) {
   TermCode code;
-  if (t.IsVariable()) {
+  if (const Term* value = t.IsVariable() ? Parameter(t.text()) : nullptr) {
+    code.term = *value;
+  } else if (t.IsVariable()) {
     if (IsBound(t.text())) {
       code.op = TermCode::Op::kRead;
       code.reg = RegisterOf(t.text());
@@ -179,7 +198,8 @@ void LiteralPattern::BuildKey(const Term* regs) {
 }
 
 Result<CompiledRule> CompiledRule::Compile(const Rule& rule,
-                                           const std::vector<size_t>& order) {
+                                           const std::vector<size_t>& order,
+                                           const std::vector<Term>* params) {
   const std::vector<Literal>& body = rule.body();
   std::vector<size_t> visit = order;
   if (visit.empty()) {
@@ -201,7 +221,7 @@ Result<CompiledRule> CompiledRule::Compile(const Rule& rule,
 
   CompiledRule compiled;
   compiled.rule_ = &rule;
-  RegisterScope scope;
+  RegisterScope scope(params);
   for (size_t pos : visit) {
     const Literal& lit = body[pos];
     BodyStep step;

@@ -106,11 +106,22 @@ struct TermCode {
   bool ReadsArithmetic(const Term* regs) const;
 };
 
+/// The parameter `$i`: a variable no parsed program can contain, standing
+/// for a value supplied when the rule is compiled (RegisterScope). A
+/// prepared query's seed fact carries the goal's constants this way
+/// (engine/query_eval.h).
+Term ParameterVariable(size_t i);
+
 /// Compile-time register allocation: one register per variable name, and
 /// which variables are bound at the point being compiled. Compiling in
 /// evaluation order makes every binding state static.
 class RegisterScope {
  public:
+  /// `params` (may be null) gives the parameters' values: `$i` is bound
+  /// everywhere and compiles to the constant (*params)[i].
+  explicit RegisterScope(const std::vector<Term>* params = nullptr)
+      : params_(params) {}
+
   /// The register of `var`, allocated on first sight.
   uint32_t RegisterOf(const std::string& var);
   /// True iff every variable of `t` is bound.
@@ -130,7 +141,10 @@ class RegisterScope {
 
  private:
   bool IsBound(const std::string& var) const;
+  /// The value of `var` when it names a parameter, else nullptr.
+  const Term* Parameter(const std::string& var) const;
 
+  const std::vector<Term>* params_;
   std::unordered_map<std::string, uint32_t> registers_;
   std::vector<bool> bound_;
 };
@@ -168,11 +182,13 @@ struct LiteralPattern {
 /// file and key buffers, so it runs one firing at a time.
 class CompiledRule {
  public:
-  /// Compiles `rule` for the body order `order` (empty = textual order).
+  /// Compiles `rule` for the body order `order` (empty = textual order),
+  /// with `params` (may be null) as the values of its parameters `$i`.
   /// `rule` must outlive the result. Fails only when `order` is not a
   /// permutation of the body positions.
-  static Result<CompiledRule> Compile(const Rule& rule,
-                                      const std::vector<size_t>& order = {});
+  static Result<CompiledRule> Compile(
+      const Rule& rule, const std::vector<size_t>& order = {},
+      const std::vector<Term>* params = nullptr);
 
   const Rule& rule() const { return *rule_; }
 

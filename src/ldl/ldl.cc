@@ -86,6 +86,7 @@ Status LdlSystem::Ingest(Program parsed) {
     for (const QueryForm& query : parsed.queries()) next.AddQuery(query);
     LDL_RETURN_NOT_OK(next.Validate());
     program_ = std::move(next);
+    if (!parsed.rules().empty()) plan_cache_.Clear();
   }
   for (const Literal& fact : parsed.facts()) {
     LDL_RETURN_NOT_OK(db_.AddFact(fact));
@@ -104,6 +105,7 @@ void LdlSystem::RefreshStatistics() {
     stats_ = std::move(fresh);
   }
   stats_dirty_ = false;
+  plan_cache_.Clear();
 }
 
 Statistics LdlSystem::StatisticsSnapshot() const {
@@ -189,10 +191,43 @@ Result<QueryAnswer> LdlSystem::Query(std::string_view goal_text) {
   return Query(goal);
 }
 
+std::shared_ptr<const LdlSystem::PreparedGoal> LdlSystem::PlanCache::Find(
+    const AdornedPredicate& key) {
+  auto it = index_.find(key);
+  if (it == index_.end()) return nullptr;
+  lru_.splice(lru_.begin(), lru_, it->second);
+  return it->second->second;
+}
+
+bool LdlSystem::PlanCache::Insert(const AdornedPredicate& key,
+                                  std::shared_ptr<const PreparedGoal> entry) {
+  lru_.emplace_front(key, std::move(entry));
+  index_[key] = lru_.begin();
+  if (lru_.size() <= kCapacity) return false;
+  index_.erase(lru_.back().first);
+  lru_.pop_back();
+  return true;
+}
+
+void LdlSystem::PlanCache::Clear() {
+  index_.clear();
+  lru_.clear();
+}
+
 LdlSystem::ServedRun::ServedRun(const TraceContext& session)
     : accountant(session.accountant), cancel(session.cancel) {}
 
 LdlSystem::ServedRun::~ServedRun() = default;
+
+bool LdlSystem::PlanCacheable() const {
+  // The static analysis reads the fact base itself (statically empty
+  // relations, the sorts of stored values), and writes through database()
+  // clear nothing, so its plans are made afresh for every query.
+  return options_.measured == nullptr && options_.pinned == nullptr &&
+         options_.analysis == nullptr && !options_.analyze_reachability &&
+         !options_.eliminate_dead_rules &&
+         !(options_.feedback && feedback_catalog_ != nullptr);
+}
 
 Status LdlSystem::Serve(const Literal& goal, QueryAnswer* answer,
                         ServedRun* served) {
@@ -203,7 +238,8 @@ Status LdlSystem::Serve(const Literal& goal, QueryAnswer* answer,
   // untouched and every hot path stays on its no-accountant fast path.
   ResourceAccountant& accountant = served->accountant;
   CancellationToken& cancel = served->cancel;
-  TraceContext trace = options_.trace;
+  TraceContext& trace = served->trace;
+  trace = options_.trace;
   if (options_.limits.any() || query_log_ != nullptr) {
     ResourceBudget budget;
     budget.max_bytes = options_.limits.budget_bytes;
@@ -232,20 +268,35 @@ Status LdlSystem::Serve(const Literal& goal, QueryAnswer* answer,
       return Status::OK();
     }
 
-    // Plan and execute against the same (possibly projection-rewritten,
-    // possibly dead-rule-pruned) program: the plan's rule indices refer to
+    // The goal's shape from the plan cache, or planned now against the
+    // same (possibly projection-rewritten, possibly dead-rule-pruned)
+    // program the engine will run, since the plan's rule indices refer to
     // it.
     if (stats_dirty_) RefreshStatistics();
-    LDL_ASSIGN_OR_RETURN(served->ctx, PrepareGoal(goal));
-    GoalContext& ctx = served->ctx;
-    ctx.options.trace = trace;
-    const auto optimize_start = std::chrono::steady_clock::now();
-    served->optimizer =
-        std::make_unique<Optimizer>(ctx.working, stats_, ctx.options);
-    Result<QueryPlan> plan = served->optimizer->Optimize(goal);
-    answer->optimize_ms = MsSince(optimize_start);
-    LDL_RETURN_NOT_OK(plan.status());
-    answer->plan = std::move(plan).value();
+    const bool cacheable = PlanCacheable();
+    const AdornedPredicate key{goal.predicate(), Adornment::FromGoal(goal)};
+    const auto lookup_start = std::chrono::steady_clock::now();
+    if (cacheable) served->prepared = plan_cache_.Find(key);
+    std::shared_ptr<PreparedGoal> fresh;
+    if (served->prepared != nullptr) {
+      trace.Count("ldl.plan_cache.hits");
+      answer->plan = served->prepared->plan;
+      answer->plan.goal = goal;
+      answer->plan.search_stats = PlanSearchStats{};
+      answer->plan_cached = true;
+      answer->optimize_ms = MsSince(lookup_start);
+    } else {
+      if (cacheable) trace.Count("ldl.plan_cache.misses");
+      fresh = std::make_shared<PreparedGoal>();
+      LDL_ASSIGN_OR_RETURN(fresh->ctx, PrepareGoal(goal));
+      fresh->ctx.options.trace = trace;
+      const auto optimize_start = std::chrono::steady_clock::now();
+      Optimizer optimizer(fresh->ctx.working, stats_, fresh->ctx.options);
+      Result<QueryPlan> plan = optimizer.Optimize(goal);
+      answer->optimize_ms = MsSince(optimize_start);
+      LDL_RETURN_NOT_OK(plan.status());
+      answer->plan = std::move(plan).value();
+    }
     served->have_plan = true;
     if (!answer->plan.safe) {
       return Status::Unsafe(StrCat("query ", goal.ToString(),
@@ -253,16 +304,38 @@ Status LdlSystem::Serve(const Literal& goal, QueryAnswer* answer,
                                    answer->plan.unsafe_reason));
     }
 
+    const auto execute_start = std::chrono::steady_clock::now();
+    if (fresh != nullptr) {
+      // The magic/counting rewrite counts as execution time.
+      QueryEvalOptions prepare_options;
+      prepare_options.fixpoint.trace = trace;
+      prepare_options.sips = answer->plan.sips;
+      prepare_options.fixpoint.rule_orders.insert(
+          answer->plan.rule_orders.begin(), answer->plan.rule_orders.end());
+      LDL_ASSIGN_OR_RETURN(fresh->query,
+                           PrepareQuery(fresh->ctx.working, goal,
+                                        answer->plan.top_method,
+                                        prepare_options));
+      // The entry outlives this query: it keeps the session trace, not the
+      // per-query meter and token.
+      fresh->ctx.options.trace = options_.trace;
+      fresh->plan = answer->plan;
+      served->prepared = fresh;
+      if (cacheable && plan_cache_.Insert(key, std::move(fresh))) {
+        trace.Count("ldl.plan_cache.evictions");
+      }
+    }
+    const PreparedGoal& prepared = *served->prepared;
     QueryEvalOptions eval_options;
     eval_options.fixpoint.trace = trace;
     eval_options.fixpoint.record_iterations =
         options_.record_fixpoint_iterations;
-    eval_options.sips = answer->plan.sips;
-    eval_options.fixpoint.rule_orders.insert(answer->plan.rule_orders.begin(),
-                                             answer->plan.rule_orders.end());
-    const auto execute_start = std::chrono::steady_clock::now();
-    Result<QueryResult> result = EvaluateQuery(
-        ctx.working, &db_, goal, answer->plan.top_method, eval_options);
+    // Only counting's divergence fallback adorns a program at run time.
+    if (prepared.query.method == RecursionMethod::kCounting) {
+      eval_options.sips = prepared.plan.sips;
+    }
+    Result<QueryResult> result = RunPrepared(
+        prepared.query, prepared.ctx.working, &db_, goal, eval_options);
     answer->execute_ms = MsSince(execute_start);
     LDL_RETURN_NOT_OK(result.status());
     answer->answers = std::move(result->answers);
@@ -301,6 +374,7 @@ Result<QueryAnswer> LdlSystem::Query(const Literal& goal) {
     }
     rec.stats_epoch = stats_.epoch();
     rec.prune = options_.eliminate_dead_rules;
+    rec.plan_cached = answer.plan_cached;
     if (status.ok()) {
       rec.answers = answer.answers.size();
       rec.answer_fingerprint = AnswerFingerprint(answer.answers);
@@ -406,9 +480,15 @@ Result<LdlSystem::AnalyzeResult> LdlSystem::AnalyzeCalibrated(
   LDL_RETURN_NOT_OK(Serve(goal, &res.answer, &served));
   const QueryAnswer& answer = res.answer;
 
+  // Annotate with an optimizer over the program and options the served
+  // plan came from (cached or fresh), under this query's meter and token.
+  const GoalContext& ctx = served.prepared->ctx;
+  OptimizerOptions options = ctx.options;
+  options.trace = served.trace;
   LDL_ASSIGN_OR_RETURN(std::unique_ptr<PlanNode> tree,
-                       BuildProcessingTree(served.ctx.working, goal));
-  LDL_RETURN_NOT_OK(served.optimizer->AnnotateTree(tree.get()));
+                       BuildProcessingTree(ctx.working, goal));
+  Optimizer annotator(ctx.working, stats_, options);
+  LDL_RETURN_NOT_OK(annotator.AnnotateTree(tree.get()));
   MeasuredStatistics actuals =
       RunMeasurements(goal, answer, served.derived_sizes);
   AddScanSizes(*tree, db_, &actuals);
@@ -424,9 +504,8 @@ Result<LdlSystem::AnalyzeResult> LdlSystem::AnalyzeCalibrated(
             " ms execute\n");
 
   res.report = CalibrationReport::Build(*tree, actuals, goal.ToString());
-  res.report.set_regret(ComputePlanRegret(served.ctx.working, stats_,
-                                          served.ctx.options, goal,
-                                          answer.plan, actuals));
+  res.report.set_regret(ComputePlanRegret(ctx.working, stats_, options,
+                                          goal, answer.plan, actuals));
   res.report.ExportTo(options_.trace.metrics);
   ObserveFeedback(actuals);
   StrAppend(&out, "\n", res.report.ToString());

@@ -1,10 +1,12 @@
 #ifndef LDLOPT_LDL_LDL_H_
 #define LDLOPT_LDL_LDL_H_
 
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -41,6 +43,10 @@ struct QueryAnswer {
   uint64_t tuples_derived = 0;
   uint64_t fixpoint_rounds = 0;
   uint64_t cancel_checks = 0;
+  /// The plan came from the system's plan cache: no projection pushdown,
+  /// optimizer search or rewrite ran (DESIGN.md §22). optimize_ms is then
+  /// the cache lookup, and plan.search_stats are zero.
+  bool plan_cached = false;
   double optimize_ms = 0;
   double execute_ms = 0;
 };
@@ -70,7 +76,11 @@ class LdlSystem {
   /// one system can be queried under many configurations without
   /// re-parsing — the differential-testing oracle (src/testing/difftest.h)
   /// sweeps the strategy × method matrix this way.
-  void set_options(OptimizerOptions options) { options_ = std::move(options); }
+  /// Clears the plan cache.
+  void set_options(OptimizerOptions options) {
+    options_ = std::move(options);
+    plan_cache_.Clear();
+  }
   const OptimizerOptions& options() const { return options_; }
 
   /// Parses LDL text; rules extend the rule base, ground facts the fact
@@ -91,6 +101,7 @@ class LdlSystem {
   /// on the first query after loading; call explicitly after bulk updates
   /// through database(). Costs O(relations x arity + rows added since the
   /// last refresh): Relation::DistinctCount counts incrementally.
+  /// Clears the plan cache: plans were costed under the old statistics.
   void RefreshStatistics();
   /// The live statistics, refreshed first if a write dirtied them. Like
   /// every other member, for the thread that drives the system only.
@@ -120,11 +131,12 @@ class LdlSystem {
   /// When options().feedback is also set, planning consults the catalog as
   /// a blended overlay (falling back to estimates for unseen predicates).
   /// Both pointers are non-owning and must outlive the system or be
-  /// detached (nullptr) first.
+  /// detached (nullptr) first. Clears the plan cache.
   void set_feedback(StatisticsCatalog* catalog,
                     DriftDetector* detector = nullptr) {
     feedback_catalog_ = catalog;
     drift_detector_ = detector;
+    plan_cache_.Clear();
   }
   StatisticsCatalog* feedback_catalog() const { return feedback_catalog_; }
   DriftDetector* drift_detector() const { return drift_detector_; }
@@ -136,6 +148,14 @@ class LdlSystem {
   /// Optimizes and executes. Unsafe queries fail with kUnsafe and a
   /// diagnostic identifying the offending rule — the compile-time
   /// pinpointing the paper advocates over run-time freezing (section 8.3).
+  ///
+  /// Plans are prepared once per goal shape, (predicate, adornment), and
+  /// kept in a small LRU: a later goal of the same shape re-binds only its
+  /// constants (QueryAnswer::plan_cached). Adding rules, refreshing the
+  /// statistics, set_options and set_feedback clear the cache. Writes made
+  /// through database() reach cached plans only via RefreshStatistics, as
+  /// they reach the statistics; the static analysis reads the fact base
+  /// directly, so with it on goals are planned afresh every time.
   Result<QueryAnswer> Query(std::string_view goal_text);
   Result<QueryAnswer> Query(const Literal& goal);
 
@@ -196,7 +216,7 @@ class LdlSystem {
   /// analysis of that program for this goal when static analysis is
   /// enabled, and a per-call copy of the optimizer options whose `analysis`
   /// pointer refers into this context. The context must outlive the
-  /// Optimizer built from it — keep it on the caller's stack.
+  /// Optimizer built from it.
   struct GoalContext {
     Program working;
     std::unique_ptr<ProgramAnalysis> analysis;
@@ -208,10 +228,41 @@ class LdlSystem {
   };
   Result<GoalContext> PrepareGoal(const Literal& goal);
 
+  /// A goal shape prepared for serving (DESIGN.md §22): its context, the
+  /// plan chosen for it and the engine query prepared from that plan. None
+  /// of them depends on the goal's constants.
+  struct PreparedGoal {
+    GoalContext ctx;
+    QueryPlan plan;
+    PreparedQuery query;
+  };
+
+  /// Prepared goal shapes keyed by (goal predicate, adornment); the least
+  /// recently used entry goes when a new one would exceed kCapacity.
+  class PlanCache {
+   public:
+    static constexpr size_t kCapacity = 64;
+
+    /// The entry for `key`, now the most recently used; null on a miss.
+    std::shared_ptr<const PreparedGoal> Find(const AdornedPredicate& key);
+    /// Adds the entry for `key` as the most recently used. Returns true
+    /// when that evicted the least recently used one.
+    bool Insert(const AdornedPredicate& key,
+                std::shared_ptr<const PreparedGoal> entry);
+    void Clear();
+
+   private:
+    using Entry =
+        std::pair<AdornedPredicate, std::shared_ptr<const PreparedGoal>>;
+    std::list<Entry> lru_;  ///< most recently used first
+    std::unordered_map<AdornedPredicate, std::list<Entry>::iterator,
+                       AdornedPredicateHash>
+        index_;
+  };
+
   /// One run of a goal on the serving path, shared by Query and
   /// AnalyzeCalibrated. Filled by Serve; the caller keeps it on its stack
-  /// because the optimizer refers into `ctx` and its trace into the
-  /// per-query meter and token.
+  /// because the trace refers into the per-query meter and token.
   struct ServedRun {
     explicit ServedRun(const TraceContext& session);
     ~ServedRun();
@@ -219,10 +270,11 @@ class LdlSystem {
     /// Per-query meter and token, chained under the session's.
     ResourceAccountant accountant;
     CancellationToken cancel;
-    GoalContext ctx;
-    /// The optimizer that planned the run; null for a base-relation goal,
-    /// which is answered without planning.
-    std::unique_ptr<Optimizer> optimizer;
+    /// The session trace with the per-query meter and token, when metered.
+    TraceContext trace;
+    /// The prepared goal that served the run, cached or fresh; null for a
+    /// base-relation goal, which is answered without planning.
+    std::shared_ptr<const PreparedGoal> prepared;
     /// Rows per binding the engine computed (QueryResult::derived_sizes).
     std::vector<std::pair<AdornedPredicate, double>> derived_sizes;
     /// The goal was planned (or is a base relation): the plan is loggable.
@@ -230,10 +282,18 @@ class LdlSystem {
   };
 
   /// The serving path: a per-query accountant and cancellation token from
-  /// options().limits, then PrepareGoal -> Optimize -> EvaluateQuery with
-  /// the plan's method, SIPs and rule orders. Fills `answer` as far as the
-  /// run got (plan, answers, stats, timings, resource meters).
+  /// options().limits, then the goal's prepared shape, from the plan cache
+  /// or made by PrepareGoal -> Optimize -> PrepareQuery, and RunPrepared
+  /// with this goal's constants. Fills `answer` as far as the run got
+  /// (plan, answers, stats, timings, resource meters).
   Status Serve(const Literal& goal, QueryAnswer* answer, ServedRun* served);
+
+  /// Whether Serve may use the plan cache: not when the caller pinned the
+  /// plan or supplied measurements or an analysis, nor when the static
+  /// analysis (analyze_reachability, eliminate_dead_rules) reads the fact
+  /// base, nor while feedback planning reads a catalog that changes after
+  /// every query.
+  bool PlanCacheable() const;
 
   /// Post-execution half of the feedback loop: folds the measurements into
   /// the attached catalog, runs the drift check, and mirrors the loop's
@@ -252,6 +312,7 @@ class LdlSystem {
   QueryLog* query_log_ = nullptr;
   StatisticsCatalog* feedback_catalog_ = nullptr;
   DriftDetector* drift_detector_ = nullptr;
+  PlanCache plan_cache_;
 };
 
 }  // namespace ldl

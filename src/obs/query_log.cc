@@ -14,6 +14,7 @@ std::string QueryLogRecord::ToJson() const {
   json::AppendField(&out, "plan_fingerprint", plan_fingerprint);
   json::AppendField(&out, "stats_epoch", stats_epoch);
   json::AppendField(&out, "prune", prune);
+  json::AppendField(&out, "plan_cached", plan_cached);
   json::AppendField(&out, "outcome", outcome);
   json::AppendField(&out, "error", error);
   json::AppendField(&out, "answer_fingerprint", answer_fingerprint);
@@ -46,6 +47,7 @@ Result<QueryLogRecord> QueryLogRecord::FromJson(const std::string& line) {
   LDL_RETURN_NOT_OK(doc.Get("plan_fingerprint", &rec.plan_fingerprint));
   LDL_RETURN_NOT_OK(doc.Get("stats_epoch", &rec.stats_epoch));
   LDL_RETURN_NOT_OK(doc.Get("prune", &rec.prune));
+  LDL_RETURN_NOT_OK(doc.Get("plan_cached", &rec.plan_cached));
   LDL_RETURN_NOT_OK(doc.Get("outcome", &rec.outcome));
   LDL_RETURN_NOT_OK(doc.Get("error", &rec.error));
   LDL_RETURN_NOT_OK(doc.Get("answer_fingerprint", &rec.answer_fingerprint));
@@ -69,6 +71,7 @@ bool QueryLogRecord::operator==(const QueryLogRecord& other) const {
          adornment == other.adornment && method == other.method &&
          plan_fingerprint == other.plan_fingerprint &&
          stats_epoch == other.stats_epoch && prune == other.prune &&
+         plan_cached == other.plan_cached &&
          outcome == other.outcome && error == other.error &&
          answer_fingerprint == other.answer_fingerprint &&
          answers == other.answers && budget_bytes == other.budget_bytes &&

@@ -31,6 +31,7 @@ struct QueryLogRecord {
   std::string plan_fingerprint;  ///< stable hash of all plan decisions
   uint64_t stats_epoch = 0;      ///< statistics generation the plan used
   bool prune = false;            ///< reachability pruning was enabled
+  bool plan_cached = false;      ///< the plan came from the plan cache
 
   // --- outcome ---
   std::string outcome = "ok";        ///< "ok" | lowercased StatusCode name

@@ -44,7 +44,11 @@ struct Harness {
   explicit Harness(const GeneratedProgram& p) : prog(p) {}
 };
 
-void RecordAnswers(Harness* h, DiffOutcome* out, const std::string& config,
+/// Records `config`'s outcome, compared with the reference answers
+/// `ref_canonical` (fingerprint `ref_fingerprint`).
+void RecordAgainst(const std::vector<Tuple>& ref_canonical,
+                   const std::string& ref_fingerprint, DiffOutcome* out,
+                   const std::string& config,
                    const Result<QueryResult>& result) {
   ConfigResult cr;
   cr.config = config;
@@ -59,23 +63,28 @@ void RecordAnswers(Harness* h, DiffOutcome* out, const std::string& config,
   cr.ok = true;
   cr.rows = result->answers.size();
   cr.fingerprint = AnswerFingerprint(result->answers);
-  cr.agrees = cr.fingerprint == h->ref_fingerprint;
+  cr.agrees = cr.fingerprint == ref_fingerprint;
   if (!cr.agrees) {
     // Fingerprints are hashes; confirm with the canonical sets before
     // declaring a mismatch, and sample the difference for the report.
     std::vector<Tuple> canon = CanonicalAnswers(result->answers);
-    if (canon == h->ref_canonical) {
+    if (canon == ref_canonical) {
       cr.agrees = true;  // fingerprint collision on the reference side
     } else {
       out->mismatch = true;
       StrAppend(&out->detail, config, ": ", cr.rows, " rows vs reference ",
-                h->ref_canonical.size(), " rows\n");
-      AppendDiffSample(canon, h->ref_canonical, "extra", 4, &out->detail);
-      AppendDiffSample(h->ref_canonical, canon, "missing", 4, &out->detail);
+                ref_canonical.size(), " rows\n");
+      AppendDiffSample(canon, ref_canonical, "extra", 4, &out->detail);
+      AppendDiffSample(ref_canonical, canon, "missing", 4, &out->detail);
       cr.detail = "answer set differs from reference";
     }
   }
   out->configs.push_back(std::move(cr));
+}
+
+void RecordAnswers(Harness* h, DiffOutcome* out, const std::string& config,
+                   const Result<QueryResult>& result) {
+  RecordAgainst(h->ref_canonical, h->ref_fingerprint, out, config, result);
 }
 
 /// LdlSystem::Query under the given options, shaped like a QueryResult.
@@ -86,6 +95,43 @@ Result<QueryResult> EvalOptimized(LdlSystem* sys, const Literal& goal,
   QueryResult result;
   result.answers = std::move(answer.answers);
   return result;
+}
+
+/// LdlSystem::Query under the system's current options; a derived goal
+/// must be served from the plan cache.
+Result<QueryResult> EvalCached(LdlSystem* sys, const Literal& goal) {
+  LDL_ASSIGN_OR_RETURN(QueryAnswer answer, sys->Query(goal));
+  if (!answer.plan_cached && sys->program().IsDerived(goal.predicate())) {
+    return Status::Internal(
+        StrCat("the plan cache missed on ", goal.ToString()));
+  }
+  QueryResult result;
+  result.answers = std::move(answer.answers);
+  return result;
+}
+
+/// The prepared-plan configurations: the goal asked twice on one system,
+/// the second time served from the plan cache ("opt:prepared"), then a
+/// sibling goal of the same shape with other constants, served from the
+/// cache too ("opt:prepared:sibling") and checked against its own
+/// reference evaluation.
+void RecordPrepared(Harness* h, LdlSystem* sys, DiffOutcome* out) {
+  const Literal& goal = h->prog.query;
+  sys->set_options(OptimizerOptions{});
+  (void)sys->Query(goal);
+  RecordAnswers(h, out, "opt:prepared", EvalCached(sys, goal));
+  std::set<Term> domain;
+  for (const Literal& fact : h->prog.facts) {
+    domain.insert(fact.args().begin(), fact.args().end());
+  }
+  const Literal sibling = SiblingGoal(goal, domain);
+  if (sibling == goal) return;
+  auto ref = EvaluateQuery(h->program, &h->db, sibling,
+                           RecursionMethod::kSemiNaive);
+  if (!ref.ok()) return;  // no reference verdict possible
+  RecordAgainst(CanonicalAnswers(ref->answers),
+                AnswerFingerprint(ref->answers), out,
+                "opt:prepared:sibling", EvalCached(sys, sibling));
 }
 
 void RunMetamorphic(Harness* h, const DiffTestOptions& options,
@@ -354,6 +400,7 @@ DiffOutcome RunDifferential(const GeneratedProgram& prog,
                       EvalOptimized(&sys, prog.query, fed));
         sys.set_feedback(nullptr, nullptr);
       }
+      RecordPrepared(&h, &sys, &out);
     }
   }
 
@@ -509,6 +556,20 @@ std::string WriteRepro(const std::string& dir, uint64_t seed, size_t iter,
   }
   out << prog.ToLdl();
   return out.good() ? path : "";
+}
+
+Literal SiblingGoal(const Literal& goal, const std::set<Term>& domain) {
+  std::vector<Term> args = goal.args();
+  for (Term& arg : args) {
+    if (!arg.IsGround()) continue;
+    for (const Term& value : domain) {
+      if (value != arg) {
+        arg = value;
+        break;
+      }
+    }
+  }
+  return goal.WithArgs(std::move(args));
 }
 
 }  // namespace testing

@@ -3,9 +3,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "ast/literal.h"
+#include "ast/term.h"
 #include "optimizer/join_order.h"
 #include "testing/program_gen.h"
 
@@ -34,7 +37,11 @@ GeneratedProgram ApplyFault(const GeneratedProgram& prog, Fault fault);
 ///    including the lexicographic no-optimizer baseline, plus an
 ///    exhaustive run with projection pushdown disabled (canonical vs
 ///    rewritten program) and one restricted to pipeline-only plans (the
-///    §4 MP ablation).
+///    §4 MP ablation);
+///  - prepared plans: the goal asked again on the same system, served from
+///    the plan cache, and a goal of the same shape with other constants
+///    from the active domain (checked against its own semi-naive
+///    reference), served from the cache too.
 /// Metamorphic checks ride on top: growing the EDB never shrinks a
 /// positive query's answers, and a bound query equals the filtered free
 /// query.
@@ -113,6 +120,12 @@ struct DiffOutcome {
 /// Runs the full differential matrix over one generated program.
 DiffOutcome RunDifferential(const GeneratedProgram& prog,
                             const DiffTestOptions& options);
+
+/// `goal` with every bound argument replaced by the least constant of
+/// `domain` (in Term order) that differs from it: a goal of the same
+/// predicate and adornment with other constants, for exercising prepared
+/// plans. Returns `goal` itself when it has no bound argument.
+Literal SiblingGoal(const Literal& goal, const std::set<Term>& domain);
 
 /// Delta-debugging shrinker: greedily removes rules, EDB facts (ddmin-style
 /// chunking), and body literals while `still_fails` keeps returning true.

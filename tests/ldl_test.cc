@@ -3,11 +3,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <regex>
+#include <set>
+#include <sstream>
 #include <thread>
 #include <utility>
 
 #include "base/rng.h"
 #include "base/strings.h"
+#include "obs/feedback.h"
+#include "obs/metrics.h"
+#include "optimizer/project_pushdown.h"
+#include "testing/difftest.h"
+#include "testing/program_gen.h"
 #include "testing/workloads.h"
 
 namespace ldl {
@@ -363,6 +373,317 @@ TEST(LdlSystemTest, ConcurrentIndependentSystems) {
     ASSERT_TRUE(quiet.ok()) << quiet.status();
     EXPECT_EQ(rows, quiet->answers.size()) << "fanout " << fanout;
   }
+}
+
+// --- prepared plans (DESIGN.md §22) ----------------------------------------
+
+/// What Explain renders for a served plan, over the program the system
+/// planned it against (the projection-pushed rule base, as with default
+/// options), with the search statistics zeroed: a cache hit ran no search.
+std::string ExplainServed(const LdlSystem& sys, const QueryAnswer& answer) {
+  Program working = sys.program();
+  if (working.IsDerived(answer.plan.goal.predicate())) {
+    auto projected = PushProjections(sys.program(), answer.plan.goal);
+    if (projected.ok()) working = std::move(projected->rewritten);
+  }
+  QueryPlan plan = answer.plan;
+  plan.search_stats = PlanSearchStats{};
+  return plan.Explain(working);
+}
+
+/// `goal` with other constants of the fact base in its bound arguments.
+Literal Sibling(LdlSystem* sys, const Literal& goal) {
+  std::set<Term> domain;
+  for (const PredicateId& pred : sys->database()->Predicates()) {
+    for (const Tuple& t : sys->database()->Find(pred)->tuples()) {
+      domain.insert(t.begin(), t.end());
+    }
+  }
+  return testing::SiblingGoal(goal, domain);
+}
+
+struct CacheCase {
+  std::string name;
+  std::string text;
+  Literal goal;
+};
+
+/// Every goal embedded in examples/*.ldl, and the query of program_gen
+/// seeds 1-20.
+std::vector<CacheCase> CacheCases() {
+  std::vector<CacheCase> cases;
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(LDLOPT_SOURCE_DIR) + "/examples")) {
+    if (entry.path().extension() == ".ldl") files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  for (const auto& path : files) {
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    auto program = ParseProgram(text.str());
+    EXPECT_TRUE(program.ok()) << path;
+    if (!program.ok()) continue;
+    for (const QueryForm& query : program->queries()) {
+      cases.push_back({path.filename().string(), text.str(), query.goal});
+    }
+  }
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    testing::GeneratedProgram prog = testing::GenerateProgram(&rng, {});
+    cases.push_back({StrCat("program_gen.", seed), prog.ToLdl(), prog.query});
+  }
+  return cases;
+}
+
+/// Serves `goal` on `warm` (which has served its shape before, so the plan
+/// comes from the cache) and on a fresh system over `text`: the plans must
+/// render and fingerprint identically, and execute identically.
+void ExpectCachedMatchesFresh(LdlSystem* warm, const std::string& text,
+                              const Literal& goal, const std::string& name) {
+  SCOPED_TRACE(StrCat(name, ": ", goal.ToString()));
+  auto cached = warm->Query(goal);
+  LdlSystem fresh;
+  ASSERT_TRUE(fresh.LoadProgram(text).ok());
+  auto planned = fresh.Query(goal);
+  ASSERT_EQ(cached.ok(), planned.ok());
+  if (!cached.ok()) return;
+  const bool derived = warm->program().IsDerived(goal.predicate());
+  EXPECT_EQ(cached->plan_cached, derived);
+  EXPECT_FALSE(planned->plan_cached);
+  EXPECT_EQ(ExplainServed(*warm, *cached), ExplainServed(fresh, *planned));
+  EXPECT_EQ(cached->plan.Fingerprint(), planned->plan.Fingerprint());
+  const EvalCounters& a = cached->exec_stats.counters;
+  const EvalCounters& b = planned->exec_stats.counters;
+  EXPECT_EQ(a.tuples_examined, b.tuples_examined);
+  EXPECT_EQ(a.derivations, b.derivations);
+  EXPECT_EQ(cached->exec_stats.iterations, planned->exec_stats.iterations);
+  EXPECT_EQ(cached->note, planned->note);
+  EXPECT_EQ(CanonicalAnswers(cached->answers),
+            CanonicalAnswers(planned->answers));
+}
+
+// The plan cache is keyed on (predicate, adornment) alone, so nothing the
+// plan or the prepared rewrite holds may depend on the goal's constants:
+// asked again, or with other constants, a goal gets the plan a fresh
+// system makes for it.
+TEST(LdlSystemTest, CachedPlansMatchFreshPlans) {
+  const std::vector<CacheCase> cases = CacheCases();
+  ASSERT_GE(cases.size(), 24u);
+  size_t siblings = 0;
+  for (const CacheCase& c : cases) {
+    LdlSystem warm;
+    ASSERT_TRUE(warm.LoadProgram(c.text).ok()) << c.name;
+    auto first = warm.Query(c.goal);
+    if (first.ok()) {
+      EXPECT_FALSE(first->plan_cached);
+    }
+    ExpectCachedMatchesFresh(&warm, c.text, c.goal, c.name);
+    const Literal sibling = Sibling(&warm, c.goal);
+    if (!(sibling == c.goal)) {
+      ++siblings;
+      ExpectCachedMatchesFresh(&warm, c.text, sibling, c.name);
+    }
+  }
+  EXPECT_GT(siblings, 10u);
+}
+
+constexpr char kAncestor[] = R"(
+  par(a, b). par(b, c). par(c, d). par(b, e).
+  anc(X, Y) <- par(X, Y).
+  anc(X, Y) <- par(X, Z), anc(Z, Y).
+)";
+
+bool Cached(LdlSystem* sys, const std::string& goal) {
+  auto answer = sys->Query(goal);
+  EXPECT_TRUE(answer.ok()) << goal << ": " << answer.status();
+  return answer.ok() && answer->plan_cached;
+}
+
+TEST(LdlSystemTest, PlanCacheInvalidation) {
+  MetricsRegistry metrics;
+  OptimizerOptions options;
+  options.trace.metrics = &metrics;
+  LdlSystem sys(options);
+  ASSERT_TRUE(sys.LoadProgram(kAncestor).ok());
+  EXPECT_FALSE(Cached(&sys, "anc(a, Y)"));
+  EXPECT_TRUE(Cached(&sys, "anc(a, Y)"));
+  EXPECT_TRUE(Cached(&sys, "anc(c, W)"));   // same shape, other constant
+  EXPECT_FALSE(Cached(&sys, "anc(X, Y)"));  // another adornment
+  EXPECT_FALSE(Cached(&sys, "anc(X, d)"));
+
+  // A new rule changes the program the plans were made for.
+  ASSERT_TRUE(sys.AddClause("anc(X, Y) <- par(Y, X), X = zz.").ok());
+  EXPECT_FALSE(Cached(&sys, "anc(a, Y)"));
+  EXPECT_TRUE(Cached(&sys, "anc(a, Y)"));
+  // A fact dirties the statistics: the next query re-collects them under a
+  // new epoch, and plans costed under the old one go.
+  ASSERT_TRUE(sys.AddClause("par(d, f).").ok());
+  EXPECT_FALSE(Cached(&sys, "anc(a, Y)"));
+  EXPECT_TRUE(Cached(&sys, "anc(a, Y)"));
+  sys.RefreshStatistics();
+  EXPECT_FALSE(Cached(&sys, "anc(a, Y)"));
+  // New options.
+  sys.set_options(options);
+  EXPECT_FALSE(Cached(&sys, "anc(a, Y)"));
+  EXPECT_TRUE(Cached(&sys, "anc(a, Y)"));
+
+  EXPECT_EQ(metrics.counter("ldl.plan_cache.hits")->value(), 5u);
+  EXPECT_EQ(metrics.counter("ldl.plan_cache.misses")->value(), 7u);
+  EXPECT_EQ(metrics.counter("ldl.plan_cache.evictions")->value(), 0u);
+}
+
+TEST(LdlSystemTest, PlanCacheEvictsTheLeastRecentlyUsedShape) {
+  MetricsRegistry metrics;
+  OptimizerOptions options;
+  options.trace.metrics = &metrics;
+  LdlSystem sys(options);
+  std::string text = "e(1). e(2).\n";
+  const size_t shapes = 65;  // one more shape than the cache holds
+  for (size_t i = 0; i < shapes; ++i) {
+    StrAppend(&text, "p", i, "(X) <- e(X).\n");
+  }
+  ASSERT_TRUE(sys.LoadProgram(text).ok());
+  for (size_t i = 0; i < shapes; ++i) {
+    EXPECT_FALSE(Cached(&sys, StrCat("p", i, "(X)")));
+  }
+  EXPECT_EQ(metrics.counter("ldl.plan_cache.evictions")->value(), 1u);
+  EXPECT_TRUE(Cached(&sys, StrCat("p", shapes - 1, "(X)")));
+  EXPECT_TRUE(Cached(&sys, "p1(X)"));
+  EXPECT_FALSE(Cached(&sys, "p0(X)"));  // the least recently used went
+}
+
+TEST(LdlSystemTest, PlanCacheBypass) {
+  // Caller-set measurements or pins plan this query under them.
+  {
+    MeasuredStatistics measured;
+    OptimizerOptions options;
+    options.measured = &measured;
+    LdlSystem sys(options);
+    ASSERT_TRUE(sys.LoadProgram(kAncestor).ok());
+    EXPECT_FALSE(Cached(&sys, "anc(a, Y)"));
+    EXPECT_FALSE(Cached(&sys, "anc(a, Y)"));
+  }
+  {
+    PlanConstraints pins;
+    OptimizerOptions options;
+    options.pinned = &pins;
+    LdlSystem sys(options);
+    ASSERT_TRUE(sys.LoadProgram(kAncestor).ok());
+    EXPECT_FALSE(Cached(&sys, "anc(a, Y)"));
+    EXPECT_FALSE(Cached(&sys, "anc(a, Y)"));
+  }
+  // Feedback planning reads a catalog that every query changes; with the
+  // catalog attached but feedback planning off, plans are cached.
+  {
+    StatisticsCatalog catalog;
+    OptimizerOptions options;
+    options.feedback = true;
+    LdlSystem sys(options);
+    ASSERT_TRUE(sys.LoadProgram(kAncestor).ok());
+    sys.set_feedback(&catalog);
+    EXPECT_FALSE(Cached(&sys, "anc(a, Y)"));
+    EXPECT_FALSE(Cached(&sys, "anc(a, Y)"));
+    sys.set_options(OptimizerOptions{});
+    EXPECT_FALSE(Cached(&sys, "anc(a, Y)"));
+    EXPECT_TRUE(Cached(&sys, "anc(a, Y)"));
+    sys.set_feedback(nullptr);
+  }
+}
+
+// The static analysis reads the fact base directly: a relation with no
+// rows is statically empty, and dead-rule elimination drops the rules that
+// read it. A write through database() refreshes nothing, so a plan cached
+// under the analysis would keep serving the pruned program.
+TEST(LdlSystemTest, AnalysisPlansAreNotCachedAcrossDatabaseWrites) {
+  for (const bool prune : {true, false}) {
+    SCOPED_TRACE(prune ? "eliminate_dead_rules" : "analyze_reachability");
+    OptimizerOptions options;
+    options.eliminate_dead_rules = prune;
+    options.analyze_reachability = !prune;
+    LdlSystem sys(options);
+    ASSERT_TRUE(sys.LoadProgram("s(2). t(X) <- r(X). t(X) <- s(X).").ok());
+    sys.database()->GetOrCreate(PredicateId{"r", 1});
+    auto before = sys.Query("t(X)");
+    ASSERT_TRUE(before.ok()) << before.status();
+    EXPECT_FALSE(before->plan_cached);
+    EXPECT_EQ(CanonicalAnswers(before->answers),
+              std::vector<std::vector<Term>>{{Term::MakeInt(2)}});
+
+    ASSERT_TRUE(sys.database()->AddFact(*ParseLiteral("r(1)")).ok());
+    auto after = sys.Query("t(X)");
+    ASSERT_TRUE(after.ok()) << after.status();
+    EXPECT_FALSE(after->plan_cached);
+    EXPECT_EQ(CanonicalAnswers(after->answers),
+              (std::vector<std::vector<Term>>{{Term::MakeInt(1)},
+                                              {Term::MakeInt(2)}}));
+  }
+}
+
+// Counting diverges on cyclic data and falls back to magic, adorning the
+// entry's working program under the plan's SIPs: on a miss and on a hit.
+TEST(LdlSystemTest, CountingDivergenceFallsBackOnACacheHit) {
+  LdlSystem sys;
+  ASSERT_TRUE(sys.LoadProgram(R"(
+    e(0, 1). e(1, 2). e(2, 3). e(3, 0).
+    tc(X, Y) <- e(X, Y).
+    tc(X, Y) <- e(X, Z), tc(Z, Y).
+  )").ok());
+  for (const char* goal : {"tc(0, Y)", "tc(1, Y)"}) {
+    SCOPED_TRACE(goal);
+    auto answer = sys.Query(goal);
+    ASSERT_TRUE(answer.ok()) << answer.status();
+    EXPECT_EQ(answer->plan.top_method, RecursionMethod::kCounting);
+    EXPECT_NE(answer->note.find("counting diverged"), std::string::npos)
+        << answer->note;
+    EXPECT_EQ(answer->answers.size(), 4u);
+  }
+  EXPECT_TRUE(Cached(&sys, "tc(2, Y)"));
+}
+
+TEST(LdlSystemTest, QueryLogRecordsPlanCacheHits) {
+  QueryLog log;
+  LdlSystem sys;
+  ASSERT_TRUE(sys.LoadProgram(kAncestor).ok());
+  sys.set_query_log(&log);
+  ASSERT_TRUE(sys.Query("anc(a, Y)").ok());
+  ASSERT_TRUE(sys.Query("anc(b, Y)").ok());
+  const std::vector<QueryLogRecord> records = log.snapshot();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_FALSE(records[0].plan_cached);
+  EXPECT_TRUE(records[1].plan_cached);
+  EXPECT_EQ(records[0].plan_fingerprint, records[1].plan_fingerprint);
+  EXPECT_EQ(records[0].stats_epoch, records[1].stats_epoch);
+}
+
+/// ANALYZE text with its wall times blanked.
+std::string WithoutTimes(const std::string& text) {
+  static const std::regex kMillis("[0-9.]+ ms");
+  return std::regex_replace(text, kMillis, "_ ms");
+}
+
+TEST(LdlSystemTest, AnalyzeAfterWarmQueryMatchesFreshSystem) {
+  const std::string program = R"(
+    sg(X, Y) <- flat(X, Y).
+    sg(X, Y) <- up(X, X1), sg(X1, Y1), dn(Y1, Y).
+  )";
+  LdlSystem warm;
+  ASSERT_TRUE(warm.LoadProgram(program).ok());
+  testing::MakeSameGenerationData(3, 4, warm.database());
+  LdlSystem fresh;
+  ASSERT_TRUE(fresh.LoadProgram(program).ok());
+  testing::MakeSameGenerationData(3, 4, fresh.database());
+
+  ASSERT_TRUE(warm.Query("sg(50, Y)").ok());
+  auto hit = warm.AnalyzeCalibrated("sg(50, Y)");
+  ASSERT_TRUE(hit.ok()) << hit.status();
+  EXPECT_TRUE(hit->answer.plan_cached);
+  auto miss = fresh.AnalyzeCalibrated("sg(50, Y)");
+  ASSERT_TRUE(miss.ok()) << miss.status();
+  EXPECT_FALSE(miss->answer.plan_cached);
+  EXPECT_EQ(WithoutTimes(hit->text), WithoutTimes(miss->text));
+  EXPECT_EQ(hit->answer.plan.Fingerprint(), miss->answer.plan.Fingerprint());
 }
 
 }  // namespace

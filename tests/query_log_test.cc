@@ -25,6 +25,7 @@ QueryLogRecord SampleRecord() {
   rec.plan_fingerprint = "0123456789abcdef";
   rec.stats_epoch = 3;
   rec.prune = true;
+  rec.plan_cached = true;
   rec.outcome = "ok";
   rec.error = "";
   rec.answer_fingerprint = "7:fedcba9876543210";
@@ -62,6 +63,22 @@ TEST(QueryLogRecordTest, RoundTripsAwkwardDoubles) {
   EXPECT_EQ(back->total_ms, rec.total_ms);
   EXPECT_EQ(back->execute_ms, rec.execute_ms);
   EXPECT_EQ(back->optimize_ms, rec.optimize_ms);
+}
+
+// Logs written before plan_cached existed read as uncached.
+TEST(QueryLogRecordTest, MissingPlanCachedReadsAsFalse) {
+  const QueryLogRecord rec = SampleRecord();
+  std::string json = rec.ToJson();
+  const std::string field = "\"plan_cached\":true,";
+  const size_t at = json.find(field);
+  ASSERT_NE(at, std::string::npos);
+  json.erase(at, field.size());
+  auto back = QueryLogRecord::FromJson(json);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_FALSE(back->plan_cached);
+  QueryLogRecord expected = rec;
+  expected.plan_cached = false;
+  EXPECT_EQ(*back, expected);
 }
 
 TEST(QueryLogRecordTest, UnknownKeysAreIgnored) {

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <set>
 #include <vector>
+
+#include "engine/query_eval.h"
 
 namespace ldl {
 namespace {
@@ -90,6 +94,96 @@ TEST(TermTest, TotalOrderIsStrictWeak) {
   s.insert(Term::MakeVariable("X"));
   s.insert(Term::MakeFunction("f", {Term::MakeInt(1)}));
   EXPECT_EQ(s.size(), 4u);
+}
+
+// The total order, pinned on the recursive definition it replaced: by
+// kind (variable < int < real < string < symbol < function), then value or
+// text, then functor, arity and arguments left to right.
+TEST(TermTest, TotalOrderIsPinned) {
+  auto I = Term::MakeInt;
+  auto S = Term::MakeSymbol;
+  auto V = Term::MakeVariable;
+  auto F = [](const char* f, std::vector<Term> args) {
+    return Term::MakeFunction(f, std::move(args));
+  };
+  const std::vector<Term> sorted = {
+      V("X"),
+      V("Y"),
+      I(-1),
+      I(2),
+      Term::MakeReal(0.5),
+      Term::MakeReal(2.0),
+      Term::MakeString("a"),
+      Term::MakeString("b"),
+      S("[]"),
+      S("a"),
+      S("b"),
+      Term::MakeList({I(1)}, V("T")),
+      Term::MakeList({I(1), I(2)}),
+      Term::MakeList({I(1), I(2), I(3)}),
+      Term::MakeList({I(2)}),
+      F("f", {I(1)}),
+      F("f", {S("a")}),
+      F("f", {F("f", {I(1)})}),
+      F("f", {V("X"), I(1)}),
+      F("f", {I(1), V("X")}),
+      F("f", {I(1), S("a")}),
+      F("g", {I(1)}),
+  };
+  std::vector<Term> shuffled(sorted.rbegin(), sorted.rend());
+  std::swap(shuffled[3], shuffled[17]);
+  std::swap(shuffled[0], shuffled[9]);
+  std::sort(shuffled.begin(), shuffled.end());
+  EXPECT_EQ(shuffled, sorted);
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    EXPECT_EQ(sorted[i].Compare(sorted[i]), 0) << sorted[i].ToString();
+    for (size_t j = i + 1; j < sorted.size(); ++j) {
+      EXPECT_TRUE(sorted[i] < sorted[j])
+          << sorted[i].ToString() << " < " << sorted[j].ToString();
+      EXPECT_FALSE(sorted[j] < sorted[i])
+          << sorted[j].ToString() << " < " << sorted[i].ToString();
+      EXPECT_EQ(sorted[i].Compare(sorted[j]), -1);
+      EXPECT_EQ(sorted[j].Compare(sorted[i]), 1);
+    }
+  }
+}
+
+// Comparing equal nested terms costs one walk, not two per level: two
+// separately built 400k-element lists compare, and sort as answers, at
+// once and without recursing down the spine.
+TEST(TermTest, LongEqualListsCompareInLinearTime) {
+  std::vector<Term> items;
+  for (int i = 0; i < 400000; ++i) {
+    items.push_back(Term::MakeFunction("p", {Term::MakeInt(i % 5)}));
+  }
+  Term a = Term::MakeList(items);
+  Term b = Term::MakeList(items);
+  items.back() = Term::MakeFunction("p", {Term::MakeInt(9)});
+  Term c = Term::MakeList(items);
+  Relation answers("answers", 2);
+  answers.Insert({c, Term::MakeInt(0)});
+  answers.Insert({a, Term::MakeInt(1)});
+  answers.Insert({b, Term::MakeInt(0)});
+
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(a < b);
+  EXPECT_FALSE(b < a);
+  EXPECT_EQ(a.Compare(b), 0);
+  EXPECT_TRUE(a < c);
+  EXPECT_EQ(c.Compare(a), 1);
+  std::vector<Tuple> canonical = CanonicalAnswers(answers);
+  [[maybe_unused]] const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  ASSERT_EQ(canonical.size(), 3u);
+  EXPECT_EQ(canonical[0][1], Term::MakeInt(0));
+  EXPECT_EQ(canonical[1][1], Term::MakeInt(1));
+  EXPECT_EQ(canonical[2][0], c);
+#ifdef NDEBUG
+  // Optimized builds only: sanitizer builds are many times slower, and
+  // the quadratic-or-worse failure this guards against never finishes.
+  EXPECT_LT(seconds, 1.0);
+#endif
 }
 
 TEST(TermTest, ListSugar) {

@@ -24,6 +24,11 @@
 // table, or a row whose key cells differ, is reported as skipped, not
 // failed, so adding a workload does not masquerade as a regression.
 //
+// Timings only compare between runs on the same kind of machine, so for
+// every file whose time cells were compared the host each side records
+// (cpu, nproc, compiler, build type; bench_util.h) is printed next to the
+// verdict, "unrecorded" for files written before hosts were recorded.
+//
 // Exit status: 0 no regressions, 1 regression or exact mismatch found,
 // 2 usage/parse error.
 
@@ -158,6 +163,23 @@ std::vector<FlatTable> ExtractTables(const ldl::json::Value& root) {
     }
   }
   return tables;
+}
+
+/// The host a bench file records, on one line; "unrecorded" when the file
+/// has no host record.
+std::string HostOf(const ldl::json::Value& root) {
+  const ldl::json::Value* host = root.Find("host");
+  if (host == nullptr || host->kind() != ldl::json::Value::Kind::kObject) {
+    return "unrecorded";
+  }
+  std::string cpu, compiler, build_type;
+  uint64_t nproc = 0;
+  (void)host->Get("cpu", &cpu);
+  (void)host->Get("nproc", &nproc);
+  (void)host->Get("compiler", &compiler);
+  (void)host->Get("build_type", &build_type);
+  return cpu + ", " + std::to_string(nproc) + " cpus, " + compiler + ", " +
+         (build_type.empty() ? "default" : build_type) + " build";
 }
 
 struct DiffCounts {
@@ -356,7 +378,13 @@ int main(int argc, char** argv) {
                 << current.status().message() << "\n";
       return 2;
     }
+    const size_t timed_before = counts.time_checked;
     DiffFile(name, *baseline, *current, options, &counts);
+    if (counts.time_checked > timed_before) {
+      std::printf("%s timings: baseline host %s; current host %s\n",
+                  name.c_str(), HostOf(*baseline).c_str(),
+                  HostOf(*current).c_str());
+    }
   }
 
   std::printf("bench_diff: %zu time cells checked, %zu regression%s "
