@@ -152,16 +152,23 @@ void ProgramLinter::CheckUnused(DiagnosticSink* sink) const {
   // the file is a library and every head is exported.
   if (program_.queries().empty()) return;
   DependencyGraph graph = DependencyGraph::Build(program_);
-  for (const PredicateId& pred : program_.DerivedPredicates()) {
-    bool used = false;
-    for (const QueryForm& q : program_.queries()) {
-      const PredicateId qp = q.goal.predicate();
-      if (qp == pred || graph.DependsOn(qp, pred)) {
-        used = true;
-        break;
-      }
+  // One walk from every query predicate over head -> body edges.
+  std::set<PredicateId> used;
+  std::vector<PredicateId> stack;
+  for (const QueryForm& q : program_.queries()) {
+    if (used.insert(q.goal.predicate()).second) {
+      stack.push_back(q.goal.predicate());
     }
-    if (!used) {
+  }
+  while (!stack.empty()) {
+    const PredicateId cur = std::move(stack.back());
+    stack.pop_back();
+    for (const PredicateId& next : graph.BodyPredicatesOf(cur)) {
+      if (used.insert(next).second) stack.push_back(next);
+    }
+  }
+  for (const PredicateId& pred : program_.DerivedPredicates()) {
+    if (!used.count(pred)) {
       sink->Warning("L006",
                     StrCat("derived predicate ", pred.ToString(),
                            " is not reachable from any query"),

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <string_view>
 
 #include "base/strings.h"
 #include "graph/dependency_graph.h"
@@ -49,101 +50,198 @@ void FixpointStats::WriteIterationsJson(std::ostream& os) const {
   os << "]\n";
 }
 
-namespace {
+Result<FixpointSchedule> FixpointSchedule::Build(
+    Program program, RecursionMethod method,
+    const std::unordered_map<size_t, std::vector<size_t>>& rule_orders) {
+  if (method != RecursionMethod::kNaive &&
+      method != RecursionMethod::kSemiNaive) {
+    return Status::InvalidArgument(
+        StrCat("a fixpoint schedule runs naive/seminaive, got ",
+               RecursionMethodToString(method),
+               " (use MagicRewrite/CountingRewrite first)"));
+  }
+  FixpointSchedule s;
+  s.program_ = std::make_unique<const Program>(std::move(program));
+  s.method_ = method;
+  const Program& p = *s.program_;
+  const DependencyGraph graph = DependencyGraph::Build(p);
+  LDL_RETURN_NOT_OK(graph.CheckStratified());
 
-/// Shared machinery for evaluating one program bottom-up, one strongly
-/// connected component at a time.
-class ProgramEvaluator {
+  // Derived slots in bottom-up order, so each stratum's members are one
+  // contiguous range.
+  std::unordered_map<PredicateId, uint32_t, PredicateIdHash> derived_slot;
+  std::vector<uint32_t> stratum_of;  // per derived slot
+  auto narrow = [](const std::vector<size_t>& rules) {
+    return std::vector<uint32_t>(rules.begin(), rules.end());
+  };
+  for (const std::vector<PredicateId>& component :
+       graph.topological_components()) {
+    Stratum stratum;
+    stratum.first = static_cast<uint32_t>(s.derived_.size());
+    stratum.size = static_cast<uint32_t>(component.size());
+    stratum.recursive = graph.IsRecursive(component[0]);
+    for (const PredicateId& pred : component) {
+      derived_slot.emplace(pred, static_cast<uint32_t>(s.derived_.size()));
+      s.derived_.push_back(pred);
+      stratum_of.push_back(static_cast<uint32_t>(s.strata_.size()));
+    }
+    if (!stratum.recursive) {
+      stratum.exit_rules = narrow(p.RulesFor(component[0]));
+    } else {
+      const RecursiveClique& clique =
+          graph.cliques()[graph.CliqueIndex(component[0])];
+      stratum.exit_rules = narrow(clique.exit_rules);
+      stratum.recursive_rules = narrow(clique.recursive_rules);
+      stratum.clique = clique.ToString();
+    }
+    s.strata_.push_back(std::move(stratum));
+  }
+
+  std::unordered_map<PredicateId, uint32_t, PredicateIdHash> base_slot;
+  s.rules_.reserve(p.rules().size());
+  for (size_t i = 0; i < p.rules().size(); ++i) {
+    const Rule& rule = p.rules()[i];
+    auto order = rule_orders.find(i);
+    ScheduledRule scheduled;
+    LDL_ASSIGN_OR_RETURN(scheduled.compiled,
+                         CompiledRule::Compile(
+                             rule, order == rule_orders.end()
+                                       ? std::vector<size_t>{}
+                                       : order->second));
+    scheduled.head = derived_slot.at(rule.head().predicate());
+    const Stratum& home = s.strata_[stratum_of[scheduled.head]];
+    for (const Literal& lit : rule.body()) {
+      Source source;
+      if (!lit.IsBuiltin()) {
+        const PredicateId pred = lit.predicate();
+        auto derived = derived_slot.find(pred);
+        if (derived != derived_slot.end()) {
+          source.kind = Source::Kind::kDerived;
+          source.slot = derived->second;
+          if (home.recursive && !lit.negated() &&
+              stratum_of[source.slot] == stratum_of[scheduled.head]) {
+            source.member = static_cast<int32_t>(source.slot - home.first);
+          }
+        } else {
+          source.kind = Source::Kind::kBase;
+          auto [it, added] = base_slot.emplace(
+              pred, static_cast<uint32_t>(s.base_.size()));
+          if (added) s.base_.push_back(pred);
+          source.slot = it->second;
+        }
+      }
+      scheduled.body.push_back(source);
+    }
+    s.num_params_ = std::max(s.num_params_, scheduled.compiled.num_params());
+    s.max_body_ = std::max(s.max_body_, rule.body().size());
+    s.rules_.push_back(std::move(scheduled));
+  }
+  for (Stratum& stratum : s.strata_) {
+    for (uint32_t rule_index : stratum.recursive_rules) {
+      const std::vector<Source>& body = s.rules_[rule_index].body;
+      for (size_t pos = 0; pos < body.size(); ++pos) {
+        if (body[pos].member >= 0) {
+          stratum.differentiated.emplace_back(rule_index,
+                                              static_cast<uint32_t>(pos));
+        }
+      }
+    }
+  }
+  return s;
+}
+
+/// One run of a schedule: the per-rule register files and key buffers, the
+/// relations behind every slot, and the views and deltas of the firing and
+/// round in progress. Everything a run writes lives here (and in the
+/// scratch relations), never in the schedule.
+class FixpointSchedule::RunState {
  public:
-  ProgramEvaluator(const Program& program, RecursionMethod method,
-                   Database* base, Database* scratch, FixpointStats* stats,
-                   const FixpointOptions& options)
-      : program_(program),
-        method_(method),
-        base_(base),
+  RunState(const FixpointSchedule& schedule, Database* base,
+           Database* scratch, FixpointStats* stats,
+           const FixpointOptions& options)
+      : schedule_(schedule),
         scratch_(scratch),
         stats_(stats),
         options_(options),
-        compiled_(program.rules().size()) {
+        derived_(schedule.derived_.size(), nullptr),
+        views_(schedule.max_body_) {
     rule_options_.max_derivations = options.max_derivations;
     rule_options_.cancel = options.trace.cancel;
     rule_options_.accountant = options.trace.accountant;
+    base_.reserve(schedule.base_.size());
+    for (const PredicateId& pred : schedule.base_) {
+      base_.push_back(base->Find(pred));
+    }
+    rules_.reserve(schedule.rules_.size());
+    for (const ScheduledRule& rule : schedule.rules_) {
+      rules_.emplace_back(rule.compiled, options.params);
+    }
   }
 
   Status Run() {
-    DependencyGraph graph = DependencyGraph::Build(program_);
-    LDL_RETURN_NOT_OK(graph.CheckStratified());
-    for (const auto& component : graph.topological_components()) {
-      // Ensure relations exist for every member up front.
-      for (const PredicateId& pred : component) scratch_->GetOrCreate(pred);
-      bool recursive = graph.IsRecursive(component[0]);
-      if (!recursive) {
-        LDL_RETURN_NOT_OK(EvaluateOnce(component[0]));
-      } else if (method_ == RecursionMethod::kNaive) {
-        LDL_RETURN_NOT_OK(EvaluateCliqueNaive(component, graph));
+    for (const Stratum& stratum : schedule_.strata_) {
+      // Create the members' relations up front.
+      for (uint32_t m = 0; m < stratum.size; ++m) {
+        derived_[stratum.first + m] =
+            scratch_->GetOrCreate(schedule_.derived_[stratum.first + m]);
+      }
+      if (!stratum.recursive) {
+        LDL_RETURN_NOT_OK(EvaluateOnce(stratum));
+      } else if (schedule_.method_ == RecursionMethod::kNaive) {
+        LDL_RETURN_NOT_OK(EvaluateCliqueNaive(stratum));
       } else {
-        LDL_RETURN_NOT_OK(EvaluateCliqueSemiNaive(component, graph));
+        LDL_RETURN_NOT_OK(EvaluateCliqueSemiNaive(stratum));
       }
     }
     return Status::OK();
   }
 
  private:
-  Relation* Resolve(const Literal& lit) {
-    const PredicateId pred = lit.predicate();
-    if (program_.IsDerived(pred)) return scratch_->GetOrCreate(pred);
-    return base_->Find(pred);
-  }
+  /// How a firing reads the members of the stratum in progress.
+  enum class Reads {
+    kFull,        ///< whole relations
+    kRoundMarks,  ///< naive: up to the marks taken when the round began
+    kDelta,       ///< semi-naive: one occurrence reads the last delta
+  };
 
-  RelationResolver MakeResolver() {
-    return [this](const Literal& lit, size_t) {
-      return RelationView{Resolve(lit)};
-    };
-  }
-
-  /// Fires one rule, emitting straight into its head's full relation. The
-  /// rule is compiled for its body order on its first firing, and that
-  /// compiled rule serves every later firing of this evaluation: all
-  /// rounds and all differentiated occurrences.
-  Status Fire(size_t rule_index, const RelationResolver& resolve) {
-    const Rule& rule = program_.rules()[rule_index];
-    std::unique_ptr<CompiledRule>& compiled = compiled_[rule_index];
-    if (compiled == nullptr) {
-      auto it = options_.rule_orders.find(rule_index);
-      LDL_ASSIGN_OR_RETURN(
-          CompiledRule fresh,
-          CompiledRule::Compile(rule,
-                                it == options_.rule_orders.end()
-                                    ? std::vector<size_t>{}
-                                    : it->second,
-                                &options_.params));
-      compiled = std::make_unique<CompiledRule>(std::move(fresh));
-      stats_->counters.rules_compiled++;
+  /// Fires one rule, emitting straight into its head's full relation.
+  /// `delta_pos` is the body position that reads its member's delta under
+  /// Reads::kDelta.
+  Status Fire(uint32_t rule_index, Reads reads, size_t delta_pos = 0) {
+    const ScheduledRule& rule = schedule_.rules_[rule_index];
+    for (size_t pos = 0; pos < rule.body.size(); ++pos) {
+      const Source& source = rule.body[pos];
+      RelationView& view = views_[pos];
+      switch (source.kind) {
+        case Source::Kind::kBuiltin:
+          continue;
+        case Source::Kind::kBase:
+          view = RelationView{base_[source.slot]};
+          continue;
+        case Source::Kind::kDerived:
+          if (reads == Reads::kDelta && pos == delta_pos) {
+            view = delta_[source.member];
+          } else {
+            view = RelationView{derived_[source.slot]};
+            if (reads == Reads::kRoundMarks && source.member >= 0) {
+              view.end = marks_[source.member];
+            }
+          }
+          continue;
+      }
     }
-    return EvaluateRule(compiled.get(), resolve,
-                        scratch_->GetOrCreate(rule.head().predicate()),
-                        &stats_->counters, rule_options_)
+    return EvaluateRule(rule.compiled, &rules_[rule_index], views_.data(),
+                        derived_[rule.head], &stats_->counters, rule_options_)
         .status();
   }
 
-  /// Position of `lit`'s predicate in `members`, or members.size() when
-  /// `lit` is not a positive literal of the clique.
-  static size_t MemberIndex(const std::vector<PredicateId>& members,
-                            const Literal& lit) {
-    if (lit.IsBuiltin() || lit.negated()) return members.size();
-    return static_cast<size_t>(
-        std::find(members.begin(), members.end(), lit.predicate()) -
-        members.begin());
-  }
-
-  /// The members' current full-relation sizes: row marks that later
-  /// bound what a round reads or what it appended.
-  std::vector<size_t> Marks(const std::vector<PredicateId>& members) {
-    std::vector<size_t> marks;
-    for (const PredicateId& pred : members) {
-      marks.push_back(scratch_->GetOrCreate(pred)->size());
+  /// Takes the members' current full-relation sizes into marks_: row marks
+  /// that later bound what a round reads or what it appended.
+  void TakeMarks(const Stratum& stratum) {
+    marks_.resize(stratum.size);
+    for (uint32_t m = 0; m < stratum.size; ++m) {
+      marks_[m] = derived_[stratum.first + m]->size();
     }
-    return marks;
   }
 
   /// Per-round check-point: polls cancellation/deadline/budget and charges
@@ -164,11 +262,11 @@ class ProgramEvaluator {
                : std::string_view(options_.method_label);
   }
 
-  void RecordIteration(const PredicateId& clique_rep,
-                       std::string_view method, size_t round, size_t delta,
-                       size_t derivations, double wall_ms) {
+  void RecordIteration(const Stratum& stratum, std::string_view method,
+                       size_t round, size_t delta, size_t derivations,
+                       double wall_ms) {
     FixpointIteration it;
-    it.clique = clique_rep.ToString();
+    it.clique = schedule_.derived_[stratum.first].ToString();
     it.method = std::string(method);
     it.iteration = round;
     it.delta_tuples = delta;
@@ -182,48 +280,35 @@ class ProgramEvaluator {
   }
 
   // Non-recursive predicate: fire each of its rules once.
-  Status EvaluateOnce(const PredicateId& pred) {
+  Status EvaluateOnce(const Stratum& stratum) {
     Span span = options_.trace.StartSpan("eval-once", "engine");
-    if (span.active()) span.AddArg("predicate", pred.ToString());
+    if (span.active()) {
+      span.AddArg("predicate", schedule_.derived_[stratum.first].ToString());
+    }
     LDL_RETURN_NOT_OK(options_.trace.CheckCancel());
-    RelationResolver resolve = MakeResolver();
-    for (size_t rule_index : program_.RulesFor(pred)) {
-      LDL_RETURN_NOT_OK(Fire(rule_index, resolve));
+    for (uint32_t rule_index : stratum.exit_rules) {
+      LDL_RETURN_NOT_OK(Fire(rule_index, Reads::kFull));
     }
     return Status::OK();
   }
 
   // Naive fixpoint: every round re-fires every rule of the clique against
   // the full current relations, until a round adds nothing.
-  Status EvaluateCliqueNaive(const std::vector<PredicateId>& members,
-                             const DependencyGraph& graph) {
-    const RecursiveClique& clique =
-        graph.cliques()[graph.CliqueIndex(members[0])];
+  Status EvaluateCliqueNaive(const Stratum& stratum) {
     Span span = options_.trace.StartSpan("fixpoint", "engine");
     if (span.active()) {
-      span.AddArg("clique", members[0].ToString());
+      span.AddArg("clique", schedule_.derived_[stratum.first].ToString());
       span.AddArg("method", "naive");
     }
     // Rules emit straight into the full relations but read the clique's
     // relations only up to the marks taken when the round began, so each
     // round sees exactly the previous round's state.
-    std::vector<size_t> round_marks;
-    RelationResolver resolve = [this, &members, &round_marks](
-                                   const Literal& lit, size_t) {
-      RelationView view{Resolve(lit)};
-      size_t m = MemberIndex(members, lit);
-      if (m < members.size()) view.end = round_marks[m];
-      return view;
-    };
-    std::vector<size_t> all_rules = clique.exit_rules;
-    all_rules.insert(all_rules.end(), clique.recursive_rules.begin(),
-                     clique.recursive_rules.end());
     size_t round = 0;
     while (true) {
       if (++round > options_.max_iterations) {
         return Status::ResourceExhausted(
             StrCat("naive fixpoint exceeded ", options_.max_iterations,
-                   " iterations for ", clique.ToString()));
+                   " iterations for ", stratum.clique));
       }
       stats_->iterations++;
       LDL_RETURN_NOT_OK(RoundCheckpoint());
@@ -232,13 +317,16 @@ class ProgramEvaluator {
       if (options_.record_iterations) {
         round_start = std::chrono::steady_clock::now();
       }
-      round_marks = Marks(members);
-      for (size_t rule_index : all_rules) {
-        LDL_RETURN_NOT_OK(Fire(rule_index, resolve));
+      TakeMarks(stratum);
+      for (uint32_t rule_index : stratum.exit_rules) {
+        LDL_RETURN_NOT_OK(Fire(rule_index, Reads::kRoundMarks));
+      }
+      for (uint32_t rule_index : stratum.recursive_rules) {
+        LDL_RETURN_NOT_OK(Fire(rule_index, Reads::kRoundMarks));
       }
       size_t added = 0;
-      for (size_t m = 0; m < members.size(); ++m) {
-        added += scratch_->GetOrCreate(members[m])->size() - round_marks[m];
+      for (uint32_t m = 0; m < stratum.size; ++m) {
+        added += derived_[stratum.first + m]->size() - marks_[m];
       }
       options_.trace.Count("engine.fixpoint.rounds");
       options_.trace.Observe("engine.fixpoint.delta_tuples",
@@ -246,7 +334,7 @@ class ProgramEvaluator {
       if (options_.record_iterations) {
         // Every naive round does full-rule work, including the final
         // added == 0 convergence round — record them all.
-        RecordIteration(members[0], MethodLabel("naive"), round, added,
+        RecordIteration(stratum, MethodLabel("naive"), round, added,
                         stats_->counters.derivations - deriv_before,
                         std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() - round_start)
@@ -267,48 +355,44 @@ class ProgramEvaluator {
   // the previous round appended to its full relation: the differentiated
   // occurrence reads that range, and every other literal reads its
   // relation as of the firing's start (EvaluateRule freezes the windows).
-  Status EvaluateCliqueSemiNaive(const std::vector<PredicateId>& members,
-                                 const DependencyGraph& graph) {
-    const RecursiveClique& clique =
-        graph.cliques()[graph.CliqueIndex(members[0])];
+  Status EvaluateCliqueSemiNaive(const Stratum& stratum) {
     Span span = options_.trace.StartSpan("fixpoint", "engine");
     if (span.active()) {
-      span.AddArg("clique", members[0].ToString());
+      span.AddArg("clique", schedule_.derived_[stratum.first].ToString());
       span.AddArg("method", "seminaive");
     }
 
-    // delta[m]: the rows of members[m] appended by the last round.
-    std::vector<RelationView> delta(members.size());
-    // Closes a round that began at `marks`; returns the rows it appended.
-    auto close_round = [&](const std::vector<size_t>& marks) {
+    // delta_[m]: the rows of member m appended by the last round.
+    delta_.assign(stratum.size, RelationView{});
+    // Closes the round that began at marks_; returns the rows it appended.
+    auto close_round = [&]() {
       size_t added = 0;
-      for (size_t m = 0; m < members.size(); ++m) {
-        Relation* full = scratch_->GetOrCreate(members[m]);
-        delta[m] = RelationView{full, marks[m], full->size()};
-        added += full->size() - marks[m];
+      for (uint32_t m = 0; m < stratum.size; ++m) {
+        Relation* full = derived_[stratum.first + m];
+        delta_[m] = RelationView{full, marks_[m], full->size()};
+        added += full->size() - marks_[m];
       }
       return added;
     };
 
     // Seed with the exit rules.
-    RelationResolver resolve = MakeResolver();
-    std::vector<size_t> marks = Marks(members);
-    for (size_t rule_index : clique.exit_rules) {
-      LDL_RETURN_NOT_OK(Fire(rule_index, resolve));
+    TakeMarks(stratum);
+    for (uint32_t rule_index : stratum.exit_rules) {
+      LDL_RETURN_NOT_OK(Fire(rule_index, Reads::kFull));
     }
-    close_round(marks);
+    close_round();
 
     size_t round = 0;
     while (true) {
       if (++round > options_.max_iterations) {
         return Status::ResourceExhausted(
             StrCat("seminaive fixpoint exceeded ", options_.max_iterations,
-                   " iterations for ", clique.ToString()));
+                   " iterations for ", stratum.clique));
       }
       stats_->iterations++;
       LDL_RETURN_NOT_OK(RoundCheckpoint());
       bool any_delta =
-          std::any_of(delta.begin(), delta.end(),
+          std::any_of(delta_.begin(), delta_.end(),
                       [](const RelationView& d) { return d.begin < d.end; });
       if (!any_delta) break;
       // Work rounds only: the final empty-delta round breaks above without
@@ -319,31 +403,18 @@ class ProgramEvaluator {
         round_start = std::chrono::steady_clock::now();
       }
 
-      marks = Marks(members);
-      for (size_t rule_index : clique.recursive_rules) {
-        const Rule& rule = program_.rules()[rule_index];
-        // One differentiated firing per clique-predicate occurrence.
-        for (size_t occ = 0; occ < rule.body().size(); ++occ) {
-          if (MemberIndex(members, rule.body()[occ]) == members.size()) {
-            continue;
-          }
-          RelationResolver diff_resolve =
-              [this, &members, &delta, occ](const Literal& lit,
-                                            size_t body_pos) {
-                return body_pos == occ ? delta[MemberIndex(members, lit)]
-                                       : RelationView{Resolve(lit)};
-              };
-          LDL_RETURN_NOT_OK(Fire(rule_index, diff_resolve));
-        }
+      TakeMarks(stratum);
+      for (const auto& [rule_index, pos] : stratum.differentiated) {
+        LDL_RETURN_NOT_OK(Fire(rule_index, Reads::kDelta, pos));
       }
-      const size_t added = close_round(marks);
+      const size_t added = close_round();
       stats_->counters.delta_rows += added;
       if (options_.trace.metrics != nullptr || options_.record_iterations) {
         options_.trace.Count("engine.fixpoint.rounds");
         options_.trace.Observe("engine.fixpoint.delta_tuples",
                                static_cast<double>(added));
         if (options_.record_iterations) {
-          RecordIteration(members[0], MethodLabel("seminaive"), round, added,
+          RecordIteration(stratum, MethodLabel("seminaive"), round, added,
                           stats_->counters.derivations - deriv_before,
                           std::chrono::duration<double, std::milli>(
                               std::chrono::steady_clock::now() - round_start)
@@ -355,32 +426,29 @@ class ProgramEvaluator {
     return Status::OK();
   }
 
-  const Program& program_;
-  RecursionMethod method_;
-  Database* base_;
+  const FixpointSchedule& schedule_;
   Database* scratch_;
   FixpointStats* stats_;
   const FixpointOptions& options_;
   RuleEvalOptions rule_options_;
-  /// Per rule index: its compiled form, built by the rule's first firing.
-  std::vector<std::unique_ptr<CompiledRule>> compiled_;
+  std::vector<Relation*> base_;     ///< per base slot; null = no relation
+  std::vector<Relation*> derived_;  ///< per derived slot, from its stratum on
+  std::vector<RuleState> rules_;    ///< per rule
+  std::vector<RelationView> views_;  ///< the firing in progress
+  std::vector<RelationView> delta_;  ///< per member of the stratum
+  std::vector<size_t> marks_;        ///< per member of the stratum
 };
 
-}  // namespace
-
-Status EvaluateProgram(const Program& program, RecursionMethod method,
-                       Database* base, Database* scratch,
-                       FixpointStats* stats, const FixpointOptions& options) {
-  if (method != RecursionMethod::kNaive &&
-      method != RecursionMethod::kSemiNaive) {
+Status FixpointSchedule::Run(Database* base, Database* scratch,
+                             FixpointStats* stats,
+                             const FixpointOptions& options) const {
+  if (options.params.size() < num_params_) {
     return Status::InvalidArgument(
-        StrCat("EvaluateProgram supports naive/seminaive, got ",
-               RecursionMethodToString(method),
-               " (use MagicRewrite/CountingRewrite first)"));
+        StrCat("the program reads ", num_params_, " parameters, the run ",
+               "binds ", options.params.size()));
   }
   FixpointStats local;
-  ProgramEvaluator evaluator(program, method, base, scratch, &local, options);
-  Status st = evaluator.Run();
+  Status st = RunState(*this, base, scratch, &local, options).Run();
   local.ExportTo(options.trace.metrics);
   if (stats != nullptr) {
     stats->iterations += local.iterations;
@@ -390,6 +458,19 @@ Status EvaluateProgram(const Program& program, RecursionMethod method,
     }
   }
   return st;
+}
+
+Status EvaluateProgram(const Program& program, RecursionMethod method,
+                       Database* base, Database* scratch,
+                       FixpointStats* stats, const FixpointOptions& options) {
+  LDL_ASSIGN_OR_RETURN(
+      FixpointSchedule schedule,
+      FixpointSchedule::Build(program, method, options.rule_orders));
+  options.trace.Count("engine.rules_compiled", schedule.rules_compiled());
+  if (stats != nullptr) {
+    stats->counters.rules_compiled += schedule.rules_compiled();
+  }
+  return schedule.Run(base, scratch, stats, options);
 }
 
 }  // namespace ldl

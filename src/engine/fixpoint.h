@@ -1,9 +1,12 @@
 #ifndef LDLOPT_ENGINE_FIXPOINT_H_
 #define LDLOPT_ENGINE_FIXPOINT_H_
 
+#include <cstdint>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ast/program.h"
@@ -34,11 +37,12 @@ struct FixpointOptions {
   /// Cap on derivations inside a single rule firing round.
   size_t max_derivations = 200'000'000;
   /// Body evaluation order per rule index (from the optimizer's chosen
-  /// permutations); missing entries use textual order.
+  /// permutations); missing entries use textual order. Read when a
+  /// schedule is built (EvaluateProgram, PrepareQuery), not by a run.
   std::unordered_map<size_t, std::vector<size_t>> rule_orders;
-  /// Values of the program's parameters: `$i` (ParameterVariable) in any
-  /// rule is compiled as the constant params[i]. A prepared query binds
-  /// its seed fact's parameters to the goal's constants this way.
+  /// Values of the program's parameters for one run: `$i`
+  /// (ParameterVariable) in any rule reads params[i]. A prepared query
+  /// binds its seed fact's parameters to the goal's constants this way.
   std::vector<Term> params;
   /// Observability handle: spans per clique fixpoint, per-round counters
   /// and delta-size histograms. Inert by default.
@@ -85,15 +89,91 @@ struct FixpointStats {
   void WriteIterationsJson(std::ostream& os) const;
 };
 
-/// Evaluates every derived predicate of `program` bottom-up into `scratch`.
-/// Base relations are read from `base`; derived relations are created in
-/// `scratch` (so repeated evaluations never pollute the fact base).
-/// `method` must be kNaive or kSemiNaive; the rewriting methods (magic,
-/// counting) are separate source-to-source transforms that then run
-/// semi-naive (see engine/magic.h, engine/counting.h).
+/// A program's bottom-up evaluation laid out once, to run any number of
+/// times (DESIGN.md §23). Building it builds the dependency graph, checks
+/// stratification, fixes the strata in bottom-up order (each marked
+/// recursive or not) with each recursive rule's differentiated
+/// occurrences, resolves every body literal to a relation slot (a derived
+/// predicate's scratch relation or a base relation), and compiles each
+/// rule once for its body order. A run only binds the parameters and runs
+/// the rounds: the schedule is never written, so runs may share it.
 ///
-/// The program must be stratified; strata are evaluated bottom-up so that
-/// negated literals always refer to completed relations.
+/// The schedule owns its program, on the heap, and its compiled rules
+/// point into it: moving the schedule keeps them valid. A default-made
+/// schedule is empty and must not run.
+class FixpointSchedule {
+ public:
+  /// Builds the schedule of `program` for `method`, which must be kNaive
+  /// or kSemiNaive (the rewriting methods are source-to-source transforms
+  /// that then run semi-naive; see engine/magic.h, engine/counting.h).
+  /// `rule_orders` gives body orders by rule index. Fails when the program
+  /// is not stratified or an order is not a permutation of its rule's
+  /// body.
+  static Result<FixpointSchedule> Build(
+      Program program, RecursionMethod method,
+      const std::unordered_map<size_t, std::vector<size_t>>& rule_orders =
+          {});
+
+  /// Evaluates every derived predicate of the program bottom-up into
+  /// `scratch`, reading base relations from `base`, with options.params as
+  /// the parameters' values (options.rule_orders is not read). Derived
+  /// relations are created in `scratch`, so runs never pollute the fact
+  /// base. Strata are evaluated bottom-up, so negated literals always
+  /// refer to completed relations. The run's per-rule register files and
+  /// key buffers, relation slots and deltas live in a RunState of its own.
+  Status Run(Database* base, Database* scratch, FixpointStats* stats,
+             const FixpointOptions& options = {}) const;
+
+  /// The program it runs; only for a built schedule.
+  const Program& program() const { return *program_; }
+  /// Rules compiled when it was built: one per rule of the program.
+  size_t rules_compiled() const { return rules_.size(); }
+
+ private:
+  /// Where a body literal reads its rows from.
+  struct Source {
+    enum class Kind : uint8_t { kBuiltin, kBase, kDerived };
+    Kind kind = Kind::kBuiltin;
+    uint32_t slot = 0;  ///< index into base_ or derived_
+    /// A positive literal of the head's own recursive stratum: its
+    /// predicate's position among the stratum's members; -1 otherwise.
+    int32_t member = -1;
+  };
+  struct ScheduledRule {
+    CompiledRule compiled;
+    uint32_t head = 0;         ///< derived slot of the head
+    std::vector<Source> body;  ///< per body position
+  };
+  /// One strongly connected component of the dependency graph.
+  struct Stratum {
+    uint32_t first = 0;  ///< members: derived slots [first, first + size)
+    uint32_t size = 0;
+    bool recursive = false;
+    /// Non-recursive: every rule of the predicate. Recursive: the clique's
+    /// exit rules.
+    std::vector<uint32_t> exit_rules;
+    std::vector<uint32_t> recursive_rules;
+    /// Semi-naive: (rule, body position) of every occurrence of a member
+    /// in a recursive rule, in rule then body order; each is one
+    /// differentiated firing per round.
+    std::vector<std::pair<uint32_t, uint32_t>> differentiated;
+    std::string clique;  ///< RecursiveClique::ToString, for errors
+  };
+  class RunState;
+
+  std::unique_ptr<const Program> program_;
+  RecursionMethod method_ = RecursionMethod::kSemiNaive;
+  std::vector<PredicateId> derived_;  ///< in bottom-up order
+  std::vector<PredicateId> base_;
+  std::vector<ScheduledRule> rules_;  ///< per rule index of the program
+  std::vector<Stratum> strata_;       ///< bottom-up
+  size_t num_params_ = 0;  ///< parameter values a run must bind
+  size_t max_body_ = 0;
+};
+
+/// Builds the schedule of `program` and runs it once (FixpointSchedule),
+/// with options.rule_orders as the body orders. The schedule's compiles
+/// count into stats->counters.rules_compiled.
 Status EvaluateProgram(const Program& program, RecursionMethod method,
                        Database* base, Database* scratch,
                        FixpointStats* stats,

@@ -117,17 +117,32 @@ Rule ParameterizedSeed(const Literal& seed, size_t first) {
   return Rule(seed.WithArgs(std::move(args)), {});
 }
 
-void PrepareFull(const Program& program, const Literal& goal,
-                 const QueryEvalOptions& options, PreparedQuery* out) {
+/// Builds `program`'s schedule into `out`, counting its compiles.
+Status Schedule(Program program, RecursionMethod method,
+                const std::unordered_map<size_t, std::vector<size_t>>& orders,
+                const QueryEvalOptions& options, PreparedQuery* out) {
+  LDL_ASSIGN_OR_RETURN(
+      out->schedule,
+      FixpointSchedule::Build(std::move(program), method, orders));
+  options.fixpoint.trace.Count("engine.rules_compiled",
+                               out->schedule.rules_compiled());
+  return Status::OK();
+}
+
+Status PrepareFull(const Program& program, const Literal& goal,
+                   RecursionMethod method, const QueryEvalOptions& options,
+                   PreparedQuery* out) {
   std::vector<size_t> index_map;
-  out->program = ReachableSubprogram(program, goal, &index_map);
+  Program sub = ReachableSubprogram(program, goal, &index_map);
   // options.fixpoint.rule_orders is keyed by indices into the *original*
   // program; remap to the subprogram's indices.
   const auto& orders = options.fixpoint.rule_orders;
+  std::unordered_map<size_t, std::vector<size_t>> remapped;
   for (size_t sub_index = 0; sub_index < index_map.size(); ++sub_index) {
     auto it = orders.find(index_map[sub_index]);
-    if (it != orders.end()) out->rule_orders[sub_index] = it->second;
+    if (it != orders.end()) remapped[sub_index] = it->second;
   }
+  return Schedule(std::move(sub), method, remapped, options, out);
 }
 
 Status PrepareMagic(const Program& program, const Literal& goal,
@@ -142,12 +157,14 @@ Status PrepareMagic(const Program& program, const Literal& goal,
                        AdornProgramForQuery(program, goal, options.sips));
   LDL_ASSIGN_OR_RETURN(MagicProgram magic, MagicRewrite(adorned));
   // Install the seed as a bodiless rule so its predicate counts as derived
-  // (EvaluateProgram reads non-derived predicates from `base`).
+  // (a schedule reads non-derived predicates from `base`).
   magic.rewritten.AddRule(ParameterizedSeed(magic.seed, 0));
-  out->program = std::move(magic.rewritten);
+  rewrite_span.Finish();
   out->answer_pred = magic.answer_pred;
   out->adorned = std::move(adorned.predicates);
-  return Status::OK();
+  // Orders are baked into the rewritten bodies.
+  return Schedule(std::move(magic.rewritten), RecursionMethod::kSemiNaive, {},
+                  options, out);
 }
 
 Status PrepareCounting(const Program& program, const Literal& goal,
@@ -171,9 +188,9 @@ Status PrepareCounting(const Program& program, const Literal& goal,
   // The seed's first argument is the counter (0); the rest are the goal's
   // constants.
   counting.rewritten.AddRule(ParameterizedSeed(counting.seed, 1));
-  out->program = std::move(counting.rewritten);
   out->answer_pred = counting.answer_pred;
-  return Status::OK();
+  return Schedule(std::move(counting.rewritten), RecursionMethod::kSemiNaive,
+                  {}, options, out);
 }
 
 Result<QueryResult> RunFull(const PreparedQuery& prepared, Database* base,
@@ -183,11 +200,10 @@ Result<QueryResult> RunFull(const PreparedQuery& prepared, Database* base,
   result.method_used = prepared.method;
   FixpointOptions fixpoint = options.fixpoint;
   fixpoint.method_label = RecursionMethodToString(prepared.method);
-  fixpoint.rule_orders = prepared.rule_orders;
   Database scratch;
   scratch.set_accountant(fixpoint.trace.accountant);
-  LDL_RETURN_NOT_OK(EvaluateProgram(prepared.program, prepared.method, base,
-                                    &scratch, &result.stats, fixpoint));
+  LDL_RETURN_NOT_OK(
+      prepared.schedule.Run(base, &scratch, &result.stats, fixpoint));
   // The full bottom-up methods compute every reachable derived predicate in
   // its entirety: the scratch sizes are all-free cardinalities.
   for (const PredicateId& pred : scratch.Predicates()) {
@@ -209,14 +225,11 @@ Result<QueryResult> RunFull(const PreparedQuery& prepared, Database* base,
   return result;
 }
 
-/// The options a rewritten program runs under: semi-naive over its own
-/// rules (orders are baked into the rewritten bodies, so rule_orders keyed
-/// by original-program indices must not leak through), with the seed bound
-/// to the goal's constants, and the rounds labelled by `method`.
+/// The options a rewritten program runs under: the seed bound to the
+/// goal's constants, and the rounds labelled by `method`.
 FixpointOptions RewrittenRunOptions(const QueryEvalOptions& options,
                                     const Literal& goal, const char* method) {
   FixpointOptions fixpoint = options.fixpoint;
-  fixpoint.rule_orders.clear();
   fixpoint.params = BoundArguments(goal);
   fixpoint.method_label = method;
   return fixpoint;
@@ -230,9 +243,9 @@ Result<QueryResult> RunMagic(const PreparedQuery& prepared, Database* base,
   result.note = prepared.note;
   Database scratch;
   scratch.set_accountant(options.fixpoint.trace.accountant);
-  LDL_RETURN_NOT_OK(EvaluateProgram(
-      prepared.program, RecursionMethod::kSemiNaive, base, &scratch,
-      &result.stats, RewrittenRunOptions(options, goal, "magic")));
+  LDL_RETURN_NOT_OK(
+      prepared.schedule.Run(base, &scratch, &result.stats,
+                            RewrittenRunOptions(options, goal, "magic")));
   result.answers =
       SelectMatching(scratch.Find(prepared.answer_pred),
                      goal.WithPredicateName(prepared.answer_pred.name));
@@ -267,17 +280,20 @@ Result<QueryResult> RunCounting(const PreparedQuery& prepared,
   // through the generic million-round safety cap.
   fixpoint.max_iterations =
       std::min(fixpoint.max_iterations,
-               base->TotalTuples() + prepared.program.rules().size() + 8);
-  Status st = EvaluateProgram(prepared.program, RecursionMethod::kSemiNaive,
-                              base, &scratch, &result.stats, fixpoint);
+               base->TotalTuples() +
+                   prepared.schedule.program().rules().size() + 8);
+  Status st = prepared.schedule.Run(base, &scratch, &result.stats, fixpoint);
   if (!st.ok()) {
     if (options.counting_fallback &&
         st.code() == StatusCode::kResourceExhausted) {
-      // Rare (cyclic data), so the fallback is prepared here, per run.
+      // Rare (cyclic data), so the fallback is prepared here, per run, and
+      // its compiles count in this run.
       PreparedQuery magic;
       LDL_RETURN_NOT_OK(PrepareMagic(source, goal, options, &magic));
       LDL_ASSIGN_OR_RETURN(QueryResult fallback,
                            RunMagic(magic, base, goal, options));
+      fallback.stats.counters.rules_compiled +=
+          magic.schedule.rules_compiled();
       fallback.note =
           StrCat("counting diverged (", st.message(), "); fell back to magic");
       return fallback;
@@ -325,7 +341,7 @@ Result<PreparedQuery> PrepareQuery(const Program& program,
   switch (method) {
     case RecursionMethod::kNaive:
     case RecursionMethod::kSemiNaive:
-      PrepareFull(program, goal, options, &out);
+      LDL_RETURN_NOT_OK(PrepareFull(program, goal, method, options, &out));
       break;
     case RecursionMethod::kMagic:
       LDL_RETURN_NOT_OK(PrepareMagic(program, goal, options, &out));
@@ -374,7 +390,10 @@ Result<QueryResult> EvaluateQuery(const Program& program, Database* base,
                                   const QueryEvalOptions& options) {
   LDL_ASSIGN_OR_RETURN(PreparedQuery prepared,
                        PrepareQuery(program, goal, method, options));
-  return RunPrepared(prepared, program, base, goal, options);
+  LDL_ASSIGN_OR_RETURN(QueryResult result,
+                       RunPrepared(prepared, program, base, goal, options));
+  result.stats.counters.rules_compiled += prepared.schedule.rules_compiled();
+  return result;
 }
 
 }  // namespace ldl

@@ -47,8 +47,10 @@ struct QueryEvalOptions {
 
 /// A query prepared for one goal shape: everything EvaluateQuery derives
 /// from the program, the goal's predicate and its adornment, and nothing
-/// from the goal's constants (DESIGN.md §22). Prepare once, then run it for
-/// any goal of the same predicate and adornment (RunPrepared).
+/// from the goal's constants (DESIGN.md §22, §23). Prepare once, then run it
+/// for any goal of the same predicate and adornment (RunPrepared): a run
+/// binds the parameters and runs the prepared schedule's rounds, with no
+/// graph build and no rule compile.
 ///
 /// The constants enter only at run time, as the values of the seed fact's
 /// parameters: the rewritten program carries the seed as the bodiless rule
@@ -57,20 +59,19 @@ struct QueryEvalOptions {
 struct PreparedQuery {
   /// The method the caller asked for.
   RecursionMethod requested = RecursionMethod::kSemiNaive;
-  /// The method `program` runs by: `requested`, or kMagic when counting
+  /// The method `schedule` runs by: `requested`, or kMagic when counting
   /// was inapplicable at prepare time.
   RecursionMethod method = RecursionMethod::kSemiNaive;
   /// The goal's predicate is derived. A base-relation goal needs no
-  /// program: its answers are selected from the fact base.
+  /// program: its answers are selected from the fact base, and `schedule`
+  /// stays empty.
   bool derived = false;
-  /// What the fixpoint runs:
-  ///  - kNaive/kSemiNaive: the goal's reachable subprogram;
+  /// What the fixpoint runs, built with its rules compiled:
+  ///  - kNaive/kSemiNaive: the goal's reachable subprogram, its rules
+  ///    compiled for the caller's orders (remapped onto it);
   ///  - kMagic: the magic rewrite plus its parameterized seed fact;
   ///  - kCounting: the counting rewrite plus its parameterized seed fact.
-  Program program;
-  /// kNaive/kSemiNaive: body order per rule, keyed by `program`'s rule
-  /// indices (remapped from the caller's).
-  std::unordered_map<size_t, std::vector<size_t>> rule_orders;
+  FixpointSchedule schedule;
   /// kMagic: the adorned predicates of the rewrite (derived_sizes).
   std::vector<AdornedPredicate> adorned;
   /// kMagic/kCounting: the predicate holding the answers (p.a / ans.p).
@@ -80,7 +81,8 @@ struct PreparedQuery {
   std::string note;
 };
 
-/// Prepares `goal`'s shape over `program` for `method`:
+/// Prepares `goal`'s shape over `program` for `method`, ending with the
+/// fixpoint schedule (its compiles go to the trace's engine.rules_compiled):
 ///  - kNaive / kSemiNaive restrict the program to the goal's reachable
 ///    part and remap options.fixpoint.rule_orders onto it;
 ///  - kMagic adorns the program under options.sips and applies the magic
@@ -98,17 +100,19 @@ Result<PreparedQuery> PrepareQuery(const Program& program,
 /// adornment it was prepared for: binds the seed to `goal`'s constants,
 /// evaluates to a fixpoint over `base`, and selects `goal`'s answers.
 /// options.fixpoint applies as in EvaluateQuery (its rule_orders were
-/// consumed by PrepareQuery and are ignored here). A counting run that
-/// trips its divergence guard falls back to magic when
-/// options.counting_fallback is set: `source`, the program `prepared` was
-/// prepared from, is adorned under options.sips on the spot.
+/// consumed by PrepareQuery and are ignored here). Compiles nothing: the
+/// result's rules_compiled is 0, except that a counting run that trips its
+/// divergence guard falls back to magic when options.counting_fallback is
+/// set, preparing and running the magic schedule of `source`, the program
+/// `prepared` was prepared from, adorned under options.sips on the spot.
 Result<QueryResult> RunPrepared(const PreparedQuery& prepared,
                                 const Program& source, Database* base,
                                 const Literal& goal,
                                 const QueryEvalOptions& options = {});
 
 /// Evaluates `goal` over `program` + `base` with the given recursion
-/// method: PrepareQuery, then RunPrepared.
+/// method: PrepareQuery, then RunPrepared. The preparation's compiles count
+/// into the result's rules_compiled.
 ///  - kNaive / kSemiNaive evaluate the reachable part of the program
 ///    bottom-up in full, then select the matching tuples;
 ///  - kMagic adorns the program for the goal, applies the magic rewrite and

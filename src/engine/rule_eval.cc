@@ -17,13 +17,15 @@ void EvalCounters::Add(const EvalCounters& other) {
   index_probes += other.index_probes;
   delta_rows += other.delta_rows;
   rules_compiled += other.rules_compiled;
+  index_rows_built += other.index_rows_built;
 }
 
 std::string EvalCounters::ToString() const {
   return StrCat("examined=", tuples_examined, " derivations=", derivations,
                 " inserts=", inserts, " firings=", rule_firings,
                 " dedup_probes=", dedup_probes, " index_probes=", index_probes,
-                " delta_rows=", delta_rows, " rules_compiled=", rules_compiled);
+                " delta_rows=", delta_rows, " rules_compiled=", rules_compiled,
+                " index_rows_built=", index_rows_built);
 }
 
 void EvalCounters::ExportTo(MetricsRegistry* metrics) const {
@@ -36,6 +38,7 @@ void EvalCounters::ExportTo(MetricsRegistry* metrics) const {
   metrics->counter("engine.index_probes")->Increment(index_probes);
   metrics->counter("engine.delta_rows")->Increment(delta_rows);
   metrics->counter("engine.rules_compiled")->Increment(rules_compiled);
+  metrics->counter("engine.index_rows_built")->Increment(index_rows_built);
 }
 
 bool TermCode::Match(const Term& value, Term* regs) const {
@@ -98,23 +101,32 @@ Term ParameterVariable(size_t i) {
   return Term::MakeVariable(StrCat("$", i));
 }
 
-const Term* RegisterScope::Parameter(const std::string& var) const {
-  if (params_ == nullptr || var.size() < 2 || var[0] != '$') return nullptr;
-  size_t i = 0;
+namespace {
+
+/// True iff `var` names a parameter (`$i`); stores i into `*index`.
+bool ParameterIndex(const std::string& var, size_t* index) {
+  if (var.size() < 2 || var[0] != '$') return false;
   const char* end = var.data() + var.size();
-  auto [ptr, ec] = std::from_chars(var.data() + 1, end, i);
-  if (ec != std::errc() || ptr != end || i >= params_->size()) return nullptr;
-  return &(*params_)[i];
+  auto [ptr, ec] = std::from_chars(var.data() + 1, end, *index);
+  return ec == std::errc() && ptr == end;
 }
+
+}  // namespace
 
 uint32_t RegisterScope::RegisterOf(const std::string& var) {
   auto [it, added] = registers_.emplace(var, bound_.size());
-  if (added) bound_.push_back(false);
+  if (added) {
+    size_t param = 0;
+    const bool is_param = ParameterIndex(var, &param);
+    bound_.push_back(is_param);
+    if (is_param) parameters_.emplace_back(param, it->second);
+  }
   return it->second;
 }
 
 bool RegisterScope::IsBound(const std::string& var) const {
-  if (Parameter(var) != nullptr) return true;
+  size_t param = 0;
+  if (ParameterIndex(var, &param)) return true;
   auto it = registers_.find(var);
   return it != registers_.end() && bound_[it->second];
 }
@@ -129,9 +141,7 @@ bool RegisterScope::AllBound(const Term& t) const {
 
 TermCode RegisterScope::CompileMatch(const Term& t) {
   TermCode code;
-  if (const Term* value = t.IsVariable() ? Parameter(t.text()) : nullptr) {
-    code.term = *value;
-  } else if (t.IsVariable()) {
+  if (t.IsVariable()) {
     code.reg = RegisterOf(t.text());
     code.op = bound_[code.reg] ? TermCode::Op::kRead : TermCode::Op::kWrite;
     bound_[code.reg] = true;
@@ -147,9 +157,7 @@ TermCode RegisterScope::CompileMatch(const Term& t) {
 
 TermCode RegisterScope::CompileBuild(const Term& t) {
   TermCode code;
-  if (const Term* value = t.IsVariable() ? Parameter(t.text()) : nullptr) {
-    code.term = *value;
-  } else if (t.IsVariable()) {
+  if (t.IsVariable()) {
     if (IsBound(t.text())) {
       code.op = TermCode::Op::kRead;
       code.reg = RegisterOf(t.text());
@@ -186,20 +194,19 @@ LiteralPattern LiteralPattern::Compile(const Literal& lit,
   return p;
 }
 
-void LiteralPattern::BuildKey(const Term* regs) {
+void LiteralPattern::BuildKey(const Term* regs, Tuple* key) const {
   for (size_t i = 0; i < key_code.size(); ++i) {
     const TermCode& code = key_code[i];
     if (code.op == TermCode::Op::kRead) {
-      key[i] = regs[code.reg];
+      (*key)[i] = regs[code.reg];
     } else if (code.op == TermCode::Op::kFunction) {
-      key[i] = code.Build(regs);
+      (*key)[i] = code.Build(regs);
     }
   }
 }
 
 Result<CompiledRule> CompiledRule::Compile(const Rule& rule,
-                                           const std::vector<size_t>& order,
-                                           const std::vector<Term>* params) {
+                                           const std::vector<size_t>& order) {
   const std::vector<Literal>& body = rule.body();
   std::vector<size_t> visit = order;
   if (visit.empty()) {
@@ -221,7 +228,7 @@ Result<CompiledRule> CompiledRule::Compile(const Rule& rule,
 
   CompiledRule compiled;
   compiled.rule_ = &rule;
-  RegisterScope scope(params);
+  RegisterScope scope;
   for (size_t pos : visit) {
     const Literal& lit = body[pos];
     BodyStep step;
@@ -243,7 +250,6 @@ Result<CompiledRule> CompiledRule::Compile(const Rule& rule,
     if (lit.negated()) {
       step.kind = all_bound ? BodyStep::Kind::kNegated
                             : BodyStep::Kind::kUnsafeNegation;
-      step.key.resize(lit.arity());
     } else if (!BuiltinComputable(lit, side_bound[0], side_bound[1])) {
       step.kind = BodyStep::Kind::kUnsafeBuiltin;
     } else if (all_bound) {
@@ -260,16 +266,40 @@ Result<CompiledRule> CompiledRule::Compile(const Rule& rule,
     compiled.head_bound_.push_back(scope.AllBound(a));
     compiled.head_.push_back(scope.CompileBuild(a));
   }
-  compiled.registers_.resize(scope.size());
-  compiled.views_.resize(body.size());
+  compiled.num_registers_ = scope.size();
+  compiled.params_ = scope.parameters();
   return compiled;
+}
+
+size_t CompiledRule::num_params() const {
+  size_t n = 0;
+  for (const auto& [param, reg] : params_) n = std::max(n, param + 1);
+  return n;
+}
+
+RuleState::RuleState(const CompiledRule& rule,
+                     const std::vector<Term>& params)
+    : registers_(rule.num_registers_), keys_(rule.steps_.size()) {
+  for (const auto& [param, reg] : rule.params_) {
+    registers_[reg] = params[param];
+  }
+  for (size_t i = 0; i < rule.steps_.size(); ++i) {
+    const CompiledRule::BodyStep& step = rule.steps_[i];
+    if (step.kind == CompiledRule::BodyStep::Kind::kScan) {
+      keys_[i] = step.pattern.key;
+    } else if (step.kind == CompiledRule::BodyStep::Kind::kNegated) {
+      keys_[i].resize(step.args.size());
+    }
+  }
 }
 
 /// One firing of a compiled rule: a backtracking walk over its steps.
 /// Nothing is undone on backtrack: a register that is unbound at a step is
 /// simply overwritten by the next match that writes it.
 struct CompiledRule::Firing {
-  CompiledRule& rule;
+  const CompiledRule& rule;
+  RelationView* views;
+  Tuple* keys;
   Relation* out;
   EvalCounters* counters;
   const RuleEvalOptions& options;
@@ -277,15 +307,13 @@ struct CompiledRule::Firing {
   size_t inserted = 0;
   size_t since_check = 0;  ///< examined tuples since the last check-point
 
-  Result<size_t> Run(const RelationResolver& resolve) {
-    // Resolve every literal once and freeze its row window: rows appended
-    // from here on, by this firing or anyone else, stay invisible to it.
-    const std::vector<Literal>& body = rule.rule().body();
-    for (size_t i = 0; i < body.size(); ++i) {
-      if (body[i].IsBuiltin()) continue;
-      RelationView view = resolve(body[i], i);
+  Result<size_t> Run() {
+    // Freeze every scanned literal's row window: rows appended from here
+    // on, by this firing or anyone else, stay invisible to it.
+    for (const BodyStep& step : rule.steps_) {
+      if (step.kind != BodyStep::Kind::kScan) continue;
+      RelationView& view = views[step.body_pos];
       if (view.rel != nullptr) view.end = std::min(view.end, view.rel->size());
-      rule.views_[i] = view;
     }
     counters->rule_firings++;
     LDL_RETURN_NOT_OK(Step(0));
@@ -321,7 +349,7 @@ struct CompiledRule::Firing {
 
   Status Step(size_t depth) {
     if (depth == rule.steps_.size()) return EmitHead();
-    CompiledRule::BodyStep& step = rule.steps_[depth];
+    const BodyStep& step = rule.steps_[depth];
     switch (step.kind) {
       case BodyStep::Kind::kScan:
         return StepScan(step, depth);
@@ -418,22 +446,23 @@ struct CompiledRule::Firing {
     return Step(depth + 1);
   }
 
-  Status StepNegated(CompiledRule::BodyStep& step, size_t depth) {
+  Status StepNegated(const BodyStep& step, size_t depth) {
+    Tuple& key = keys[depth];
     for (size_t i = 0; i < step.args.size(); ++i) {
-      step.key[i] = step.args[i].Build(regs);
+      key[i] = step.args[i].Build(regs);
     }
     // Negation reads a lower, already complete stratum: no window needed.
-    Relation* rel = rule.views_[step.body_pos].rel;
+    Relation* rel = views[step.body_pos].rel;
     LDL_RETURN_NOT_OK(CountExamined());
-    if (rel != nullptr && rel->Contains(step.key)) return Status::OK();
+    if (rel != nullptr && rel->Contains(key)) return Status::OK();
     return Step(depth + 1);
   }
 
-  Status StepScan(CompiledRule::BodyStep& step, size_t depth) {
-    const RelationView& view = rule.views_[step.body_pos];
+  Status StepScan(const BodyStep& step, size_t depth) {
+    const RelationView& view = views[step.body_pos];
     Relation* rel = view.rel;
     if (rel == nullptr || view.begin >= view.end) return Status::OK();
-    LiteralPattern& pattern = step.pattern;
+    const LiteralPattern& pattern = step.pattern;
 
     // Zero-copy reads. `rel` may be the relation this firing emits into,
     // so it can grow while it is being read, and the reads stay valid
@@ -456,9 +485,10 @@ struct CompiledRule::Firing {
 
     if (!pattern.key_cols.empty()) {
       counters->index_probes++;
-      pattern.BuildKey(regs);
-      const std::vector<uint32_t>& ids = rel->Lookup(pattern.key_cols,
-                                                     pattern.key);
+      Tuple& key = keys[depth];
+      pattern.BuildKey(regs, &key);
+      const std::vector<uint32_t>& ids = rel->Lookup(
+          pattern.key_cols, key, &counters->index_rows_built);
       size_t i = std::lower_bound(ids.begin(), ids.end(), view.begin) -
                  ids.begin();
       for (; i < ids.size() && ids[i] < view.end; ++i) {
@@ -473,13 +503,14 @@ struct CompiledRule::Firing {
   }
 };
 
-Result<size_t> EvaluateRule(CompiledRule* rule,
-                            const RelationResolver& resolve, Relation* out,
+Result<size_t> EvaluateRule(const CompiledRule& rule, RuleState* state,
+                            RelationView* views, Relation* out,
                             EvalCounters* counters,
                             const RuleEvalOptions& options) {
-  CompiledRule::Firing firing{*rule, out, counters, options,
-                              rule->registers_.data()};
-  return firing.Run(resolve);
+  CompiledRule::Firing firing{rule,     views,    state->keys_.data(),
+                              out,      counters, options,
+                              state->registers_.data()};
+  return firing.Run();
 }
 
 }  // namespace ldl

@@ -2,9 +2,9 @@
 #define LDLOPT_ENGINE_RULE_EVAL_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ast/rule.h"
@@ -31,9 +31,15 @@ struct EvalCounters {
   /// Rows the semi-naive recursive rounds appended, each round's rows being
   /// the next round's delta: the sum of FixpointIteration::delta_tuples.
   size_t delta_rows = 0;
-  /// Rules compiled into join programs: one per (rule, body order) per
-  /// EvaluateProgram call, however many times the rule then fires.
+  /// Rules compiled into join programs: one per (rule, body order) each
+  /// time a FixpointSchedule is built (PrepareQuery, EvaluateProgram),
+  /// however many times the rule then fires. A run of a prepared schedule
+  /// compiles nothing, so a plan-cache hit reports 0.
   size_t rules_compiled = 0;
+  /// Rows added to any relation's index by the run's probes (base and
+  /// scratch relations alike): the cost of building indexes, as opposed to
+  /// probing them.
+  size_t index_rows_built = 0;
 
   void Add(const EvalCounters& other);
   std::string ToString() const;
@@ -41,7 +47,8 @@ struct EvalCounters {
   /// Adds the counters into the registry under the engine.* names
   /// (engine.tuples_examined, engine.derivations, engine.inserts,
   /// engine.rule_firings, engine.dedup_probes, engine.index_probes,
-  /// engine.delta_rows, engine.rules_compiled). No-op on nullptr.
+  /// engine.delta_rows, engine.rules_compiled, engine.index_rows_built).
+  /// No-op on nullptr.
   void ExportTo(MetricsRegistry* metrics) const;
 };
 
@@ -55,13 +62,6 @@ struct RelationView {
   size_t begin = 0;
   size_t end = SIZE_MAX;  ///< capped at rel->size() when a firing starts
 };
-
-/// Maps a body literal occurrence to the rows to read. Called once per
-/// literal when a firing starts. Lets semi-naive evaluation give specific
-/// occurrences the previous round's delta, and the magic rewrite look up
-/// freshly created predicates.
-using RelationResolver =
-    std::function<RelationView(const Literal& lit, size_t body_pos)>;
 
 struct RuleEvalOptions {
   /// Guard against runaway evaluation (unsafe programs).
@@ -107,21 +107,19 @@ struct TermCode {
 };
 
 /// The parameter `$i`: a variable no parsed program can contain, standing
-/// for a value supplied when the rule is compiled (RegisterScope). A
-/// prepared query's seed fact carries the goal's constants this way
-/// (engine/query_eval.h).
+/// for a value supplied when a run starts. It compiles to a register that
+/// counts as bound everywhere, which RuleState loads from the run's
+/// parameter values. A prepared query's seed fact carries the goal's
+/// constants this way (engine/query_eval.h), so one compiled rule serves
+/// every goal of its shape.
 Term ParameterVariable(size_t i);
 
 /// Compile-time register allocation: one register per variable name, and
 /// which variables are bound at the point being compiled. Compiling in
-/// evaluation order makes every binding state static.
+/// evaluation order makes every binding state static. Parameters `$i` are
+/// bound from the start.
 class RegisterScope {
  public:
-  /// `params` (may be null) gives the parameters' values: `$i` is bound
-  /// everywhere and compiles to the constant (*params)[i].
-  explicit RegisterScope(const std::vector<Term>* params = nullptr)
-      : params_(params) {}
-
   /// The register of `var`, allocated on first sight.
   uint32_t RegisterOf(const std::string& var);
   /// True iff every variable of `t` is bound.
@@ -138,15 +136,17 @@ class RegisterScope {
 
   /// Registers allocated so far.
   size_t size() const { return bound_.size(); }
+  /// The parameters met so far: (parameter index i of `$i`, register).
+  const std::vector<std::pair<size_t, uint32_t>>& parameters() const {
+    return parameters_;
+  }
 
  private:
   bool IsBound(const std::string& var) const;
-  /// The value of `var` when it names a parameter, else nullptr.
-  const Term* Parameter(const std::string& var) const;
 
-  const std::vector<Term>* params_;
   std::unordered_map<std::string, uint32_t> registers_;
   std::vector<bool> bound_;
+  std::vector<std::pair<size_t, uint32_t>> parameters_;
 };
 
 /// A positive literal's arguments split by what is bound before it. Key
@@ -157,13 +157,14 @@ class RegisterScope {
 struct LiteralPattern {
   std::vector<int> key_cols;         ///< ascending
   std::vector<TermCode> key_code;    ///< one builder per key column
-  Tuple key;                         ///< key buffer; constants pre-filled
+  Tuple key;                         ///< key template; constants pre-filled
   std::vector<size_t> match_cols;    ///< ascending, disjoint from key_cols
   std::vector<TermCode> match_code;  ///< one pattern per match column
 
   static LiteralPattern Compile(const Literal& lit, RegisterScope* scope);
-  /// Refreshes `key` from the registers.
-  void BuildKey(const Term* regs);
+  /// Refreshes from the registers the entries of `key`, a copy of the
+  /// template, that are not constants.
+  void BuildKey(const Term* regs, Tuple* key) const;
   /// Matches the match columns of `t` (the index already matched the key
   /// columns).
   bool Match(const Tuple& t, Term* regs) const {
@@ -174,23 +175,26 @@ struct LiteralPattern {
   }
 };
 
+class RuleState;
+
 /// A rule compiled for one body order into a join program over a register
 /// file (DESIGN.md §19). With the order fixed, every literal's binding
 /// pattern is decided here, once: key columns, match patterns, which side
-/// of an `=` is bound, and which literals can only raise Unsafe. Compile
-/// once and fire any number of times; a compiled rule holds its register
-/// file and key buffers, so it runs one firing at a time.
+/// of an `=` is bound, and which literals can only raise Unsafe. A compiled
+/// rule is immutable: each run fires it through its own RuleState, which
+/// holds the register file and key buffers (DESIGN.md §23).
 class CompiledRule {
  public:
-  /// Compiles `rule` for the body order `order` (empty = textual order),
-  /// with `params` (may be null) as the values of its parameters `$i`.
+  /// Compiles `rule` for the body order `order` (empty = textual order).
   /// `rule` must outlive the result. Fails only when `order` is not a
   /// permutation of the body positions.
-  static Result<CompiledRule> Compile(
-      const Rule& rule, const std::vector<size_t>& order = {},
-      const std::vector<Term>* params = nullptr);
+  static Result<CompiledRule> Compile(const Rule& rule,
+                                      const std::vector<size_t>& order = {});
 
   const Rule& rule() const { return *rule_; }
+  /// One more than the highest parameter index the rule reads (0 = none):
+  /// how many parameter values a RuleState for it needs.
+  size_t num_params() const;
 
  private:
   /// One body literal, compiled for the registers bound before it.
@@ -209,32 +213,56 @@ class CompiledRule {
     /// Negated and builtin literals: the arguments as bound before the
     /// literal (what error messages show; builders when all bound).
     std::vector<TermCode> args;
-    Tuple key;              ///< kNegated: key buffer
     size_t bound_side = 0;  ///< kAssign: index in `args` of the bound side
     TermCode target;        ///< kAssign: the unbound side's pattern
   };
   struct Firing;
-  friend Result<size_t> EvaluateRule(CompiledRule* rule,
-                                     const RelationResolver& resolve,
+  friend class RuleState;
+  friend Result<size_t> EvaluateRule(const CompiledRule& rule,
+                                     RuleState* state, RelationView* views,
                                      Relation* out, EvalCounters* counters,
                                      const RuleEvalOptions& options);
 
   const Rule* rule_ = nullptr;
-  std::vector<BodyStep> steps_;      ///< in evaluation order
-  std::vector<TermCode> head_;       ///< head arguments, built for display
-  std::vector<bool> head_bound_;     ///< per head argument: all bound
-  std::vector<Term> registers_;      ///< the register file
-  std::vector<RelationView> views_;  ///< per body position, set per firing
+  std::vector<BodyStep> steps_;   ///< in evaluation order
+  std::vector<TermCode> head_;    ///< head arguments, built for display
+  std::vector<bool> head_bound_;  ///< per head argument: all bound
+  size_t num_registers_ = 0;
+  /// (parameter index, register) for every parameter the rule reads.
+  std::vector<std::pair<size_t, uint32_t>> params_;
 };
 
-/// Fires a compiled rule bottom-up: enumerates all register assignments
-/// satisfying the body (in the compiled order), and for each one emits the
-/// instantiated head tuple into `out`.
+/// The mutable half of a compiled rule for one run: its register file,
+/// with the parameters loaded, and a key buffer per body step. A run makes
+/// one per compiled rule and fires the rule through it, one firing at a
+/// time; the compiled rule itself is never written, so any number of runs
+/// may share it.
+class RuleState {
+ public:
+  /// A state for `rule` with `params` as the values of its parameters:
+  /// `params` must hold at least rule.num_params() values.
+  RuleState(const CompiledRule& rule, const std::vector<Term>& params);
+
+ private:
+  friend Result<size_t> EvaluateRule(const CompiledRule& rule,
+                                     RuleState* state, RelationView* views,
+                                     Relation* out, EvalCounters* counters,
+                                     const RuleEvalOptions& options);
+
+  std::vector<Term> registers_;
+  /// Per step: a scan's index key (template copy) or a negated literal's
+  /// built tuple; empty for the other steps.
+  std::vector<Tuple> keys_;
+};
+
+/// Fires a compiled rule bottom-up through `state`: enumerates all register
+/// assignments satisfying the body (in the compiled order), and for each
+/// one emits the instantiated head tuple into `out`.
 ///
-/// Every body literal is resolved once, when the firing starts, and its
-/// view's `end` is capped at the relation's size at that moment: the firing
-/// reads every relation as of its own start, even when `out` is one of
-/// them.
+/// `views` holds one view per body position (builtin positions are not
+/// read). Each view's `end` is capped at its relation's size when the
+/// firing starts, so the firing reads every relation as of its own start,
+/// even when `out` is one of them.
 ///
 /// Positive literals are matched via hash-index lookups on their key
 /// columns. Builtins are computed inline; one that is not computable in
@@ -243,8 +271,8 @@ class CompiledRule {
 /// literals require all their variables bound and test for absence.
 ///
 /// Returns the number of *new* tuples added to `out`.
-Result<size_t> EvaluateRule(CompiledRule* rule,
-                            const RelationResolver& resolve, Relation* out,
+Result<size_t> EvaluateRule(const CompiledRule& rule, RuleState* state,
+                            RelationView* views, Relation* out,
                             EvalCounters* counters,
                             const RuleEvalOptions& options = {});
 

@@ -1,9 +1,9 @@
 #include "graph/dependency_graph.h"
 
 #include <algorithm>
-#include <functional>
 #include <set>
 #include <sstream>
+#include <unordered_set>
 
 #include "base/strings.h"
 
@@ -25,7 +25,8 @@ std::string RecursiveClique::ToString() const {
 namespace {
 
 /// Tarjan's strongly-connected-components algorithm over the predicate
-/// dependency graph (iterative-friendly sizes here: recursion is fine).
+/// dependency graph, with an explicit stack of frames instead of recursion,
+/// so a deep dependency chain cannot overflow the call stack.
 class Tarjan {
  public:
   using Graph =
@@ -34,11 +35,10 @@ class Tarjan {
   explicit Tarjan(const Graph& graph) : graph_(graph) {}
 
   /// Returns components in reverse topological order of the condensation
-  /// (i.e., a component is emitted after everything it depends on... Tarjan
-  /// emits components such that successors are emitted first). Roots are
-  /// visited in the given order, NOT hash order, so component ids (and with
-  /// them clique indices and the topological tie-break) are deterministic
-  /// across runs and platforms.
+  /// (Tarjan emits a component only after every component reachable from
+  /// it). Roots are visited in the given order, NOT hash order, so
+  /// component ids (and with them clique indices and the topological
+  /// tie-break) are deterministic across runs and platforms.
   std::vector<std::vector<PredicateId>> Run(
       const std::vector<PredicateId>& roots) {
     for (const PredicateId& node : roots) {
@@ -48,40 +48,69 @@ class Tarjan {
   }
 
  private:
-  void Visit(const PredicateId& v) {
+  /// A node being visited and the position of its next edge: the state a
+  /// recursive visit would keep in its call frame.
+  struct Frame {
+    const PredicateId* node;
+    const std::vector<PredicateId>* edges;
+    size_t next = 0;
+  };
+
+  /// Visits `root` and everything reachable from it, in the order the
+  /// recursive formulation would: each edge is taken in adjacency order,
+  /// and a child's lowlink is folded into its parent when the child's
+  /// frame is popped.
+  void Visit(const PredicateId& root) {
+    std::vector<Frame> frames;
+    Enter(root, &frames);
+    while (!frames.empty()) {
+      Frame& frame = frames.back();
+      if (frame.next < frame.edges->size()) {
+        const PredicateId& w = (*frame.edges)[frame.next++];
+        if (!graph_.count(w)) continue;  // edge to base predicate: ignore
+        if (!index_.count(w)) {
+          Enter(w, &frames);  // invalidates `frame`
+        } else if (on_stack_.count(w)) {
+          int& low = lowlink_[*frame.node];
+          low = std::min(low, index_[w]);
+        }
+        continue;
+      }
+      const PredicateId& v = *frame.node;
+      if (lowlink_[v] == index_[v]) {
+        std::vector<PredicateId> component;
+        while (true) {
+          PredicateId w = stack_.back();
+          stack_.pop_back();
+          on_stack_.erase(w);
+          component.push_back(w);
+          if (w == v) break;
+        }
+        components_.push_back(std::move(component));
+      }
+      const int child_low = lowlink_[v];
+      frames.pop_back();
+      if (!frames.empty()) {
+        int& low = lowlink_[*frames.back().node];
+        low = std::min(low, child_low);
+      }
+    }
+  }
+
+  /// Numbers `v`, pushes it on the component stack and opens its frame.
+  void Enter(const PredicateId& v, std::vector<Frame>* frames) {
+    auto it = graph_.find(v);
     index_[v] = lowlink_[v] = counter_++;
     stack_.push_back(v);
     on_stack_.insert(v);
-    auto it = graph_.find(v);
-    if (it != graph_.end()) {
-      for (const PredicateId& w : it->second) {
-        if (!graph_.count(w)) continue;  // edge to base predicate: ignore
-        if (!index_.count(w)) {
-          Visit(w);
-          lowlink_[v] = std::min(lowlink_[v], lowlink_[w]);
-        } else if (on_stack_.count(w)) {
-          lowlink_[v] = std::min(lowlink_[v], index_[w]);
-        }
-      }
-    }
-    if (lowlink_[v] == index_[v]) {
-      std::vector<PredicateId> component;
-      while (true) {
-        PredicateId w = stack_.back();
-        stack_.pop_back();
-        on_stack_.erase(w);
-        component.push_back(w);
-        if (w == v) break;
-      }
-      components_.push_back(std::move(component));
-    }
+    frames->push_back(Frame{&it->first, &it->second});
   }
 
   const Graph& graph_;
   std::unordered_map<PredicateId, int, PredicateIdHash> index_;
   std::unordered_map<PredicateId, int, PredicateIdHash> lowlink_;
   std::vector<PredicateId> stack_;
-  std::set<PredicateId> on_stack_;
+  std::unordered_set<PredicateId, PredicateIdHash> on_stack_;
   std::vector<std::vector<PredicateId>> components_;
   int counter_ = 0;
 };
@@ -244,23 +273,6 @@ DependencyGraph DependencyGraph::Build(const Program& program) {
     }
   }
 
-  // Transitive dependencies (derived predicates only) via DFS from each node
-  // over head->body edges.
-  for (const PredicateId& pred : program.DerivedPredicates()) {
-    std::set<PredicateId> visited;
-    std::vector<PredicateId> stack{pred};
-    while (!stack.empty()) {
-      PredicateId cur = stack.back();
-      stack.pop_back();
-      auto it = uses.find(cur);
-      if (it == uses.end()) continue;
-      for (const PredicateId& next : it->second) {
-        if (visited.insert(next).second) stack.push_back(next);
-      }
-    }
-    g.depends_[pred] = std::vector<PredicateId>(visited.begin(), visited.end());
-  }
-
   // Keep the direct adjacency around for dataflow clients. `graph` holds
   // the body -> head edges (including ensured empty nodes), `uses` the
   // reverse; both were built in deterministic rule order.
@@ -303,10 +315,19 @@ Status DependencyGraph::CheckStratified() const { return stratified_; }
 
 bool DependencyGraph::DependsOn(const PredicateId& user,
                                 const PredicateId& used) const {
-  auto it = depends_.find(user);
-  if (it == depends_.end()) return false;
-  return std::find(it->second.begin(), it->second.end(), used) !=
-         it->second.end();
+  // A walk over head -> body edges from `user`, per call: precomputing
+  // every predicate's dependency set would be quadratic in a long chain.
+  std::unordered_set<PredicateId, PredicateIdHash> visited;
+  std::vector<PredicateId> stack{user};
+  while (!stack.empty()) {
+    const PredicateId cur = std::move(stack.back());
+    stack.pop_back();
+    for (const PredicateId& next : BodyPredicatesOf(cur)) {
+      if (next == used) return true;
+      if (visited.insert(next).second) stack.push_back(next);
+    }
+  }
+  return false;
 }
 
 std::string DependencyGraph::ToString() const {

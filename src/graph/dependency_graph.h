@@ -65,7 +65,8 @@ class DependencyGraph {
   Status CheckStratified() const;
 
   /// True iff `user` depends (directly or transitively) on `used`;
-  /// the paper's `used => user` implication.
+  /// the paper's `used => user` implication. Walks the graph from `user`
+  /// on each call.
   bool DependsOn(const PredicateId& user, const PredicateId& used) const;
 
   /// Direct adjacency exports for dataflow clients (analysis/dataflow.h).
@@ -92,10 +93,6 @@ class DependencyGraph {
   std::vector<int> component_clique_;
   std::vector<PredicateId> topo_order_;
   std::vector<std::vector<PredicateId>> topo_components_;
-  // Transitive dependency sets, keyed by derived predicate: the set of
-  // derived predicates it depends on.
-  std::unordered_map<PredicateId, std::vector<PredicateId>, PredicateIdHash>
-      depends_;
   // Direct adjacency, both directions (see BodyPredicatesOf/DependentsOf).
   std::unordered_map<PredicateId, std::vector<PredicateId>, PredicateIdHash>
       uses_;        // head -> derived body predicates

@@ -289,6 +289,18 @@ Status LdlSystem::Serve(const Literal& goal, QueryAnswer* answer,
       if (cacheable) trace.Count("ldl.plan_cache.misses");
       fresh = std::make_shared<PreparedGoal>();
       LDL_ASSIGN_OR_RETURN(fresh->ctx, PrepareGoal(goal));
+      if (!fresh->ctx.working.IsDerived(goal.predicate())) {
+        // Dead-rule elimination removed every rule of the goal's
+        // predicate: no rule can derive a row, so the answer is empty, and
+        // safely so. Nothing is planned, run or cached.
+        answer->answers = Relation("answers", goal.arity());
+        answer->plan.goal = goal;
+        answer->plan.safe = true;
+        fresh->plan = answer->plan;
+        served->prepared = std::move(fresh);
+        served->have_plan = true;
+        return Status::OK();
+      }
       fresh->ctx.options.trace = trace;
       const auto optimize_start = std::chrono::steady_clock::now();
       Optimizer optimizer(fresh->ctx.working, stats_, fresh->ctx.options);
@@ -305,8 +317,10 @@ Status LdlSystem::Serve(const Literal& goal, QueryAnswer* answer,
     }
 
     const auto execute_start = std::chrono::steady_clock::now();
-    if (fresh != nullptr) {
-      // The magic/counting rewrite counts as execution time.
+    const bool prepared_now = fresh != nullptr;
+    if (prepared_now) {
+      // Preparing (the magic/counting rewrite, the schedule and its
+      // compiles) counts as execution time.
       QueryEvalOptions prepare_options;
       prepare_options.fixpoint.trace = trace;
       prepare_options.sips = answer->plan.sips;
@@ -340,6 +354,11 @@ Status LdlSystem::Serve(const Literal& goal, QueryAnswer* answer,
     LDL_RETURN_NOT_OK(result.status());
     answer->answers = std::move(result->answers);
     answer->exec_stats = result->stats;
+    // A miss compiled the entry's rules; a hit runs them as compiled.
+    if (prepared_now) {
+      answer->exec_stats.counters.rules_compiled +=
+          prepared.query.schedule.rules_compiled();
+    }
     answer->note = result->note;
     served->derived_sizes = std::move(result->derived_sizes);
     return Status::OK();

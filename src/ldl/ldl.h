@@ -44,8 +44,9 @@ struct QueryAnswer {
   uint64_t fixpoint_rounds = 0;
   uint64_t cancel_checks = 0;
   /// The plan came from the system's plan cache: no projection pushdown,
-  /// optimizer search or rewrite ran (DESIGN.md §22). optimize_ms is then
-  /// the cache lookup, and plan.search_stats are zero.
+  /// optimizer search, rewrite or rule compile ran (DESIGN.md §22, §23).
+  /// optimize_ms is then the cache lookup, plan.search_stats are zero, and
+  /// so is exec_stats.counters.rules_compiled.
   bool plan_cached = false;
   double optimize_ms = 0;
   double execute_ms = 0;
@@ -229,8 +230,9 @@ class LdlSystem {
   Result<GoalContext> PrepareGoal(const Literal& goal);
 
   /// A goal shape prepared for serving (DESIGN.md §22): its context, the
-  /// plan chosen for it and the engine query prepared from that plan. None
-  /// of them depends on the goal's constants.
+  /// plan chosen for it and the engine query prepared from that plan, with
+  /// its fixpoint schedule compiled (§23). None of them depends on the
+  /// goal's constants, and none is written by a run.
   struct PreparedGoal {
     GoalContext ctx;
     QueryPlan plan;

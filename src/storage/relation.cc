@@ -199,10 +199,16 @@ void Relation::Clear() {
 }
 
 const std::vector<uint32_t>& Relation::Lookup(const std::vector<int>& cols,
-                                              const Tuple& key) {
+                                              const Tuple& key,
+                                              size_t* rows_indexed) {
   assert(key.size() == cols.size() && "key arity mismatch");
   Index& index = indexes_[cols];
-  if (index.keys.built_upto < tuples_.size()) ExtendIndex(cols, &index);
+  if (index.keys.built_upto < tuples_.size()) {
+    if (rows_indexed != nullptr) {
+      *rows_indexed += tuples_.size() - index.keys.built_upto;
+    }
+    ExtendIndex(cols, &index);
+  }
   auto same = [&](uint32_t group) {
     const Tuple& row = tuples_[index.postings[group].front()];
     for (size_t i = 0; i < cols.size(); ++i) {

@@ -76,9 +76,11 @@ class Relation {
   /// on demand. Ids ascend. The list is an element of a deque that only
   /// grows at its end, so the reference survives later inserts and lookups
   /// (which only append to the list) until Clear; walk it by position, as
-  /// its buffer may move.
+  /// its buffer may move. When `rows_indexed` is given, the rows this call
+  /// added to the index are added to it.
   const std::vector<uint32_t>& Lookup(const std::vector<int>& cols,
-                                      const Tuple& key);
+                                      const Tuple& key,
+                                      size_t* rows_indexed = nullptr);
 
   /// Number of distinct values in column `col` (over current contents).
   /// Exact and incremental: each column keeps a table of one representative

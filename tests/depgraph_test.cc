@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "ast/parser.h"
+#include "base/strings.h"
 
 namespace ldl {
 namespace {
@@ -23,6 +24,32 @@ TEST(DepGraphTest, DirectRecursionFormsClique) {
   ASSERT_EQ(g.cliques().size(), 1u);
   EXPECT_EQ(g.cliques()[0].recursive_rules.size(), 1u);
   EXPECT_EQ(g.cliques()[0].exit_rules.size(), 1u);
+}
+
+// A dependency chain far deeper than the call stack allows recursion for:
+// p0 <- b, p1 <- p0, ..., each its own non-recursive component, bottom-up
+// in chain order. The strongly connected components are found with an
+// explicit stack.
+TEST(DepGraphTest, DeepChainBuildsWithoutRecursion) {
+  constexpr size_t kDepth = 200'000;
+  Program p;
+  const Term x = Term::MakeVariable("X");
+  p.AddRule(Rule(Literal::Make("p0", {x}), {Literal::Make("b", {x})}));
+  for (size_t i = 1; i < kDepth; ++i) {
+    p.AddRule(Rule(Literal::Make(StrCat("p", i), {x}),
+                   {Literal::Make(StrCat("p", i - 1), {x})}));
+  }
+  DependencyGraph g = DependencyGraph::Build(p);
+  EXPECT_TRUE(g.CheckStratified().ok());
+  EXPECT_TRUE(g.cliques().empty());
+  ASSERT_EQ(g.topological_components().size(), kDepth);
+  const std::vector<PredicateId>& order = g.topological_order();
+  ASSERT_EQ(order.size(), kDepth);
+  for (size_t i = 0; i < kDepth; ++i) {
+    ASSERT_EQ(order[i], (PredicateId{StrCat("p", i), 1})) << i;
+  }
+  EXPECT_TRUE(g.DependsOn({"p9", 1}, {"p0", 1}));
+  EXPECT_FALSE(g.DependsOn({"p0", 1}, {"p9", 1}));
 }
 
 TEST(DepGraphTest, MutualRecursionOneClique) {

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -129,34 +130,33 @@ TEST(DiffTestTest, CleanProgramsProduceNoMismatch) {
     EXPECT_FALSE(outcome.failed())
         << prog.summary << "\n" << outcome.detail << prog.ToLdl();
     // The matrix really ran: reference + 3 methods + 5 strategies +
-    // nopush, pipeline-only, analysis, feedback and prepared optimizer
-    // configs.
-    EXPECT_GE(outcome.configs.size(), 14u);
+    // nopush, pipeline-only, analysis, feedback, prepared and
+    // prepared-again optimizer configs.
+    EXPECT_GE(outcome.configs.size(), 15u);
     EXPECT_TRUE(outcome.FailureSignatures().empty());
   }
 }
 
 // The prepared-plan axis serves the goal from the plan cache, and a goal of
-// the same shape with other constants too, each matching its reference.
+// the same shape with other constants too, then the goal once more, each
+// matching its reference.
 TEST(DiffTestTest, PreparedPlansRunAgainstTheReference) {
   Rng rng(404);
   DiffTestOptions options;
-  size_t prepared = 0;
-  size_t siblings = 0;
+  std::map<std::string, size_t> runs;
   for (int i = 0; i < 20; ++i) {
     GeneratedProgram prog = GenerateProgram(&rng, options.gen);
     DiffOutcome outcome = RunDifferential(prog, options);
     ASSERT_FALSE(outcome.reference_failed) << outcome.detail;
     for (const ConfigResult& cr : outcome.configs) {
-      if (cr.config != "opt:prepared" && cr.config != "opt:prepared:sibling") {
-        continue;
-      }
+      if (cr.config.rfind("opt:prepared", 0) != 0) continue;
       EXPECT_TRUE(cr.ok && cr.agrees) << cr.config << ": " << cr.detail;
-      ++(cr.config == "opt:prepared" ? prepared : siblings);
+      ++runs[cr.config];
     }
   }
-  EXPECT_EQ(prepared, 20u);
-  EXPECT_GT(siblings, 5u);
+  EXPECT_EQ(runs["opt:prepared"], 20u);
+  EXPECT_GT(runs["opt:prepared:sibling"], 5u);
+  EXPECT_EQ(runs["opt:prepared:again"], 20u);
 }
 
 TEST(DiffTestTest, FlippedJoinIsDetected) {

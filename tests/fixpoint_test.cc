@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "ast/parser.h"
 #include "base/strings.h"
@@ -300,21 +302,37 @@ TEST(FixpointTest, AttributionCountersOnSemiNaiveSg) {
             std::string::npos);
 }
 
-// Each rule is compiled once per evaluation, on its first firing, and that
-// compiled rule serves every later round and every differentiated
-// occurrence.
+// Each rule is compiled once, when its schedule is built, and that compiled
+// rule serves every round and every differentiated occurrence of every run
+// of the schedule: a run compiles nothing.
 TEST(FixpointTest, CompilesEachRuleOncePerEvaluation) {
   Program p = P(kSgRules);
   Database db;
   testing::MakeSameGenerationData(3, 3, &db);
+  auto schedule = FixpointSchedule::Build(p, RecursionMethod::kSemiNaive);
+  ASSERT_TRUE(schedule.ok()) << schedule.status();
+  EXPECT_EQ(schedule->rules_compiled(), p.rules().size());
+  FixpointStats first;
+  FixpointStats second;
+  for (FixpointStats* stats : {&first, &second}) {
+    Database scratch;
+    ASSERT_TRUE(schedule->Run(&db, &scratch, stats).ok());
+  }
+  const EvalCounters& c = first.counters;
+  EXPECT_GT(first.iterations, 3u);
+  EXPECT_EQ(c.rules_compiled, 0u);
+  EXPECT_GT(c.rule_firings, p.rules().size());
+  EXPECT_EQ(second.counters.rules_compiled, 0u);
+  EXPECT_EQ(second.counters.rule_firings, c.rule_firings);
+  EXPECT_EQ(second.counters.tuples_examined, c.tuples_examined);
+
+  // Building and running once, EvaluateProgram reports the build's
+  // compiles with the run's work.
   Database scratch;
-  FixpointStats stats =
+  FixpointStats once =
       RunRecorded(p, RecursionMethod::kSemiNaive, &db, &scratch);
-  const EvalCounters& c = stats.counters;
-  EXPECT_GT(stats.iterations, 3u);
-  EXPECT_EQ(c.rules_compiled, p.rules().size());
-  EXPECT_LE(c.rules_compiled, c.rule_firings);
-  EXPECT_GT(c.rule_firings, c.rules_compiled);
+  EXPECT_EQ(once.counters.rules_compiled, p.rules().size());
+  EXPECT_EQ(once.counters.rule_firings, c.rule_firings);
 
   // Only the goal's subprogram is compiled, once per rule.
   Program wider = P(R"(
@@ -330,19 +348,52 @@ TEST(FixpointTest, CompilesEachRuleOncePerEvaluation) {
   EXPECT_EQ(result->stats.counters.rules_compiled, 2u);
   EXPECT_EQ(result->stats.counters.rule_firings, c.rule_firings);
 
+  const EvalCounters& counted = once.counters;
   MetricsRegistry metrics;
-  c.ExportTo(&metrics);
+  counted.ExportTo(&metrics);
   EXPECT_EQ(metrics.counter("engine.rules_compiled")->value(),
-            c.rules_compiled);
-  EvalCounters twice = c;
-  twice.Add(c);
-  EXPECT_EQ(twice.rules_compiled, 2 * c.rules_compiled);
-  EXPECT_NE(c.ToString().find(StrCat("rules_compiled=", c.rules_compiled)),
+            counted.rules_compiled);
+  EXPECT_EQ(metrics.counter("engine.index_rows_built")->value(),
+            counted.index_rows_built);
+  EvalCounters twice = counted;
+  twice.Add(counted);
+  EXPECT_EQ(twice.rules_compiled, 2 * counted.rules_compiled);
+  EXPECT_EQ(twice.index_rows_built, 2 * counted.index_rows_built);
+  EXPECT_NE(counted.ToString().find(
+                StrCat("rules_compiled=", counted.rules_compiled)),
+            std::string::npos);
+  EXPECT_NE(counted.ToString().find(
+                StrCat("index_rows_built=", counted.index_rows_built)),
             std::string::npos);
 }
 
+// Index rows are counted where a probe builds them: a run over fresh
+// relations indexes every row it probes, and a second run over the same
+// base relations indexes only its own scratch relations.
+TEST(FixpointTest, IndexRowsBuiltSeparateBaseFromScratch) {
+  Program p = P("two(X, Z) <- e(X, Y), e(Y, Z).");
+  Database db;
+  for (int64_t i = 0; i < 5; ++i) {
+    db.GetOrCreate({"e", 2})->Insert({Term::MakeInt(i), Term::MakeInt(i + 1)});
+  }
+  FixpointStats first;
+  FixpointStats second;
+  for (FixpointStats* stats : {&first, &second}) {
+    Database scratch;
+    ASSERT_TRUE(EvaluateProgram(p, RecursionMethod::kSemiNaive, &db,
+                                &scratch, stats)
+                    .ok());
+  }
+  // The second e(Y, Z) is probed on its first column: the first run builds
+  // that index over e's 5 rows, the second finds it built.
+  EXPECT_EQ(first.counters.index_rows_built, 5u);
+  EXPECT_EQ(second.counters.index_rows_built, 0u);
+  EXPECT_EQ(first.counters.tuples_examined, second.counters.tuples_examined);
+}
+
 // A rule order comes from outside the engine: one that is not a
-// permutation of the body is an error, not an out-of-range read.
+// permutation of the body is an error, not an out-of-range read. It is
+// caught when the schedule is built, before anything runs.
 TEST(FixpointTest, InvalidRuleOrderRejected) {
   Program p = P(kAncestorRules);
   Database db;
@@ -350,12 +401,12 @@ TEST(FixpointTest, InvalidRuleOrderRejected) {
   for (std::vector<size_t> order :
        {std::vector<size_t>{0}, std::vector<size_t>{0, 0},
         std::vector<size_t>{0, 2}}) {
-    Database scratch;
-    FixpointOptions options;
-    options.rule_orders[1] = order;
-    Status st = EvaluateProgram(p, RecursionMethod::kSemiNaive, &db,
-                                &scratch, nullptr, options);
-    EXPECT_EQ(st.code(), StatusCode::kInternal) << st;
+    std::unordered_map<size_t, std::vector<size_t>> orders;
+    orders[1] = order;
+    auto schedule =
+        FixpointSchedule::Build(p, RecursionMethod::kSemiNaive, orders);
+    EXPECT_EQ(schedule.status().code(), StatusCode::kInternal)
+        << schedule.status();
   }
 }
 
@@ -651,6 +702,66 @@ TEST(QueryEvalTest, AllFreeAnswersAreTheGoalRelation) {
     const bool all_free = std::string(goal_text) == "tc(X, Y)";
     EXPECT_EQ(result->answers.name(), all_free ? "tc" : "answers");
   }
+}
+
+/// The answers of `result` in row order, then its exact work (compiles
+/// aside).
+std::string Served(const Result<QueryResult>& result) {
+  if (!result.ok()) return result.status().ToString();
+  const EvalCounters& c = result->stats.counters;
+  return StrCat(Rows(result->answers), " | examined=", c.tuples_examined,
+                " derivations=", c.derivations, " inserts=", c.inserts,
+                " firings=", c.rule_firings, " delta_rows=", c.delta_rows,
+                " iterations=", result->stats.iterations);
+}
+
+// One prepared query, run for two goals of its shape in turn: every run
+// binds its own parameters and starts from nothing the previous run left,
+// so each answers (rows, row order and work) exactly as a query prepared
+// for it alone does.
+TEST(FixpointTest, PreparedRunsInterleaveParameters) {
+  Program p = P(kSgRules);
+  Database db;
+  testing::MakeSameGenerationData(3, 3, &db);
+  for (RecursionMethod method :
+       {RecursionMethod::kMagic, RecursionMethod::kCounting,
+        RecursionMethod::kSemiNaive}) {
+    SCOPED_TRACE(RecursionMethodToString(method));
+    auto prepared = PrepareQuery(p, L("sg(0, Y)"), method);
+    ASSERT_TRUE(prepared.ok()) << prepared.status();
+    for (const char* goal_text :
+         {"sg(13, Y)", "sg(40, Y)", "sg(13, Y)", "sg(40, Y)"}) {
+      SCOPED_TRACE(goal_text);
+      const Literal goal = L(goal_text);
+      auto run = RunPrepared(*prepared, p, &db, goal);
+      ASSERT_TRUE(run.ok()) << run.status();
+      EXPECT_EQ(run->stats.counters.rules_compiled, 0u);
+      EXPECT_FALSE(run->answers.empty());
+      EXPECT_EQ(Served(run), Served(EvaluateQuery(p, &db, goal, method)));
+    }
+  }
+}
+
+// A prepared query owns its program on the heap, where its compiled rules
+// point: moving it, or the vector holding it, leaves them valid.
+TEST(QueryEvalTest, MovedPreparedQueryRuns) {
+  Program p = P(kAncestorRules);
+  Database db;
+  testing::MakeTreeParentData(2, 4, &db);
+  const Literal goal = L("anc(1, Y)");
+  const std::string expected =
+      Served(EvaluateQuery(p, &db, goal, RecursionMethod::kMagic));
+  std::vector<PreparedQuery> held;
+  {
+    auto prepared = PrepareQuery(P(kAncestorRules), goal,
+                                 RecursionMethod::kMagic);
+    ASSERT_TRUE(prepared.ok()) << prepared.status();
+    held.push_back(std::move(prepared).value());
+  }
+  for (int i = 0; i < 8; ++i) held.emplace_back();  // reallocates
+  PreparedQuery moved = std::move(held.front());
+  held.clear();
+  EXPECT_EQ(Served(RunPrepared(moved, p, &db, goal)), expected);
 }
 
 TEST(QueryEvalTest, ReachableSubprogramPrunesUnrelatedRules) {

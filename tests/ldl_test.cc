@@ -642,6 +642,66 @@ TEST(LdlSystemTest, CountingDivergenceFallsBackOnACacheHit) {
   EXPECT_TRUE(Cached(&sys, "tc(2, Y)"));
 }
 
+// A cache hit binds the goal's constants and runs the entry's prepared
+// schedule: nothing is compiled (rules_compiled is 0 in the answer and in
+// the registry), and the answers, their row order and every other count
+// are the miss's.
+TEST(LdlSystemTest, PlanCacheHitCompilesNothing) {
+  for (const char* goal : {"anc(a, Y)", "anc(a, d)", "anc(X, Y)"}) {
+    SCOPED_TRACE(goal);
+    MetricsRegistry metrics;
+    OptimizerOptions options;
+    options.trace.metrics = &metrics;
+    LdlSystem sys(options);
+    ASSERT_TRUE(sys.LoadProgram(kAncestor).ok());
+    auto miss = sys.Query(goal);
+    ASSERT_TRUE(miss.ok()) << miss.status();
+    const uint64_t compiled_by_miss =
+        metrics.counter("engine.rules_compiled")->value();
+    auto hit = sys.Query(goal);
+    ASSERT_TRUE(hit.ok()) << hit.status();
+    EXPECT_FALSE(miss->plan_cached);
+    EXPECT_TRUE(hit->plan_cached);
+    const EvalCounters& m = miss->exec_stats.counters;
+    const EvalCounters& h = hit->exec_stats.counters;
+    EXPECT_GT(m.rules_compiled, 0u);
+    EXPECT_EQ(compiled_by_miss, m.rules_compiled);
+    EXPECT_EQ(h.rules_compiled, 0u);
+    EXPECT_EQ(metrics.counter("engine.rules_compiled")->value(),
+              compiled_by_miss);
+    EXPECT_EQ(hit->answers.tuples(), miss->answers.tuples());
+    EXPECT_FALSE(hit->answers.empty());
+    EXPECT_EQ(h.tuples_examined, m.tuples_examined);
+    EXPECT_EQ(h.derivations, m.derivations);
+    EXPECT_EQ(h.inserts, m.inserts);
+    EXPECT_EQ(h.rule_firings, m.rule_firings);
+    EXPECT_EQ(h.dedup_probes, m.dedup_probes);
+    EXPECT_EQ(h.index_probes, m.index_probes);
+    EXPECT_EQ(h.delta_rows, m.delta_rows);
+    // The miss also indexed the base relations it probed first; the hit
+    // finds those indexes built and indexes only its own scratch rows.
+    EXPECT_LE(h.index_rows_built, m.index_rows_built);
+    EXPECT_EQ(hit->exec_stats.iterations, miss->exec_stats.iterations);
+  }
+}
+
+// With dead-rule elimination on, a goal whose every rule reads an empty
+// relation loses all its rules to the pruning: it answers empty, under a
+// safe plan, rather than failing as an undefined predicate.
+TEST(LdlSystemTest, GoalWhoseRulesAreAllDeadAnswersEmpty) {
+  OptimizerOptions options;
+  options.eliminate_dead_rules = true;
+  LdlSystem sys(options);
+  ASSERT_TRUE(sys.LoadProgram("t(X) <- r(X).").ok());
+  sys.database()->GetOrCreate(PredicateId{"r", 1});
+  auto answer = sys.Query("t(X)");
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  EXPECT_TRUE(answer->answers.empty());
+  EXPECT_EQ(answer->answers.arity(), 1u);
+  EXPECT_TRUE(answer->plan.safe);
+  EXPECT_FALSE(answer->plan_cached);
+}
+
 TEST(LdlSystemTest, QueryLogRecordsPlanCacheHits) {
   QueryLog log;
   LdlSystem sys;

@@ -49,9 +49,9 @@ std::string Work(const FixpointStats& stats) {
                 " iterations=", stats.iterations);
 }
 
-/// Parses `text` (facts and rules), loads the facts into a base database
-/// and evaluates the rules semi-naive, with `orders` as the rule orders.
-/// Returns "<rows of `pred`> | <work>", or the error status.
+/// Parses `text` (facts and rules), loads the facts into a base database,
+/// builds the rules' semi-naive schedule with `orders` as the rule orders
+/// and runs it. Returns "<rows of `pred`> | <work>", or the error status.
 std::string Eval(const char* text, const PredicateId& pred,
                  std::unordered_map<size_t, std::vector<size_t>> orders = {}) {
   auto parsed = ParseProgram(text);
@@ -61,12 +61,12 @@ std::string Eval(const char* text, const PredicateId& pred,
     Status st = base.AddFact(fact);
     if (!st.ok()) return st.ToString();
   }
+  auto schedule = FixpointSchedule::Build(
+      std::move(parsed).value(), RecursionMethod::kSemiNaive, orders);
+  if (!schedule.ok()) return schedule.status().ToString();
   Database scratch;
   FixpointStats stats;
-  FixpointOptions options;
-  options.rule_orders = std::move(orders);
-  Status st = EvaluateProgram(*parsed, RecursionMethod::kSemiNaive, &base,
-                              &scratch, &stats, options);
+  Status st = schedule->Run(&base, &scratch, &stats);
   if (!st.ok()) return st.ToString();
   return StrCat(Rows(scratch.Find(pred)), " | ", Work(stats));
 }

@@ -138,9 +138,9 @@ std::string FireOnce(const char* text) {
   if (!compiled.ok()) return compiled.status().ToString();
   Relation out("out", program->rules()[0].head().arity());
   EvalCounters counters;
-  auto fired = EvaluateRule(
-      &*compiled, [](const Literal&, size_t) { return RelationView{}; }, &out,
-      &counters);
+  RuleState state(*compiled, {});
+  std::vector<RelationView> views(program->rules()[0].body().size());
+  auto fired = EvaluateRule(*compiled, &state, views.data(), &out, &counters);
   if (!fired.ok()) return fired.status().ToString();
   return out.ToString();
 }
