@@ -155,6 +155,14 @@ Result<CountingProgram> CountingRewrite(const Program& program,
           "adornment (a free position is bound)");
     }
   }
+  // A call that repeats the head's bound arguments gives the ascent
+  // cnt.p(J, hb) <- cnt.p(I, hb), ..., J = I + 1: every level holds the
+  // same bindings, so it never reaches a fixpoint, on any data.
+  if (rec_bound == head_bound) {
+    return Status::Unsupported(
+        "counting: the recursive call repeats the head's bound arguments, "
+        "so the ascent never converges");
+  }
 
   // Down part: everything not in the up part (except the recursive call).
   // Separability: its variables must not overlap the up part's variables

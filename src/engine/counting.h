@@ -41,7 +41,10 @@ Literal CountingAnswerGoal(const Literal& query_goal);
 ///    exactly one recursive rule, linear (one self-occurrence);
 ///  - all other body literals are base predicates or builtins;
 ///  - the query has at least one bound argument, and the recursive call is
-///    reached with the same adornment (stable binding passing);
+///    reached with the same adornment (stable binding passing), and with
+///    bound arguments that differ from the head's (a call that repeats
+///    them, as right-linear `anc(X, Y) <- par(X, Z), anc(Z, Y).` at `fb`,
+///    gives an ascent that never converges);
 ///  - the body splits into an "up" part (connects bound head arguments to
 ///    the recursive call's bound arguments) and a "down" part whose
 ///    variables are disjoint from the up part except through the recursive

@@ -1,5 +1,6 @@
 #include "ldl/ldl.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 
@@ -105,7 +106,8 @@ void LdlSystem::RefreshStatistics() {
     stats_ = std::move(fresh);
   }
   stats_dirty_ = false;
-  plan_cache_.Clear();
+  const size_t dropped = plan_cache_.DropMoved(stats_);
+  if (dropped > 0) options_.trace.Count("ldl.plan_cache.dropped", dropped);
 }
 
 Statistics LdlSystem::StatisticsSnapshot() const {
@@ -214,6 +216,59 @@ void LdlSystem::PlanCache::Clear() {
   lru_.clear();
 }
 
+size_t LdlSystem::PlanCache::DropMoved(const Statistics& now) {
+  size_t dropped = 0;
+  for (auto it = lru_.begin(); it != lru_.end();) {
+    if (it->second->StatisticsMoved(now)) {
+      index_.erase(it->first);
+      it = lru_.erase(it);
+      ++dropped;
+    } else {
+      ++it;
+    }
+  }
+  return dropped;
+}
+
+void LdlSystem::PreparedGoal::RecordRead(const Statistics& stats) {
+  std::vector<PredicateId> preds;
+  for (const Rule& rule : ctx.working.rules()) {
+    preds.push_back(rule.head().predicate());
+    for (const Literal& lit : rule.body()) {
+      if (!lit.IsBuiltin()) preds.push_back(lit.predicate());
+    }
+  }
+  std::sort(preds.begin(), preds.end());
+  preds.erase(std::unique(preds.begin(), preds.end()), preds.end());
+  read.clear();
+  read.reserve(preds.size());
+  for (PredicateId& pred : preds) {
+    std::optional<RelationStats> rs;
+    if (stats.Has(pred)) rs = stats.Get(pred);
+    read.emplace_back(std::move(pred), std::move(rs));
+  }
+}
+
+bool LdlSystem::PreparedGoal::StatisticsMoved(const Statistics& now) const {
+  auto moved = [](double was, double is) {
+    return was != is &&
+           (is >= was * kPlanKeepFactor || was >= is * kPlanKeepFactor);
+  };
+  for (const auto& [pred, was] : read) {
+    if (was.has_value() != now.Has(pred)) return true;
+    if (!was.has_value()) continue;
+    const RelationStats& is = now.Get(pred);
+    if (moved(was->cardinality, is.cardinality) ||
+        was->distinct.size() != is.distinct.size()) {
+      return true;
+    }
+    for (size_t c = 0; c < is.distinct.size(); ++c) {
+      if (moved(was->distinct[c], is.distinct[c])) return true;
+    }
+  }
+  return false;
+}
+
 LdlSystem::ServedRun::ServedRun(const TraceContext& session)
     : accountant(session.accountant), cancel(session.cancel) {}
 
@@ -284,6 +339,7 @@ Status LdlSystem::Serve(const Literal& goal, QueryAnswer* answer,
       answer->plan.goal = goal;
       answer->plan.search_stats = PlanSearchStats{};
       answer->plan_cached = true;
+      answer->plan_epoch = served->prepared->plan_epoch;
       answer->optimize_ms = MsSince(lookup_start);
     } else {
       if (cacheable) trace.Count("ldl.plan_cache.misses");
@@ -334,9 +390,13 @@ Status LdlSystem::Serve(const Literal& goal, QueryAnswer* answer,
       // per-query meter and token.
       fresh->ctx.options.trace = options_.trace;
       fresh->plan = answer->plan;
+      fresh->plan_epoch = stats_.epoch();
       served->prepared = fresh;
-      if (cacheable && plan_cache_.Insert(key, std::move(fresh))) {
-        trace.Count("ldl.plan_cache.evictions");
+      if (cacheable) {
+        fresh->RecordRead(stats_);
+        if (plan_cache_.Insert(key, std::move(fresh))) {
+          trace.Count("ldl.plan_cache.evictions");
+        }
       }
     }
     const PreparedGoal& prepared = *served->prepared;
@@ -364,6 +424,7 @@ Status LdlSystem::Serve(const Literal& goal, QueryAnswer* answer,
     return Status::OK();
   };
   const Status status = run();
+  if (!answer->plan_cached) answer->plan_epoch = stats_.epoch();
 
   if (trace.accountant != nullptr) {
     answer->peak_bytes = trace.accountant->peak_bytes();
@@ -392,6 +453,7 @@ Result<QueryAnswer> LdlSystem::Query(const Literal& goal) {
       rec.plan_fingerprint = answer.plan.Fingerprint();
     }
     rec.stats_epoch = stats_.epoch();
+    rec.plan_epoch = answer.plan_epoch;
     rec.prune = options_.eliminate_dead_rules;
     rec.plan_cached = answer.plan_cached;
     if (status.ok()) {
@@ -504,6 +566,16 @@ Result<LdlSystem::AnalyzeResult> LdlSystem::AnalyzeCalibrated(
   const GoalContext& ctx = served.prepared->ctx;
   OptimizerOptions options = ctx.options;
   options.trace = served.trace;
+  // A plan kept across a refresh was chosen under older statistics: pin
+  // its decisions so the tree prices the plan that ran, not the one a
+  // search under today's statistics would choose.
+  const bool kept = answer.plan_epoch != stats_.epoch();
+  PlanConstraints pins;
+  if (kept) {
+    pins.rule_orders = answer.plan.rule_orders;
+    pins.clique_methods = answer.plan.clique_methods;
+    options.pinned = &pins;
+  }
   LDL_ASSIGN_OR_RETURN(std::unique_ptr<PlanNode> tree,
                        BuildProcessingTree(ctx.working, goal));
   Optimizer annotator(ctx.working, stats_, options);
@@ -521,6 +593,10 @@ Result<LdlSystem::AnalyzeResult> LdlSystem::AnalyzeCalibrated(
             c.derivations, " derivations, ", answer.exec_stats.iterations,
             " fixpoint rounds, ", FormatMillis(answer.execute_ms),
             " ms execute\n");
+  if (kept) {
+    StrAppend(&out, "Plan: kept from the plan cache, planned under statistics "
+              "epoch ", answer.plan_epoch, " (now ", stats_.epoch(), ")\n");
+  }
 
   res.report = CalibrationReport::Build(*tree, actuals, goal.ToString());
   res.report.set_regret(ComputePlanRegret(ctx.working, stats_, options,

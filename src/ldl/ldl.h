@@ -4,6 +4,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -48,6 +49,10 @@ struct QueryAnswer {
   /// optimize_ms is then the cache lookup, plan.search_stats are zero, and
   /// so is exec_stats.counters.rules_compiled.
   bool plan_cached = false;
+  /// The statistics epoch the served plan was costed under: the current
+  /// epoch for a plan made now, an earlier one for a cached plan kept
+  /// across a statistics refresh (DESIGN.md §24).
+  uint64_t plan_epoch = 0;
   double optimize_ms = 0;
   double execute_ms = 0;
 };
@@ -71,6 +76,15 @@ struct QueryAnswer {
 class LdlSystem {
  public:
   explicit LdlSystem(OptimizerOptions options = {});
+
+  /// How far a statistic a cached plan read may move before a refresh
+  /// drops the plan: the plan is kept while each value stays strictly
+  /// within this factor of its value at planning time, up or down
+  /// (DESIGN.md §24). Costs are monotone in operand sizes (paper §6), so
+  /// this bounds how stale a kept plan's costs get; every plan gives the
+  /// same answers (§5), so keeping one risks regret, never a wrong answer.
+  /// A constant, not an option.
+  static constexpr double kPlanKeepFactor = 2.0;
 
   /// Replaces the optimizer options for subsequent Plan/Query/Explain
   /// calls. The loaded program, fact base, and statistics are untouched, so
@@ -102,7 +116,9 @@ class LdlSystem {
   /// on the first query after loading; call explicitly after bulk updates
   /// through database(). Costs O(relations x arity + rows added since the
   /// last refresh): Relation::DistinctCount counts incrementally.
-  /// Clears the plan cache: plans were costed under the old statistics.
+  /// Drops the cached plans whose statistics moved by kPlanKeepFactor or
+  /// more since they were planned (DESIGN.md §24); the others are kept,
+  /// costed under their older epoch.
   void RefreshStatistics();
   /// The live statistics, refreshed first if a write dirtied them. Like
   /// every other member, for the thread that drives the system only.
@@ -152,11 +168,16 @@ class LdlSystem {
   ///
   /// Plans are prepared once per goal shape, (predicate, adornment), and
   /// kept in a small LRU: a later goal of the same shape re-binds only its
-  /// constants (QueryAnswer::plan_cached). Adding rules, refreshing the
-  /// statistics, set_options and set_feedback clear the cache. Writes made
-  /// through database() reach cached plans only via RefreshStatistics, as
-  /// they reach the statistics; the static analysis reads the fact base
-  /// directly, so with it on goals are planned afresh every time.
+  /// constants (QueryAnswer::plan_cached). Adding rules, set_options and
+  /// set_feedback clear the cache. A statistics refresh (after any write)
+  /// keeps a plan while every statistic it read, each relation's
+  /// cardinality and column distinct counts, stays within kPlanKeepFactor
+  /// of its value at planning time, and drops it otherwise; a kept plan
+  /// answers as a fresh one would and reports the epoch it was made in
+  /// (QueryAnswer::plan_epoch). Writes made through database() reach cached
+  /// plans only via RefreshStatistics, as they reach the statistics; the
+  /// static analysis reads the fact base directly, so with it on goals are
+  /// planned afresh every time.
   Result<QueryAnswer> Query(std::string_view goal_text);
   Result<QueryAnswer> Query(const Literal& goal);
 
@@ -237,6 +258,19 @@ class LdlSystem {
     GoalContext ctx;
     QueryPlan plan;
     PreparedQuery query;
+    /// The statistics epoch the plan was costed under.
+    uint64_t plan_epoch = 0;
+    /// What the plan read of the statistics: every predicate of
+    /// ctx.working, sorted, with its RelationStats, or nullopt when it had
+    /// none (costed with the defaults).
+    std::vector<std::pair<PredicateId, std::optional<RelationStats>>> read;
+
+    /// Records `stats` for every predicate of ctx.working.
+    void RecordRead(const Statistics& stats);
+    /// Some statistic `read` holds is kPlanKeepFactor or more away from
+    /// its value in `now`, up or down, or a predicate gained or lost its
+    /// statistics.
+    bool StatisticsMoved(const Statistics& now) const;
   };
 
   /// Prepared goal shapes keyed by (goal predicate, adornment); the least
@@ -252,6 +286,9 @@ class LdlSystem {
     bool Insert(const AdornedPredicate& key,
                 std::shared_ptr<const PreparedGoal> entry);
     void Clear();
+    /// Removes every entry whose statistics moved in `now`
+    /// (PreparedGoal::StatisticsMoved). Returns how many went.
+    size_t DropMoved(const Statistics& now);
 
    private:
     using Entry =

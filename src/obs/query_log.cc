@@ -13,6 +13,7 @@ std::string QueryLogRecord::ToJson() const {
   json::AppendField(&out, "method", method);
   json::AppendField(&out, "plan_fingerprint", plan_fingerprint);
   json::AppendField(&out, "stats_epoch", stats_epoch);
+  json::AppendField(&out, "plan_epoch", plan_epoch);
   json::AppendField(&out, "prune", prune);
   json::AppendField(&out, "plan_cached", plan_cached);
   json::AppendField(&out, "outcome", outcome);
@@ -46,6 +47,10 @@ Result<QueryLogRecord> QueryLogRecord::FromJson(const std::string& line) {
   LDL_RETURN_NOT_OK(doc.Get("method", &rec.method));
   LDL_RETURN_NOT_OK(doc.Get("plan_fingerprint", &rec.plan_fingerprint));
   LDL_RETURN_NOT_OK(doc.Get("stats_epoch", &rec.stats_epoch));
+  // Logs from before plans were kept across refreshes: every plan was
+  // made under the epoch it ran in.
+  rec.plan_epoch = rec.stats_epoch;
+  LDL_RETURN_NOT_OK(doc.Get("plan_epoch", &rec.plan_epoch));
   LDL_RETURN_NOT_OK(doc.Get("prune", &rec.prune));
   LDL_RETURN_NOT_OK(doc.Get("plan_cached", &rec.plan_cached));
   LDL_RETURN_NOT_OK(doc.Get("outcome", &rec.outcome));
@@ -70,7 +75,8 @@ bool QueryLogRecord::operator==(const QueryLogRecord& other) const {
   return program == other.program && query == other.query &&
          adornment == other.adornment && method == other.method &&
          plan_fingerprint == other.plan_fingerprint &&
-         stats_epoch == other.stats_epoch && prune == other.prune &&
+         stats_epoch == other.stats_epoch &&
+         plan_epoch == other.plan_epoch && prune == other.prune &&
          plan_cached == other.plan_cached &&
          outcome == other.outcome && error == other.error &&
          answer_fingerprint == other.answer_fingerprint &&

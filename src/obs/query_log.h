@@ -29,7 +29,11 @@ struct QueryLogRecord {
   // --- plan decision ---
   std::string method;            ///< chosen top-level recursion method
   std::string plan_fingerprint;  ///< stable hash of all plan decisions
-  uint64_t stats_epoch = 0;      ///< statistics generation the plan used
+  uint64_t stats_epoch = 0;      ///< statistics generation at query time
+  /// Statistics generation the served plan was costed under: stats_epoch,
+  /// or an earlier one for a cached plan kept across a refresh. Reads as
+  /// stats_epoch from logs written without it.
+  uint64_t plan_epoch = 0;
   bool prune = false;            ///< reachability pruning was enabled
   bool plan_cached = false;      ///< the plan came from the plan cache
 

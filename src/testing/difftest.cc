@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <set>
 
 #include "base/strings.h"
@@ -61,6 +63,7 @@ void RecordAgainst(const std::vector<Tuple>& ref_canonical,
     return;
   }
   cr.ok = true;
+  cr.note = result->note;
   cr.rows = result->answers.size();
   cr.fingerprint = AnswerFingerprint(result->answers);
   cr.agrees = cr.fingerprint == ref_fingerprint;
@@ -107,6 +110,7 @@ Result<QueryResult> EvalCached(LdlSystem* sys, const Literal& goal) {
   }
   QueryResult result;
   result.answers = std::move(answer.answers);
+  result.note = std::move(answer.note);
   return result;
 }
 
@@ -116,7 +120,11 @@ Result<QueryResult> EvalCached(LdlSystem* sys, const Literal& goal) {
 /// cache too ("opt:prepared:sibling") and checked against its own
 /// reference evaluation, then the goal once more on the same entry
 /// ("opt:prepared:again"), which shows any state one run of a prepared
-/// schedule leaves behind for the next.
+/// schedule leaves behind for the next. Last, CycleClosingFacts are added
+/// and the goal is asked once more ("opt:prepared:after_insert"): the
+/// statistics stay within the keep factor, so the plan must be kept across
+/// the refresh, and the answers must be those of a fresh reference over the
+/// grown fact base.
 void RecordPrepared(Harness* h, LdlSystem* sys, DiffOutcome* out) {
   const Literal& goal = h->prog.query;
   sys->set_options(OptimizerOptions{});
@@ -137,6 +145,25 @@ void RecordPrepared(Harness* h, LdlSystem* sys, DiffOutcome* out) {
     }
   }
   RecordAnswers(h, out, "opt:prepared:again", EvalCached(sys, goal));
+
+  const std::vector<Literal> inserts = CycleClosingFacts(h->prog);
+  if (inserts.empty()) return;
+  GeneratedProgram grown = h->prog;
+  std::string text;
+  for (const Literal& fact : inserts) {
+    grown.facts.push_back(fact);
+    StrAppend(&text, fact.ToString(), ".\n");
+  }
+  Database grown_db;
+  if (!grown.BuildDatabase(&grown_db).ok()) return;
+  auto ref = EvaluateQuery(h->program, &grown_db, goal,
+                           RecursionMethod::kSemiNaive);
+  if (!ref.ok()) return;  // no reference verdict is possible
+  const Status added = sys->AddClause(text);
+  RecordAgainst(
+      CanonicalAnswers(ref->answers), AnswerFingerprint(ref->answers), out,
+      "opt:prepared:after_insert",
+      added.ok() ? EvalCached(sys, goal) : Result<QueryResult>(added));
 }
 
 void RunMetamorphic(Harness* h, const DiffTestOptions& options,
@@ -575,6 +602,60 @@ Literal SiblingGoal(const Literal& goal, const std::set<Term>& domain) {
     }
   }
   return goal.WithArgs(std::move(args));
+}
+
+std::vector<Literal> CycleClosingFacts(const GeneratedProgram& prog) {
+  std::set<Term> goal_constants;
+  for (const Term& arg : prog.query.args()) {
+    if (arg.IsGround()) goal_constants.insert(arg);
+  }
+  // Per relation: its rows and each column's values, as the statistics
+  // will count them.
+  struct Rows {
+    std::set<std::vector<Term>> rows;
+    std::vector<std::set<Term>> columns;
+  };
+  std::map<PredicateId, Rows> relations;
+  for (const Literal& fact : prog.facts) {
+    Rows& r = relations[fact.predicate()];
+    r.rows.insert(fact.args());
+    r.columns.resize(fact.arity());
+    for (size_t c = 0; c < fact.arity(); ++c) {
+      r.columns[c].insert(fact.args()[c]);
+    }
+  }
+  const double k = LdlSystem::kPlanKeepFactor;
+  std::vector<Literal> out;
+  for (const auto& [pred, r] : relations) {
+    const double rows = static_cast<double>(r.rows.size());
+    if (pred.arity < 2 || rows + 1 >= k * rows) continue;
+    // A new row whose values keep every column's distinct count within
+    // the factor.
+    auto keeps = [&r, k](const std::vector<Term>& row) {
+      if (r.rows.count(row) > 0) return false;
+      for (size_t c = 0; c < row.size(); ++c) {
+        const double d = static_cast<double>(r.columns[c].size());
+        if (r.columns[c].count(row[c]) == 0 && d + 1 >= k * d) return false;
+      }
+      return true;
+    };
+    std::optional<std::vector<Term>> pick, fallback;
+    for (const std::vector<Term>& row : r.rows) {
+      std::vector<Term> rotated(row.begin() + 1, row.end());
+      rotated.push_back(row[0]);
+      if (!keeps(rotated)) continue;
+      if (goal_constants.count(row[0]) > 0) {
+        pick = std::move(rotated);
+        break;
+      }
+      if (!fallback.has_value()) fallback = std::move(rotated);
+    }
+    if (!pick.has_value()) pick = std::move(fallback);
+    if (pick.has_value()) {
+      out.push_back(Literal::Make(pred.name, std::move(*pick)));
+    }
+  }
+  return out;
 }
 
 }  // namespace testing

@@ -41,7 +41,10 @@ GeneratedProgram ApplyFault(const GeneratedProgram& prog, Fault fault);
 ///  - prepared plans: the goal asked again on the same system, served from
 ///    the plan cache, and a goal of the same shape with other constants
 ///    from the active domain (checked against its own semi-naive
-///    reference), served from the cache too.
+///    reference), served from the cache too; then, after inserts that keep
+///    the statistics within the plan cache's keep factor, the goal once
+///    more, served by the kept plan and checked against a reference over
+///    the grown fact base.
 /// Metamorphic checks ride on top: growing the EDB never shrinks a
 /// positive query's answers, and a bound query equals the filtered free
 /// query.
@@ -81,6 +84,7 @@ struct ConfigResult {
   size_t rows = 0;
   std::string fingerprint;   ///< AnswerFingerprint (engine/query_eval.h)
   bool agrees = false;       ///< matches the reference answer set
+  std::string note;          ///< the run's QueryResult::note
   std::string detail;        ///< error or mismatch sample
 };
 
@@ -126,6 +130,17 @@ DiffOutcome RunDifferential(const GeneratedProgram& prog,
 /// predicate and adornment with other constants, for exercising prepared
 /// plans. Returns `goal` itself when it has no bound argument.
 Literal SiblingGoal(const Literal& goal, const std::set<Term>& domain);
+
+/// The facts the "opt:prepared:after_insert" configuration adds: for each
+/// EDB relation of `prog`, one new fact whose arguments are those of one of
+/// its facts rotated by one place (reversed, for a binary relation),
+/// preferring a fact whose first argument is one of the query's constants,
+/// so that a chain leaving the goal closes into a cycle, which a counting
+/// plan must survive through its run-time fallback. A relation gets a fact
+/// only when its cardinality and every column's distinct count stay
+/// strictly within LdlSystem::kPlanKeepFactor, so a plan cached before the
+/// insert must be kept across the refresh that follows.
+std::vector<Literal> CycleClosingFacts(const GeneratedProgram& prog);
 
 /// Delta-debugging shrinker: greedily removes rules, EDB facts (ddmin-style
 /// chunking), and body literals while `still_fails` keeps returning true.

@@ -518,20 +518,185 @@ TEST(LdlSystemTest, PlanCacheInvalidation) {
   EXPECT_FALSE(Cached(&sys, "anc(a, Y)"));
   EXPECT_TRUE(Cached(&sys, "anc(a, Y)"));
   // A fact dirties the statistics: the next query re-collects them under a
-  // new epoch, and plans costed under the old one go.
+  // new epoch. par grows from 4 to 5 rows, within the keep factor, so the
+  // plan stays (PlanKeptWhileStatisticsStayWithinFactor has the rest).
   ASSERT_TRUE(sys.AddClause("par(d, f).").ok());
-  EXPECT_FALSE(Cached(&sys, "anc(a, Y)"));
   EXPECT_TRUE(Cached(&sys, "anc(a, Y)"));
   sys.RefreshStatistics();
-  EXPECT_FALSE(Cached(&sys, "anc(a, Y)"));
+  EXPECT_TRUE(Cached(&sys, "anc(a, Y)"));
   // New options.
   sys.set_options(options);
   EXPECT_FALSE(Cached(&sys, "anc(a, Y)"));
   EXPECT_TRUE(Cached(&sys, "anc(a, Y)"));
 
-  EXPECT_EQ(metrics.counter("ldl.plan_cache.hits")->value(), 5u);
-  EXPECT_EQ(metrics.counter("ldl.plan_cache.misses")->value(), 7u);
+  EXPECT_EQ(metrics.counter("ldl.plan_cache.hits")->value(), 6u);
+  EXPECT_EQ(metrics.counter("ldl.plan_cache.misses")->value(), 5u);
   EXPECT_EQ(metrics.counter("ldl.plan_cache.evictions")->value(), 0u);
+  EXPECT_EQ(metrics.counter("ldl.plan_cache.dropped")->value(), 0u);
+}
+
+// A statistics refresh keeps a cached plan while every statistic it read
+// stays strictly within LdlSystem::kPlanKeepFactor of its value at planning
+// time, and drops it otherwise. A kept plan serves with the plan and epoch
+// it was made under, and answers as a fresh plan would.
+TEST(LdlSystemTest, PlanKeptWhileStatisticsStayWithinFactor) {
+  ASSERT_EQ(LdlSystem::kPlanKeepFactor, 2.0);
+  MetricsRegistry metrics;
+  OptimizerOptions options;
+  options.trace.metrics = &metrics;
+  QueryLog log;
+  LdlSystem sys(options);
+  sys.set_query_log(&log);
+  // par has 4 rows; adopted is read by a rule but has no rows, so no
+  // statistics.
+  ASSERT_TRUE(sys.LoadProgram(kAncestor).ok());
+  ASSERT_TRUE(sys.AddClause("anc(X, Y) <- adopted(X, Y).").ok());
+  auto expect_answers = [&sys](const QueryAnswer& answer) {
+    auto reference =
+        sys.EvaluateUnoptimized(answer.plan.goal, RecursionMethod::kSemiNaive);
+    ASSERT_TRUE(reference.ok()) << reference.status();
+    EXPECT_EQ(CanonicalAnswers(answer.answers),
+              CanonicalAnswers(reference->answers));
+  };
+  auto first = sys.Query("anc(a, Y)");
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_FALSE(first->plan_cached);
+  const uint64_t planned = first->plan_epoch;
+  EXPECT_EQ(planned, sys.statistics().epoch());
+
+  // One insert: par grows to 5 rows, the plan is kept.
+  ASSERT_TRUE(sys.AddClause("par(e, f).").ok());
+  auto kept = sys.Query("anc(a, Y)");
+  ASSERT_TRUE(kept.ok()) << kept.status();
+  EXPECT_TRUE(kept->plan_cached);
+  EXPECT_EQ(kept->plan.Fingerprint(), first->plan.Fingerprint());
+  EXPECT_EQ(kept->plan_epoch, planned);
+  EXPECT_LT(kept->plan_epoch, sys.statistics().epoch());
+  EXPECT_EQ(kept->answers.size(), 5u);  // b, c, d, e, f
+  expect_answers(*kept);
+  {
+    const std::vector<QueryLogRecord> records = log.snapshot();
+    ASSERT_EQ(records.size(), 2u);
+    EXPECT_EQ(records[0].plan_epoch, records[0].stats_epoch);
+    EXPECT_TRUE(records[1].plan_cached);
+    EXPECT_EQ(records[1].plan_epoch, planned);
+    EXPECT_LT(records[1].plan_epoch, records[1].stats_epoch);
+    EXPECT_EQ(records[1].plan_fingerprint, records[0].plan_fingerprint);
+  }
+
+  // Doubling: par reaches 8 rows, twice the 4 the plan was costed under
+  // (and 7 distinct parents, more than twice 3).
+  ASSERT_TRUE(sys.AddClause("par(f, g). par(g, h). par(h, i).").ok());
+  auto doubled = sys.Query("anc(a, Y)");
+  ASSERT_TRUE(doubled.ok()) << doubled.status();
+  EXPECT_FALSE(doubled->plan_cached);
+  EXPECT_EQ(doubled->plan_epoch, sys.statistics().epoch());
+  expect_answers(*doubled);
+  EXPECT_EQ(metrics.counter("ldl.plan_cache.dropped")->value(), 1u);
+
+  // A first row in a body relation that had no statistics.
+  EXPECT_TRUE(Cached(&sys, "anc(a, Y)"));
+  ASSERT_TRUE(sys.AddClause("adopted(i, j).").ok());
+  auto adopted = sys.Query("anc(a, Y)");
+  ASSERT_TRUE(adopted.ok()) << adopted.status();
+  EXPECT_FALSE(adopted->plan_cached);
+  expect_answers(*adopted);
+  EXPECT_EQ(metrics.counter("ldl.plan_cache.dropped")->value(), 2u);
+
+  // An explicit refresh after writes through database() follows the same
+  // rule: a write is unseen until the refresh, one row keeps the plan and
+  // growing adopted from 1 row to 2 drops it.
+  auto write = [&sys](const char* fact) {
+    ASSERT_TRUE(sys.database()->AddFact(*ParseLiteral(fact)).ok());
+  };
+  write("par(j, k)");
+  sys.RefreshStatistics();
+  EXPECT_TRUE(Cached(&sys, "anc(a, Y)"));
+  write("adopted(k, l)");
+  EXPECT_TRUE(Cached(&sys, "anc(a, Y)"));
+  sys.RefreshStatistics();
+  auto refreshed = sys.Query("anc(a, Y)");
+  ASSERT_TRUE(refreshed.ok()) << refreshed.status();
+  EXPECT_FALSE(refreshed->plan_cached);
+  expect_answers(*refreshed);
+  EXPECT_EQ(metrics.counter("ldl.plan_cache.dropped")->value(), 3u);
+
+  // Rules, options and the feedback loop still clear everything.
+  EXPECT_TRUE(Cached(&sys, "anc(a, Y)"));
+  ASSERT_TRUE(sys.AddClause("anc(X, Y) <- adopted(Y, X).").ok());
+  EXPECT_FALSE(Cached(&sys, "anc(a, Y)"));
+  sys.set_options(options);
+  EXPECT_FALSE(Cached(&sys, "anc(a, Y)"));
+  sys.set_feedback(nullptr);
+  EXPECT_FALSE(Cached(&sys, "anc(a, Y)"));
+  EXPECT_TRUE(Cached(&sys, "anc(a, Y)"));
+  EXPECT_EQ(metrics.counter("ldl.plan_cache.dropped")->value(), 3u);
+}
+
+// EXPLAIN ANALYZE of a plan kept across a refresh says which statistics
+// epoch it was planned under, and prices the plan that ran.
+TEST(LdlSystemTest, ExplainAnalyzeNamesTheEpochOfAKeptPlan) {
+  LdlSystem sys;
+  ASSERT_TRUE(sys.LoadProgram(kAncestor).ok());
+  auto fresh = sys.AnalyzeCalibrated("anc(a, Y)");
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  EXPECT_EQ(fresh->text.find("planned under"), std::string::npos)
+      << fresh->text;
+  ASSERT_TRUE(sys.AddClause("par(e, f).").ok());
+  auto kept = sys.AnalyzeCalibrated("anc(a, Y)");
+  ASSERT_TRUE(kept.ok()) << kept.status();
+  EXPECT_TRUE(kept->answer.plan_cached);
+  EXPECT_EQ(kept->answer.plan_epoch, 1u);
+  EXPECT_NE(kept->text.find("planned under statistics epoch 1 (now 2)"),
+            std::string::npos)
+      << kept->text;
+  EXPECT_EQ(kept->report.regret().est_cost_chosen,
+            fresh->report.regret().est_cost_chosen);
+  EXPECT_EQ(kept->answer.answers.size(), 5u);
+}
+
+// Right-linear ancestor asked with its second argument bound: the
+// recursive call repeats the bound argument, so counting does not apply
+// (its ascent could never converge) and the optimizer chooses magic. No
+// query runs out the divergence guard, and a hit compiles nothing.
+TEST(LdlSystemTest, RightLinearAncestorAtFbIsNotCounted) {
+  LdlSystem sys;
+  ASSERT_TRUE(sys.LoadProgram(kAncestor).ok());
+  for (const bool cached : {false, true}) {
+    SCOPED_TRACE(cached ? "hit" : "miss");
+    auto answer = sys.Query("anc(X, d)");
+    ASSERT_TRUE(answer.ok()) << answer.status();
+    EXPECT_EQ(answer->plan_cached, cached);
+    EXPECT_NE(answer->plan.top_method, RecursionMethod::kCounting);
+    EXPECT_EQ(answer->note.find("counting diverged"), std::string::npos)
+        << answer->note;
+    EXPECT_EQ(answer->answers.size(), 3u);  // a, b, c
+    if (cached) {
+      EXPECT_EQ(answer->exec_stats.counters.rules_compiled, 0u);
+    }
+  }
+}
+
+// Facts closing a cycle after a counting plan was cached: the kept plan
+// diverges at run time and falls back to magic, with the right answers.
+TEST(LdlSystemTest, KeptCountingPlanFallsBackWhenAnInsertClosesACycle) {
+  LdlSystem sys;
+  ASSERT_TRUE(sys.LoadProgram(R"(
+    e(0, 1). e(1, 2). e(2, 3).
+    tc(X, Y) <- e(X, Y).
+    tc(X, Y) <- e(X, Z), tc(Z, Y).
+  )").ok());
+  auto acyclic = sys.Query("tc(0, Y)");
+  ASSERT_TRUE(acyclic.ok()) << acyclic.status();
+  ASSERT_EQ(acyclic->plan.top_method, RecursionMethod::kCounting);
+  EXPECT_EQ(acyclic->note, "");
+  ASSERT_TRUE(sys.AddClause("e(3, 0).").ok());
+  auto cyclic = sys.Query("tc(0, Y)");
+  ASSERT_TRUE(cyclic.ok()) << cyclic.status();
+  EXPECT_TRUE(cyclic->plan_cached);
+  EXPECT_NE(cyclic->note.find("counting diverged"), std::string::npos)
+      << cyclic->note;
+  EXPECT_EQ(cyclic->answers.size(), 4u);  // 0, 1, 2, 3
 }
 
 TEST(LdlSystemTest, PlanCacheEvictsTheLeastRecentlyUsedShape) {

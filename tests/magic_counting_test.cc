@@ -196,6 +196,18 @@ TEST(CountingRewriteTest, RejectsFreeQuery) {
             StatusCode::kUnsupported);
 }
 
+// Right-linear ancestor at fb: the recursive call anc(Z, Y) repeats the
+// head's bound Y, so the ascent would derive cnt.anc(I, Y) at every level I
+// and never converge, on any data.
+TEST(CountingRewriteTest, RejectsACallThatRepeatsTheBoundArguments) {
+  Program p = P(kAncestor);
+  auto counting = CountingRewrite(p, L("anc(X, 1)"));
+  ASSERT_FALSE(counting.ok());
+  EXPECT_EQ(counting.status().code(), StatusCode::kUnsupported);
+  EXPECT_NE(counting.status().message().find("repeats"), std::string::npos)
+      << counting.status();
+}
+
 TEST(CountingRewriteTest, RejectsMutualRecursion) {
   Program p = P(R"(
     e(X) <- zero(X).

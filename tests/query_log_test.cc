@@ -24,6 +24,7 @@ QueryLogRecord SampleRecord() {
   rec.method = "magic";
   rec.plan_fingerprint = "0123456789abcdef";
   rec.stats_epoch = 3;
+  rec.plan_epoch = 2;  // a cached plan kept across one refresh
   rec.prune = true;
   rec.plan_cached = true;
   rec.outcome = "ok";
@@ -78,6 +79,23 @@ TEST(QueryLogRecordTest, MissingPlanCachedReadsAsFalse) {
   EXPECT_FALSE(back->plan_cached);
   QueryLogRecord expected = rec;
   expected.plan_cached = false;
+  EXPECT_EQ(*back, expected);
+}
+
+// Logs written before plans were kept across refreshes read as planned
+// under the epoch they ran in.
+TEST(QueryLogRecordTest, MissingPlanEpochReadsAsStatsEpoch) {
+  const QueryLogRecord rec = SampleRecord();
+  std::string json = rec.ToJson();
+  const std::string field = "\"plan_epoch\":2,";
+  const size_t at = json.find(field);
+  ASSERT_NE(at, std::string::npos);
+  json.erase(at, field.size());
+  auto back = QueryLogRecord::FromJson(json);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->plan_epoch, rec.stats_epoch);
+  QueryLogRecord expected = rec;
+  expected.plan_epoch = rec.stats_epoch;
   EXPECT_EQ(*back, expected);
 }
 

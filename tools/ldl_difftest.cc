@@ -34,9 +34,9 @@
 //   --verbose            per-iteration progress on stderr
 //
 // Exit status: 0 all iterations mismatch-free (or, with --inject-fault,
-// every effective fault detected); 1 mismatch/metamorphic violation found
-// (repros written); 2 usage error (including a numeric flag whose value is
-// not a whole number).
+// every effective fault detected); 1 mismatch, configuration error or
+// metamorphic violation found (repros written); 2 usage error (including
+// a numeric flag whose value is not a whole number).
 
 #include <chrono>
 #include <cstdio>
@@ -219,6 +219,7 @@ int main(int argc, char** argv) {
   size_t total_iters = 0;
   size_t total_configs = 0;
   size_t mismatches = 0;
+  size_t config_errors = 0;  // a configuration failed to evaluate
   size_t meta_violations = 0;
   size_t generator_failures = 0;
   size_t faults_effective = 0;  // injected fault actually changed answers
@@ -295,6 +296,7 @@ int main(int argc, char** argv) {
         }
       } else if (outcome.failed()) {
         if (outcome.mismatch) ++mismatches;
+        if (outcome.config_error) ++config_errors;
         if (outcome.metamorphic_violation) ++meta_violations;
         std::fprintf(stderr,
                      "ldl_difftest: MISMATCH seed %llu iter %zu (%s):\n%s",
@@ -330,9 +332,9 @@ int main(int argc, char** argv) {
       "ldl_difftest: %zu iterations, %zu config evaluations, "
       "%.1f iters/s\n",
       total_iters, total_configs, secs > 0 ? total_iters / secs : 0.0);
-  std::printf("  mismatches: %zu, metamorphic violations: %zu, "
-              "generator failures: %zu\n",
-              mismatches, meta_violations, generator_failures);
+  std::printf("  mismatches: %zu, config errors: %zu, "
+              "metamorphic violations: %zu, generator failures: %zu\n",
+              mismatches, config_errors, meta_violations, generator_failures);
   if (inject_fault) {
     std::printf(
         "  injected faults effective: %zu, caught+shrunk (<=5 rules): %zu\n",
@@ -348,7 +350,7 @@ int main(int argc, char** argv) {
   for (const std::string& path : repro_paths) {
     std::printf("  repro: %s\n", path.c_str());
   }
-  bool failed = mismatches > 0 || meta_violations > 0 ||
-                generator_failures > 0;
+  bool failed = mismatches > 0 || config_errors > 0 ||
+                meta_violations > 0 || generator_failures > 0;
   return failed ? 1 : 0;
 }
