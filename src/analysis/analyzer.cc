@@ -237,8 +237,10 @@ bool Subsumes(const Rule& subsumer, const Rule& subsumee) {
 
 }  // namespace
 
-TypeSet TypeSet::Of(const Term& t) {
-  switch (t.kind()) {
+TypeSet TypeSet::Of(const Term& t) { return OfKind(t.kind()); }
+
+TypeSet TypeSet::OfKind(TermKind kind) {
+  switch (kind) {
     case TermKind::kVariable:
       return Any();
     case TermKind::kInt:
@@ -400,9 +402,10 @@ std::vector<TypeSet> ProgramAnalyzer::BaseTypes(const PredicateId& pred) const {
       if (rel->size() > options_.max_type_seed_scan) {
         return std::vector<TypeSet>(pred.arity, TypeSet::Any());
       }
-      for (const Tuple& t : rel->tuples()) {
+      for (size_t r = 0; r < rel->size(); ++r) {
+        const std::span<const Value> row = rel->row(r);
         for (size_t i = 0; i < cols.size(); ++i) {
-          cols[i] = cols[i].Join(TypeSet::Of(t[i]));
+          cols[i] = cols[i].Join(TypeSet::OfKind(row[i].kind()));
         }
       }
     }

@@ -45,6 +45,8 @@ class TypeSet {
   static TypeSet Any() { return TypeSet(kAny); }
   /// Sort of a ground (or constructor) term; variables map to Any.
   static TypeSet Of(const Term& t);
+  /// The set of a value of kind `kind` (what Of reads of a term).
+  static TypeSet OfKind(TermKind kind);
 
   bool empty() const { return bits_ == 0; }
   bool IsAny() const { return bits_ == kAny; }

@@ -157,6 +157,82 @@ bool EvalGroundBuiltin(BuiltinKind kind, const Term& lhs, const Term& rhs) {
   }
 }
 
+std::optional<Value> ApplyArithmetic(uint32_t op, Value lhs, Value rhs,
+                                     ValueStore* store) {
+  const bool both_int =
+      lhs.kind() == TermKind::kInt && rhs.kind() == TermKind::kInt;
+  if (op == ValueStore::kMod) {
+    if (!both_int || store->IntValue(rhs) == 0) return std::nullopt;
+    return store->Int(store->IntValue(lhs) % store->IntValue(rhs));
+  }
+  if (op == ValueStore::kDivide) {
+    if (store->AsDouble(rhs) == 0.0) return std::nullopt;
+    if (both_int && store->IntValue(lhs) % store->IntValue(rhs) == 0) {
+      return store->Int(store->IntValue(lhs) / store->IntValue(rhs));
+    }
+    return store->Real(store->AsDouble(lhs) / store->AsDouble(rhs));
+  }
+  if (both_int) {
+    const int64_t x = store->IntValue(lhs);
+    const int64_t y = store->IntValue(rhs);
+    if (op == ValueStore::kPlus) return store->Int(x + y);
+    if (op == ValueStore::kMinus) return store->Int(x - y);
+    return store->Int(x * y);
+  }
+  const double x = store->AsDouble(lhs);
+  const double y = store->AsDouble(rhs);
+  if (op == ValueStore::kPlus) return store->Real(x + y);
+  if (op == ValueStore::kMinus) return store->Real(x - y);
+  return store->Real(x * y);
+}
+
+std::optional<Value> FoldArithmetic(Value v, ValueStore* store) {
+  if (!v.HoldsArithmetic()) return v;
+  const size_t n = store->Arity(v);
+  const uint32_t functor = store->Functor(v);
+  std::vector<Value> args(n);
+  for (size_t i = 0; i < n; ++i) {
+    const std::optional<Value> folded = FoldArithmetic(store->Arg(v, i), store);
+    if (!folded) return std::nullopt;
+    args[i] = *folded;
+  }
+  if (ValueStore::IsArithmetic(functor, n) && args[0].IsNumeric() &&
+      args[1].IsNumeric()) {
+    return ApplyArithmetic(functor, args[0], args[1], store);
+  }
+  return store->Function(functor, args);
+}
+
+bool EvalGroundBuiltin(BuiltinKind kind, Value lhs, Value rhs,
+                       ValueStore* store) {
+  const std::optional<Value> l = FoldArithmetic(lhs, store);
+  const std::optional<Value> r = FoldArithmetic(rhs, store);
+  if (!l || !r) return false;
+  if (kind == BuiltinKind::kEq) return store->Unifies(*l, *r);
+  int cmp = 0;
+  if (l->IsNumeric() && r->IsNumeric()) {
+    const double x = store->AsDouble(*l);
+    const double y = store->AsDouble(*r);
+    cmp = x < y ? -1 : (x > y ? 1 : 0);
+  } else if (*l != *r) {
+    cmp = store->Compare(*l, *r) < 0 ? -1 : 1;
+  }
+  switch (kind) {
+    case BuiltinKind::kNe:
+      return cmp != 0;
+    case BuiltinKind::kLt:
+      return cmp < 0;
+    case BuiltinKind::kLe:
+      return cmp <= 0;
+    case BuiltinKind::kGt:
+      return cmp > 0;
+    case BuiltinKind::kGe:
+      return cmp >= 0;
+    default:
+      return false;
+  }
+}
+
 bool BuiltinComputableWith(BuiltinKind kind, bool lhs_bound, bool rhs_bound) {
   if (kind == BuiltinKind::kEq) return lhs_bound || rhs_bound;
   return lhs_bound && rhs_bound;

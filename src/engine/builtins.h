@@ -1,8 +1,11 @@
 #ifndef LDLOPT_ENGINE_BUILTINS_H_
 #define LDLOPT_ENGINE_BUILTINS_H_
 
+#include <optional>
+
 #include "ast/literal.h"
 #include "ast/term.h"
+#include "ast/value.h"
 #include "base/status.h"
 
 namespace ldl {
@@ -36,6 +39,21 @@ bool GroundUnifies(const Term& a, const Term& b);
 /// `=` compares by GroundUnifies; < <= > >= != compare numerically when
 /// both sides are numeric, by term order otherwise.
 bool EvalGroundBuiltin(BuiltinKind kind, const Term& lhs, const Term& rhs);
+
+/// EvalArithmetic over a value of `store`: the folded value, or nullopt on
+/// an arithmetic error. A value holding no arithmetic is returned as is,
+/// after one flag test.
+std::optional<Value> FoldArithmetic(Value v, ValueStore* store);
+
+/// `lhs op rhs` for the arithmetic functor `op` (ValueStore::kPlus ..
+/// kMod) over numeric values of `store`, as EvalArithmetic computes it;
+/// nullopt on an arithmetic error.
+std::optional<Value> ApplyArithmetic(uint32_t op, Value lhs, Value rhs,
+                                     ValueStore* store);
+
+/// EvalGroundBuiltin over values of `store`, with the same outcomes.
+bool EvalGroundBuiltin(BuiltinKind kind, Value lhs, Value rhs,
+                       ValueStore* store);
 
 /// Static EC test used by the safety analysis and by the adornment walk:
 /// given which argument sides are fully bound, is the builtin computable?

@@ -160,31 +160,50 @@ class FixpointSchedule::RunState {
            Database* scratch, FixpointStats* stats,
            const FixpointOptions& options)
       : schedule_(schedule),
-        scratch_(scratch),
         stats_(stats),
         options_(options),
-        derived_(schedule.derived_.size(), nullptr),
+        store_(base->store()),
         views_(schedule.max_body_) {
     rule_options_.max_derivations = options.max_derivations;
     rule_options_.cancel = options.trace.cancel;
     rule_options_.accountant = options.trace.accountant;
+    // Rows move between base and scratch relations as values: one store.
+    scratch->UseStore(base->shared_store());
+    arena_bytes_ = store_->bytes();
     base_.reserve(schedule.base_.size());
     for (const PredicateId& pred : schedule.base_) {
       base_.push_back(base->Find(pred));
     }
+    // Every derived relation up front, so each rule's index probes resolve
+    // once, here.
+    derived_.reserve(schedule.derived_.size());
+    for (const PredicateId& pred : schedule.derived_) {
+      derived_.push_back(scratch->GetOrCreate(pred));
+    }
+    std::vector<Value> params;
+    params.reserve(options.params.size());
+    for (const Term& param : options.params) {
+      params.push_back(store_->Intern(param));
+    }
     rules_.reserve(schedule.rules_.size());
     for (const ScheduledRule& rule : schedule.rules_) {
-      rules_.emplace_back(rule.compiled, options.params);
+      rules_.emplace_back(rule.compiled, params, store_);
+      for (size_t pos = 0; pos < rule.body.size(); ++pos) {
+        views_[pos] = RelationView{SourceRelation(rule.body[pos])};
+      }
+      rules_.back().ResolveIndexes(views_.data());
+    }
+  }
+
+  /// Releases the store growth the run was charged for.
+  ~RunState() {
+    if (options_.trace.accountant != nullptr && arena_charged_ != 0) {
+      options_.trace.accountant->ReleaseBytes(arena_charged_);
     }
   }
 
   Status Run() {
     for (const Stratum& stratum : schedule_.strata_) {
-      // Create the members' relations up front.
-      for (uint32_t m = 0; m < stratum.size; ++m) {
-        derived_[stratum.first + m] =
-            scratch_->GetOrCreate(schedule_.derived_[stratum.first + m]);
-      }
       if (!stratum.recursive) {
         LDL_RETURN_NOT_OK(EvaluateOnce(stratum));
       } else if (schedule_.method_ == RecursionMethod::kNaive) {
@@ -204,10 +223,41 @@ class FixpointSchedule::RunState {
     kDelta,       ///< semi-naive: one occurrence reads the last delta
   };
 
+  /// The relation a body literal reads, in full.
+  Relation* SourceRelation(const Source& source) const {
+    switch (source.kind) {
+      case Source::Kind::kBuiltin:
+        return nullptr;
+      case Source::Kind::kBase:
+        return base_[source.slot];
+      case Source::Kind::kDerived:
+        return derived_[source.slot];
+    }
+    return nullptr;
+  }
+
   /// Fires one rule, emitting straight into its head's full relation.
   /// `delta_pos` is the body position that reads its member's delta under
   /// Reads::kDelta.
   Status Fire(uint32_t rule_index, Reads reads, size_t delta_pos = 0) {
+    LDL_RETURN_NOT_OK(FireRule(rule_index, reads, delta_pos));
+    ChargeArena();
+    return Status::OK();
+  }
+
+  /// Charges the accountant with what the store grew by (head values new
+  /// to it) since the last charge: the arena's share of the run's bytes.
+  void ChargeArena() {
+    if (options_.trace.accountant == nullptr) return;
+    const size_t now = store_->bytes();
+    if (now > arena_bytes_) {
+      options_.trace.accountant->AddBytes(now - arena_bytes_);
+      arena_charged_ += now - arena_bytes_;
+    }
+    arena_bytes_ = now;
+  }
+
+  Status FireRule(uint32_t rule_index, Reads reads, size_t delta_pos) {
     const ScheduledRule& rule = schedule_.rules_[rule_index];
     for (size_t pos = 0; pos < rule.body.size(); ++pos) {
       const Source& source = rule.body[pos];
@@ -427,12 +477,14 @@ class FixpointSchedule::RunState {
   }
 
   const FixpointSchedule& schedule_;
-  Database* scratch_;
   FixpointStats* stats_;
   const FixpointOptions& options_;
+  ValueStore* store_;
+  size_t arena_bytes_ = 0;    ///< store bytes at the last charge
+  size_t arena_charged_ = 0;  ///< store growth charged so far
   RuleEvalOptions rule_options_;
   std::vector<Relation*> base_;     ///< per base slot; null = no relation
-  std::vector<Relation*> derived_;  ///< per derived slot, from its stratum on
+  std::vector<Relation*> derived_;  ///< per derived slot
   std::vector<RuleState> rules_;    ///< per rule
   std::vector<RelationView> views_;  ///< the firing in progress
   std::vector<RelationView> delta_;  ///< per member of the stratum

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <set>
 
+#include "base/hash.h"
 #include "base/strings.h"
 #include "engine/counting.h"
 #include "engine/magic.h"
@@ -45,22 +46,27 @@ Program ReachableSubprogram(const Program& program, const Literal& goal,
 }
 
 Relation SelectMatching(Relation* rel, const Literal& goal) {
-  Relation out("answers", goal.arity());
-  if (rel == nullptr) return out;
+  if (rel == nullptr) return Relation("answers", goal.arity());
+  Relation out("answers", goal.arity(), rel->shared_store());
   // The goal compiled as a one-literal pattern: its ground arguments are
-  // the index key, the rest match each candidate tuple.
+  // the index key, the rest match each candidate row.
+  ValueStore* store = rel->store();
   RegisterScope scope;
-  LiteralPattern pattern = LiteralPattern::Compile(goal, &scope);
-  std::vector<Term> regs(scope.size());
-  auto consider = [&](const Tuple& t) {
-    if (pattern.Match(t, regs.data())) out.Insert(t);
+  const LiteralPattern pattern = LiteralPattern::Compile(goal, &scope);
+  std::vector<Value> regs(scope.size());
+  scope.LoadConstants(store, regs.data());
+  auto consider = [&](size_t id) {
+    const std::span<const Value> row = rel->row(id);
+    if (pattern.Match(row.data(), regs.data(), *store)) out.InsertRow(row);
   };
   if (!pattern.key_cols.empty()) {
-    for (uint32_t id : rel->Lookup(pattern.key_cols, pattern.key)) {
-      consider(rel->tuple(id));
+    std::vector<Value> key(pattern.key_cols.size());
+    pattern.BuildKey(regs.data(), store, key.data());
+    for (uint32_t id : rel->Lookup(rel->IndexFor(pattern.key_cols), key)) {
+      consider(id);
     }
   } else {
-    for (const Tuple& t : rel->tuples()) consider(t);
+    for (size_t id = 0; id < rel->size(); ++id) consider(id);
   }
   return out;
 }
@@ -72,11 +78,17 @@ std::vector<Tuple> CanonicalAnswers(const Relation& answers) {
 }
 
 std::string AnswerFingerprint(const Relation& answers) {
-  // Commutative accumulation (sum of per-tuple hashes) so the digest is
-  // independent of insertion order without sorting.
+  // Commutative accumulation (sum of per-row hashes) so the digest is
+  // independent of insertion order without sorting. Each row hashes its
+  // values' structural hashes (Term::Hash), never their ids, so equal
+  // answers from different stores share a fingerprint.
   uint64_t acc = 0;
-  for (const Tuple& t : answers.tuples()) {
-    acc += static_cast<uint64_t>(TupleHash{}(t)) * 0x9e3779b97f4a7c15ULL;
+  const ValueStore* store = answers.empty() ? nullptr : answers.store();
+  for (size_t i = 0; i < answers.size(); ++i) {
+    const std::span<const Value> row = answers.row(i);
+    size_t seed = row.size();
+    for (Value v : row) HashCombine(&seed, store->Hash(v));
+    acc += static_cast<uint64_t>(seed) * 0x9e3779b97f4a7c15ULL;
   }
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%zu:%016llx", answers.size(),
@@ -200,7 +212,7 @@ Result<QueryResult> RunFull(const PreparedQuery& prepared, Database* base,
   result.method_used = prepared.method;
   FixpointOptions fixpoint = options.fixpoint;
   fixpoint.method_label = RecursionMethodToString(prepared.method);
-  Database scratch;
+  Database scratch(base->shared_store());
   scratch.set_accountant(fixpoint.trace.accountant);
   LDL_RETURN_NOT_OK(
       prepared.schedule.Run(base, &scratch, &result.stats, fixpoint));
@@ -241,7 +253,7 @@ Result<QueryResult> RunMagic(const PreparedQuery& prepared, Database* base,
   QueryResult result;
   result.method_used = RecursionMethod::kMagic;
   result.note = prepared.note;
-  Database scratch;
+  Database scratch(base->shared_store());
   scratch.set_accountant(options.fixpoint.trace.accountant);
   LDL_RETURN_NOT_OK(
       prepared.schedule.Run(base, &scratch, &result.stats,
@@ -269,7 +281,7 @@ Result<QueryResult> RunCounting(const PreparedQuery& prepared,
                                 const QueryEvalOptions& options) {
   QueryResult result;
   result.method_used = RecursionMethod::kCounting;
-  Database scratch;
+  Database scratch(base->shared_store());
   scratch.set_accountant(options.fixpoint.trace.accountant);
   FixpointOptions fixpoint = RewrittenRunOptions(options, goal, "counting");
   // Divergence guard. On acyclic data the ascent gains at least one new
@@ -303,20 +315,19 @@ Result<QueryResult> RunCounting(const PreparedQuery& prepared,
   // Answers: project the counter away; re-attach the goal's constants.
   Relation matched = SelectMatching(scratch.Find(prepared.answer_pred),
                                     CountingAnswerGoal(goal));
-  Relation answers("answers", goal.arity());
+  Relation answers("answers", goal.arity(), base->shared_store());
   const Adornment adn = Adornment::FromGoal(goal);
-  for (const Tuple& t : matched.tuples()) {
-    Tuple full;
-    full.reserve(goal.arity());
+  std::vector<Value> full(goal.arity());
+  for (size_t i = 0; i < goal.arity(); ++i) {
+    if (adn.IsBound(i)) full[i] = base->store()->Intern(goal.args()[i]);
+  }
+  for (size_t r = 0; r < matched.size(); ++r) {
+    const std::span<const Value> t = matched.row(r);
     size_t free_idx = 1;  // t[0] is the counter (= 0)
     for (size_t i = 0; i < goal.arity(); ++i) {
-      if (adn.IsBound(i)) {
-        full.push_back(goal.args()[i]);
-      } else {
-        full.push_back(t[free_idx++]);
-      }
+      if (!adn.IsBound(i)) full[i] = t[free_idx++];
     }
-    answers.Insert(std::move(full));
+    answers.InsertRow(full);
   }
   result.answers = std::move(answers);
   // One binding (the goal's constants): its answers are the goal's entry.

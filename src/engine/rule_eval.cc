@@ -41,58 +41,99 @@ void EvalCounters::ExportTo(MetricsRegistry* metrics) const {
   metrics->counter("engine.index_rows_built")->Increment(index_rows_built);
 }
 
-bool TermCode::Match(const Term& value, Term* regs) const {
-  switch (op) {
-    case Op::kWrite:
-      regs[reg] = value;
-      return true;
-    case Op::kRead:
-      return GroundUnifies(regs[reg], value);
-    case Op::kConst:
-      return GroundUnifies(term, value);
-    case Op::kFunction: {
-      if (value.kind() != TermKind::kFunction || value.text() != term.text() ||
-          value.arity() != args.size()) {
-        return false;
-      }
-      const std::vector<Term>& values = value.args();
-      for (size_t i = 0; i < args.size(); ++i) {
-        if (!args[i].Match(values[i], regs)) return false;
-      }
-      return true;
-    }
+bool TermCode::MatchFunction(Value value, Value* regs,
+                             const ValueStore& store) const {
+  if (!value.IsFunction() || store.Functor(value) != regs[reg].id() ||
+      store.Arity(value) != args.size()) {
+    return false;
   }
-  return false;
+  for (size_t i = 0; i < args.size(); ++i) {
+    if (!args[i].Match(store.Arg(value, i), regs, store)) return false;
+  }
+  return true;
 }
 
-Term TermCode::Build(const Term* regs) const {
+Value TermCode::BuildFunction(const Value* regs, ValueStore* store) const {
+  constexpr size_t kInline = 8;
+  Value inline_args[kInline];
+  std::vector<Value> wide;
+  Value* built = inline_args;
+  if (args.size() > kInline) {
+    wide.resize(args.size());
+    built = wide.data();
+  }
+  for (size_t i = 0; i < args.size(); ++i) {
+    built[i] = args[i].Build(regs, store);
+  }
+  return store->Function(static_cast<uint32_t>(regs[reg].id()),
+                         {built, args.size()});
+}
+
+std::optional<Value> TermCode::Fold(const Value* regs,
+                                    ValueStore* store) const {
+  if (op != Op::kFunction) return FoldArithmetic(regs[reg], store);
+  const auto functor = static_cast<uint32_t>(regs[reg].id());
+  if (ValueStore::IsArithmetic(functor, args.size())) {
+    const std::optional<Value> lhs = args[0].Fold(regs, store);
+    if (!lhs) return std::nullopt;
+    const std::optional<Value> rhs = args[1].Fold(regs, store);
+    if (!rhs) return std::nullopt;
+    if (lhs->IsNumeric() && rhs->IsNumeric()) {
+      return ApplyArithmetic(functor, *lhs, *rhs, store);
+    }
+    const Value pair[2] = {*lhs, *rhs};
+    return store->Function(functor, pair);
+  }
+  std::vector<Value> folded(args.size());
+  for (size_t i = 0; i < args.size(); ++i) {
+    const std::optional<Value> arg = args[i].Fold(regs, store);
+    if (!arg) return std::nullopt;
+    folded[i] = *arg;
+  }
+  return store->Function(functor, folded);
+}
+
+Term TermCode::Show(const Value* regs, const ValueStore& store) const {
   switch (op) {
     case Op::kRead:
-      return regs[reg];
+      return store.ToTerm(regs[reg]);
     case Op::kFunction: {
-      std::vector<Term> built;
-      built.reserve(args.size());
-      for (const TermCode& a : args) built.push_back(a.Build(regs));
-      return Term::MakeFunction(term.text(), std::move(built));
+      std::vector<Term> shown;
+      shown.reserve(args.size());
+      for (const TermCode& a : args) shown.push_back(a.Show(regs, store));
+      return Term::MakeFunction(term.text(), std::move(shown));
     }
     case Op::kConst:
     case Op::kWrite:
+    case Op::kUnbound:
       return term;
   }
   return term;
 }
 
-const Term& TermCode::Value(const Term* regs, Term* storage) const {
-  if (op == Op::kRead) return regs[reg];
-  if (op != Op::kFunction) return term;
-  *storage = Build(regs);
-  return *storage;
-}
-
-bool TermCode::ReadsArithmetic(const Term* regs) const {
-  if (op == Op::kRead) return ContainsArithmetic(regs[reg]);
+bool TermCode::ReadsArithmetic(const Value* regs) const {
+  if (op == Op::kRead) return regs[reg].HoldsArithmetic();
   for (const TermCode& a : args) {
     if (a.ReadsArithmetic(regs)) return true;
+  }
+  return false;
+}
+
+bool TermCode::MayHoldArithmetic() const {
+  switch (op) {
+    case Op::kRead:
+      return true;
+    case Op::kConst:
+      return ContainsArithmetic(term);
+    case Op::kFunction:
+      if (ContainsArithmetic(term)) return true;
+      for (const TermCode& a : args) {
+        if (a.MayHoldArithmetic()) return true;
+      }
+      return false;
+    case Op::kWrite:
+    case Op::kUnbound:
+      return false;
   }
   return false;
 }
@@ -139,6 +180,17 @@ bool RegisterScope::AllBound(const Term& t) const {
   return true;
 }
 
+uint32_t RegisterScope::ConstantRegister(Term t) {
+  const auto reg = static_cast<uint32_t>(bound_.size());
+  bound_.push_back(true);
+  constants_.emplace_back(reg, std::move(t));
+  return reg;
+}
+
+void RegisterScope::LoadConstants(ValueStore* store, Value* regs) const {
+  for (const auto& [reg, term] : constants_) regs[reg] = store->Intern(term);
+}
+
 TermCode RegisterScope::CompileMatch(const Term& t) {
   TermCode code;
   if (t.IsVariable()) {
@@ -147,9 +199,11 @@ TermCode RegisterScope::CompileMatch(const Term& t) {
     bound_[code.reg] = true;
   } else if (t.IsGround()) {
     code.term = t;
+    code.reg = ConstantRegister(t);
   } else {
     code.op = TermCode::Op::kFunction;
     code.term = t;
+    code.reg = ConstantRegister(Term::MakeSymbol(t.text()));
     for (const Term& a : t.args()) code.args.push_back(CompileMatch(a));
   }
   return code;
@@ -162,13 +216,16 @@ TermCode RegisterScope::CompileBuild(const Term& t) {
       code.op = TermCode::Op::kRead;
       code.reg = RegisterOf(t.text());
     } else {
+      code.op = TermCode::Op::kUnbound;
       code.term = t;  // shown as the variable itself
     }
   } else if (t.IsGround()) {
     code.term = t;
+    code.reg = ConstantRegister(t);
   } else {
     code.op = TermCode::Op::kFunction;
     code.term = t;
+    code.reg = ConstantRegister(Term::MakeSymbol(t.text()));
     for (const Term& a : t.args()) code.args.push_back(CompileBuild(a));
   }
   return code;
@@ -184,7 +241,6 @@ LiteralPattern LiteralPattern::Compile(const Literal& lit,
     is_key[i] = true;
     p.key_cols.push_back(static_cast<int>(i));
     p.key_code.push_back(scope->CompileBuild(lit.args()[i]));
-    p.key.push_back(p.key_code.back().term);
   }
   for (size_t i = 0; i < lit.arity(); ++i) {
     if (is_key[i]) continue;
@@ -192,17 +248,6 @@ LiteralPattern LiteralPattern::Compile(const Literal& lit,
     p.match_code.push_back(scope->CompileMatch(lit.args()[i]));
   }
   return p;
-}
-
-void LiteralPattern::BuildKey(const Term* regs, Tuple* key) const {
-  for (size_t i = 0; i < key_code.size(); ++i) {
-    const TermCode& code = key_code[i];
-    if (code.op == TermCode::Op::kRead) {
-      (*key)[i] = regs[code.reg];
-    } else if (code.op == TermCode::Op::kFunction) {
-      (*key)[i] = code.Build(regs);
-    }
-  }
 }
 
 Result<CompiledRule> CompiledRule::Compile(const Rule& rule,
@@ -265,30 +310,52 @@ Result<CompiledRule> CompiledRule::Compile(const Rule& rule,
   for (const Term& a : rule.head().args()) {
     compiled.head_bound_.push_back(scope.AllBound(a));
     compiled.head_.push_back(scope.CompileBuild(a));
+    compiled.head_folds_.push_back(compiled.head_.back().MayHoldArithmetic());
   }
-  compiled.num_registers_ = scope.size();
-  compiled.params_ = scope.parameters();
+  compiled.scope_ = std::move(scope);
   return compiled;
 }
 
 size_t CompiledRule::num_params() const {
   size_t n = 0;
-  for (const auto& [param, reg] : params_) n = std::max(n, param + 1);
+  for (const auto& [param, reg] : scope_.parameters()) {
+    n = std::max(n, param + 1);
+  }
   return n;
 }
 
 RuleState::RuleState(const CompiledRule& rule,
-                     const std::vector<Term>& params)
-    : registers_(rule.num_registers_), keys_(rule.steps_.size()) {
-  for (const auto& [param, reg] : rule.params_) {
+                     const std::vector<Value>& params, ValueStore* store)
+    : rule_(&rule),
+      store_(store),
+      registers_(rule.scope_.size()),
+      keys_(rule.steps_.size()),
+      indexes_(rule.steps_.size()),
+      head_(rule.head_.size()) {
+  rule.scope_.LoadConstants(store, registers_.data());
+  for (const auto& [param, reg] : rule.scope_.parameters()) {
     registers_[reg] = params[param];
   }
   for (size_t i = 0; i < rule.steps_.size(); ++i) {
     const CompiledRule::BodyStep& step = rule.steps_[i];
     if (step.kind == CompiledRule::BodyStep::Kind::kScan) {
-      keys_[i] = step.pattern.key;
+      keys_[i].resize(step.pattern.key_cols.size());
     } else if (step.kind == CompiledRule::BodyStep::Kind::kNegated) {
       keys_[i].resize(step.args.size());
+    }
+  }
+}
+
+void RuleState::ResolveIndexes(const RelationView* views) {
+  for (size_t i = 0; i < rule_->steps_.size(); ++i) {
+    const CompiledRule::BodyStep& step = rule_->steps_[i];
+    if (step.kind != CompiledRule::BodyStep::Kind::kScan ||
+        step.pattern.key_cols.empty()) {
+      continue;
+    }
+    Relation* rel = views[step.body_pos].rel;
+    if (rel != nullptr && indexes_[i].rel != rel) {
+      indexes_[i] = {rel, rel->IndexFor(step.pattern.key_cols)};
     }
   }
 }
@@ -298,12 +365,13 @@ RuleState::RuleState(const CompiledRule& rule,
 /// simply overwritten by the next match that writes it.
 struct CompiledRule::Firing {
   const CompiledRule& rule;
+  RuleState& state;
   RelationView* views;
-  Tuple* keys;
   Relation* out;
   EvalCounters* counters;
   const RuleEvalOptions& options;
-  Term* regs;
+  ValueStore* store;
+  Value* regs;
   size_t inserted = 0;
   size_t since_check = 0;  ///< examined tuples since the last check-point
 
@@ -315,6 +383,7 @@ struct CompiledRule::Firing {
       RelationView& view = views[step.body_pos];
       if (view.rel != nullptr) view.end = std::min(view.end, view.rel->size());
     }
+    state.ResolveIndexes(views);
     counters->rule_firings++;
     LDL_RETURN_NOT_OK(Step(0));
     FlushWork();
@@ -372,7 +441,7 @@ struct CompiledRule::Firing {
   /// The literal of `step` as far as it is bound, as errors show it.
   std::string Shown(const CompiledRule::BodyStep& step) const {
     std::vector<Term> args;
-    for (const TermCode& a : step.args) args.push_back(a.Build(regs));
+    for (const TermCode& a : step.args) args.push_back(a.Show(regs, *store));
     return rule.rule().body()[step.body_pos].WithArgs(std::move(args))
         .ToString();
   }
@@ -391,26 +460,32 @@ struct CompiledRule::Firing {
           StrCat("rule ", rule.rule().ToString(), " exceeded ",
                  options.max_derivations, " derivations"));
     }
-    Tuple t;
-    t.reserve(rule.head_.size());
+    Value* row = state.head_.data();
     for (size_t i = 0; i < rule.head_.size(); ++i) {
-      Term v = rule.head_[i].Build(regs);
+      const TermCode& code = rule.head_[i];
       if (!rule.head_bound_[i]) {
         return Status::Unsafe(
-            StrCat("non-ground head value ", v.ToString(), " in rule ",
-                   rule.rule().ToString(),
+            StrCat("non-ground head value ", code.Show(regs, *store).ToString(),
+                   " in rule ", rule.rule().ToString(),
                    " (rule is not range-restricted under this order)"));
       }
-      // Fold any arithmetic the head may carry, e.g. p(X+1) <- q(X).
-      if (ContainsArithmetic(v)) {
-        auto folded = EvalArithmetic(v);
-        if (!folded.ok()) return Status::OK();  // arithmetic error: no tuple
-        v = std::move(folded).value();
+      if (!rule.head_folds_[i]) {
+        row[i] = code.Build(regs, store);
+        continue;
       }
-      t.push_back(std::move(v));
+      // A register read folds only when its stored value holds arithmetic
+      // (one flag test).
+      if (code.op != TermCode::Op::kFunction) {
+        row[i] = regs[code.reg];
+        if (!row[i].HoldsArithmetic()) continue;
+      }
+      // Fold any arithmetic the head may carry, e.g. p(X+1) <- q(X).
+      const std::optional<Value> folded = code.Fold(regs, store);
+      if (!folded) return Status::OK();  // arithmetic error: no tuple
+      row[i] = *folded;
     }
     counters->dedup_probes++;
-    if (out->Insert(std::move(t))) {
+    if (out->InsertRow({row, rule.head_.size()})) {
       counters->inserts++;
       ++inserted;
     }
@@ -419,10 +494,10 @@ struct CompiledRule::Firing {
 
   Status StepTest(const CompiledRule::BodyStep& step, size_t depth) {
     const BuiltinKind kind = rule.rule().body()[step.body_pos].builtin();
-    Term lhs_storage;
-    Term rhs_storage;
-    if (!EvalGroundBuiltin(kind, step.args[0].Value(regs, &lhs_storage),
-                           step.args[1].Value(regs, &rhs_storage))) {
+    const std::optional<Value> lhs = step.args[0].Fold(regs, store);
+    const std::optional<Value> rhs = step.args[1].Fold(regs, store);
+    // An arithmetic error makes the comparison false.
+    if (!lhs || !rhs || !EvalGroundBuiltin(kind, *lhs, *rhs, store)) {
       return Status::OK();
     }
     return Step(depth + 1);
@@ -432,29 +507,27 @@ struct CompiledRule::Firing {
     // A stored value holding arithmetic makes the unbound side need
     // equation solving, exactly as arithmetic written there would.
     if (step.target.ReadsArithmetic(regs)) return UnsafeBuiltin(step);
-    Term storage;
-    const Term* value = &step.args[step.bound_side].Value(regs, &storage);
-    if (ContainsArithmetic(*value)) {
-      auto folded = EvalArithmetic(*value);
-      if (!folded.ok()) return Status::OK();  // arithmetic error: fails
-      storage = std::move(folded).value();
-      value = &storage;
-    }
+    const std::optional<Value> value =
+        step.args[step.bound_side].Fold(regs, store);
+    if (!value) return Status::OK();  // arithmetic error: fails
     // The bound side reads only registers bound before the literal, and
     // the target writes only ones that were not, so `value` survives it.
-    if (!step.target.Match(*value, regs)) return Status::OK();
+    if (!step.target.Match(*value, regs, *store)) return Status::OK();
     return Step(depth + 1);
   }
 
   Status StepNegated(const BodyStep& step, size_t depth) {
-    Tuple& key = keys[depth];
+    Value* key = state.keys_[depth].data();
     for (size_t i = 0; i < step.args.size(); ++i) {
-      key[i] = step.args[i].Build(regs);
+      key[i] = step.args[i].Build(regs, store);
     }
     // Negation reads a lower, already complete stratum: no window needed.
     Relation* rel = views[step.body_pos].rel;
     LDL_RETURN_NOT_OK(CountExamined());
-    if (rel != nullptr && rel->Contains(key)) return Status::OK();
+    if (rel != nullptr &&
+        rel->ContainsRow({key, step.args.size()})) {
+      return Status::OK();
+    }
     return Step(depth + 1);
   }
 
@@ -468,36 +541,41 @@ struct CompiledRule::Firing {
     // so it can grow while it is being read, and the reads stay valid
     // because:
     //  - the only insert happens in EmitHead, deeper in the recursion and
-    //    after the examined tuple's match is done; Match copies into a
-    //    register every value it keeps, so the tuple reference is dead once
-    //    Step(depth + 1) may have grown the relation and moved its storage;
-    //  - the posting list is an element of the index's deque, which only
-    //    grows at its end, so its address survives new keys and rehashes
-    //    of the key table; it is walked by position, so a reallocation of
-    //    its vector is harmless;
-    //  - rows are only appended, so ids below view.end keep their tuples,
-    //    and postings are ascending ids, so the walk stops at view.end.
-    auto try_tuple = [&](const Tuple& t) -> Status {
+    //    after the examined row's match is done; Match copies into a
+    //    register every value it keeps, so the row pointer is dead once
+    //    Step(depth + 1) may have grown the relation and moved its storage
+    //    (each row is re-read from the relation by id);
+    //  - the posting list is read through its index by position, so a
+    //    move of its slice (the group grew) or of the index's id array is
+    //    harmless;
+    //  - rows are only appended, so ids below view.end keep their rows,
+    //    and postings are ascending ids, so the window's positions are
+    //    fixed when the walk starts.
+    auto try_row = [&](size_t id) -> Status {
       LDL_RETURN_NOT_OK(CountExamined());
-      if (!pattern.Match(t, regs)) return Status::OK();
+      if (!pattern.Match(rel->row(id).data(), regs, *store)) {
+        return Status::OK();
+      }
       return Step(depth + 1);
     };
 
     if (!pattern.key_cols.empty()) {
       counters->index_probes++;
-      Tuple& key = keys[depth];
-      pattern.BuildKey(regs, &key);
-      const std::vector<uint32_t>& ids = rel->Lookup(
-          pattern.key_cols, key, &counters->index_rows_built);
-      size_t i = std::lower_bound(ids.begin(), ids.end(), view.begin) -
-                 ids.begin();
-      for (; i < ids.size() && ids[i] < view.end; ++i) {
-        LDL_RETURN_NOT_OK(try_tuple(rel->tuple(ids[i])));
+      Value* key = state.keys_[depth].data();
+      pattern.BuildKey(regs, store, key);
+      const Relation::Postings ids = rel->Lookup(
+          state.indexes_[depth].id, {key, pattern.key_cols.size()},
+          &counters->index_rows_built);
+      // Postings ascend, and rows appended during the walk have ids past
+      // view.end, so the window's positions are fixed here.
+      const size_t end = ids.LowerBound(view.end);
+      for (size_t i = ids.LowerBound(view.begin); i < end; ++i) {
+        LDL_RETURN_NOT_OK(try_row(ids[i]));
       }
       return Status::OK();
     }
     for (size_t i = view.begin; i < view.end; ++i) {
-      LDL_RETURN_NOT_OK(try_tuple(rel->tuple(i)));
+      LDL_RETURN_NOT_OK(try_row(i));
     }
     return Status::OK();
   }
@@ -507,9 +585,9 @@ Result<size_t> EvaluateRule(const CompiledRule& rule, RuleState* state,
                             RelationView* views, Relation* out,
                             EvalCounters* counters,
                             const RuleEvalOptions& options) {
-  CompiledRule::Firing firing{rule,     views,    state->keys_.data(),
+  CompiledRule::Firing firing{rule,     *state,  views,
                               out,      counters, options,
-                              state->registers_.data()};
+                              state->store_, state->registers_.data()};
   return firing.Run();
 }
 

@@ -2,6 +2,7 @@
 #define LDLOPT_ENGINE_RULE_EVAL_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -77,33 +78,65 @@ struct RuleEvalOptions {
 
 /// A term compiled against the variables bound where it is evaluated
 /// (DESIGN.md §19). Variables are register numbers into a register file
-/// of ground values; nothing is looked up by name at run time.
+/// of Values; nothing is looked up by name at run time. Constants and
+/// functor names are registers too, loaded once per run from the run's
+/// ValueStore (RegisterScope::LoadConstants), so compiled code holds no
+/// store's ids and any number of stores' runs may share it.
 struct TermCode {
   enum class Op : uint8_t {
-    kConst,     ///< `term` itself: a variable-free subterm, or (in code
-                ///< built for display) a variable not bound yet
+    kConst,     ///< a variable-free subterm `term`, in register `reg`
     kRead,      ///< the value in register `reg`
     kWrite,     ///< match only: store the matched value in register `reg`
     kFunction,  ///< a function term with the functor and arity of `term`,
-                ///< whose arguments are `args`
+                ///< whose arguments are `args`; `reg` holds its functor
+                ///< name as a symbol
+    kUnbound,   ///< build only: a variable not bound yet, shown as itself
   };
   Op op = Op::kConst;
   uint32_t reg = 0;
-  Term term;
+  Term term;  ///< kConst, kFunction, kUnbound: the source term
   std::vector<TermCode> args;
 
   /// One-way match against the ground `value`, left to right, depth first:
   /// writes store into `regs`; reads and constants compare by
   /// GroundUnifies, so 1 matches 1.0. A failed match may leave registers
   /// written; they are dead, since every later use writes them first.
-  bool Match(const Term& value, Term* regs) const;
-  /// The term with every read replaced by its register's value.
-  Term Build(const Term* regs) const;
-  /// Like Build, but returns a register or the constant itself without
-  /// copying; only a function term is built, into `*storage`.
-  const Term& Value(const Term* regs, Term* storage) const;
+  bool Match(Value value, Value* regs, const ValueStore& store) const {
+    switch (op) {
+      case Op::kWrite:
+        regs[reg] = value;
+        return true;
+      case Op::kRead:
+      case Op::kConst:
+        return store.Unifies(regs[reg], value);
+      case Op::kFunction:
+        return MatchFunction(value, regs, store);
+      case Op::kUnbound:
+        return false;
+    }
+    return false;
+  }
+  /// The value with every read replaced by its register's value; function
+  /// terms are interned into `store`. Not for kUnbound codes.
+  Value Build(const Value* regs, ValueStore* store) const {
+    if (op != Op::kFunction) return regs[reg];
+    return BuildFunction(regs, store);
+  }
+  /// Build, then EvalArithmetic: the folded value, or nullopt on an
+  /// arithmetic error. An arithmetic node whose arguments fold to numbers
+  /// is computed without being interned.
+  std::optional<Value> Fold(const Value* regs, ValueStore* store) const;
+  /// The term as far as it is bound, as error messages show it.
+  Term Show(const Value* regs, const ValueStore& store) const;
   /// True iff some register this code reads holds an arithmetic term.
-  bool ReadsArithmetic(const Term* regs) const;
+  bool ReadsArithmetic(const Value* regs) const;
+  /// True iff building this code may yield arithmetic to fold: it holds an
+  /// arithmetic functor or reads a register.
+  bool MayHoldArithmetic() const;
+
+ private:
+  bool MatchFunction(Value value, Value* regs, const ValueStore& store) const;
+  Value BuildFunction(const Value* regs, ValueStore* store) const;
 };
 
 /// The parameter `$i`: a variable no parsed program can contain, standing
@@ -114,10 +147,10 @@ struct TermCode {
 /// every goal of its shape.
 Term ParameterVariable(size_t i);
 
-/// Compile-time register allocation: one register per variable name, and
-/// which variables are bound at the point being compiled. Compiling in
-/// evaluation order makes every binding state static. Parameters `$i` are
-/// bound from the start.
+/// Compile-time register allocation: one register per variable name, per
+/// constant and per functor, and which variables are bound at the point
+/// being compiled. Compiling in evaluation order makes every binding state
+/// static. Parameters `$i` are bound from the start.
 class RegisterScope {
  public:
   /// The register of `var`, allocated on first sight.
@@ -130,8 +163,8 @@ class RegisterScope {
   /// everything compiled later), and a variable-free subterm is a constant.
   TermCode CompileMatch(const Term& t);
   /// Compiles `t` as a builder: bound variables read their registers and
-  /// unbound ones stay variables, so Build yields `t` as far as it is
-  /// bound (the text error messages show).
+  /// unbound ones stay variables (kUnbound), so Show yields `t` as far as
+  /// it is bound (the text error messages show).
   TermCode CompileBuild(const Term& t);
 
   /// Registers allocated so far.
@@ -140,36 +173,45 @@ class RegisterScope {
   const std::vector<std::pair<size_t, uint32_t>>& parameters() const {
     return parameters_;
   }
+  /// Interns every constant register's term into `store` and writes it to
+  /// `regs` (which must hold size() registers).
+  void LoadConstants(ValueStore* store, Value* regs) const;
 
  private:
   bool IsBound(const std::string& var) const;
+  uint32_t ConstantRegister(Term t);
 
   std::unordered_map<std::string, uint32_t> registers_;
   std::vector<bool> bound_;
   std::vector<std::pair<size_t, uint32_t>> parameters_;
+  /// The constant registers: (register, the term it holds). A functor's
+  /// register holds its name as a symbol.
+  std::vector<std::pair<uint32_t, Term>> constants_;
 };
 
 /// A positive literal's arguments split by what is bound before it. Key
 /// columns are chosen before any variable of the literal is bound: every
 /// variable of a key column is bound earlier, so its value is known when
-/// the literal is reached and the index filters on it (by Term ==). The
+/// the literal is reached and the index filters on it (by Value ==). The
 /// other columns are match patterns, run in column order.
 struct LiteralPattern {
   std::vector<int> key_cols;         ///< ascending
   std::vector<TermCode> key_code;    ///< one builder per key column
-  Tuple key;                         ///< key template; constants pre-filled
   std::vector<size_t> match_cols;    ///< ascending, disjoint from key_cols
   std::vector<TermCode> match_code;  ///< one pattern per match column
 
   static LiteralPattern Compile(const Literal& lit, RegisterScope* scope);
-  /// Refreshes from the registers the entries of `key`, a copy of the
-  /// template, that are not constants.
-  void BuildKey(const Term* regs, Tuple* key) const;
-  /// Matches the match columns of `t` (the index already matched the key
+  /// Builds the key values from the registers into `key`.
+  void BuildKey(const Value* regs, ValueStore* store, Value* key) const {
+    for (size_t i = 0; i < key_code.size(); ++i) {
+      key[i] = key_code[i].Build(regs, store);
+    }
+  }
+  /// Matches the match columns of `row` (the index already matched the key
   /// columns).
-  bool Match(const Tuple& t, Term* regs) const {
+  bool Match(const Value* row, Value* regs, const ValueStore& store) const {
     for (size_t i = 0; i < match_cols.size(); ++i) {
-      if (!match_code[i].Match(t[match_cols[i]], regs)) return false;
+      if (!match_code[i].Match(row[match_cols[i]], regs, store)) return false;
     }
     return true;
   }
@@ -180,9 +222,10 @@ class RuleState;
 /// A rule compiled for one body order into a join program over a register
 /// file (DESIGN.md §19). With the order fixed, every literal's binding
 /// pattern is decided here, once: key columns, match patterns, which side
-/// of an `=` is bound, and which literals can only raise Unsafe. A compiled
-/// rule is immutable: each run fires it through its own RuleState, which
-/// holds the register file and key buffers (DESIGN.md §23).
+/// of an `=` is bound, which head values may need arithmetic folding, and
+/// which literals can only raise Unsafe. A compiled rule is immutable: each
+/// run fires it through its own RuleState, which holds the register file,
+/// key buffers and head row (DESIGN.md §23).
 class CompiledRule {
  public:
   /// Compiles `rule` for the body order `order` (empty = textual order).
@@ -227,32 +270,52 @@ class CompiledRule {
   std::vector<BodyStep> steps_;   ///< in evaluation order
   std::vector<TermCode> head_;    ///< head arguments, built for display
   std::vector<bool> head_bound_;  ///< per head argument: all bound
-  size_t num_registers_ = 0;
-  /// (parameter index, register) for every parameter the rule reads.
-  std::vector<std::pair<size_t, uint32_t>> params_;
+  /// Per head argument: may hold arithmetic, so its built value's flag is
+  /// tested (and the value folded when set).
+  std::vector<bool> head_folds_;
+  RegisterScope scope_;  ///< the registers, with the constants to load
 };
 
 /// The mutable half of a compiled rule for one run: its register file,
-/// with the parameters loaded, and a key buffer per body step. A run makes
-/// one per compiled rule and fires the rule through it, one firing at a
-/// time; the compiled rule itself is never written, so any number of runs
-/// may share it.
+/// with the constants and parameters loaded into the run's store, a key
+/// buffer and resolved index per body step, and the head row buffer. A run
+/// makes one per compiled rule and fires the rule through it, one firing
+/// at a time; the compiled rule itself is never written, so any number of
+/// runs may share it.
 class RuleState {
  public:
-  /// A state for `rule` with `params` as the values of its parameters:
-  /// `params` must hold at least rule.num_params() values.
-  RuleState(const CompiledRule& rule, const std::vector<Term>& params);
+  /// A state for `rule` over the values of `store`, with `params` (values
+  /// of `store`) as the values of its parameters: `params` must hold at
+  /// least rule.num_params() values.
+  RuleState(const CompiledRule& rule, const std::vector<Value>& params,
+            ValueStore* store);
+
+  /// Resolves the index every keyed scan step probes: `views[pos].rel` is
+  /// the relation body position `pos` reads. A firing resolves what is
+  /// not resolved yet (or changed relation), so calling this is optional:
+  /// a run calls it once when it is set up.
+  void ResolveIndexes(const RelationView* views);
 
  private:
+  friend struct CompiledRule::Firing;
   friend Result<size_t> EvaluateRule(const CompiledRule& rule,
                                      RuleState* state, RelationView* views,
                                      Relation* out, EvalCounters* counters,
                                      const RuleEvalOptions& options);
+  /// A keyed scan step's index on the relation it last read.
+  struct StepIndex {
+    const Relation* rel = nullptr;
+    Relation::IndexId id = 0;
+  };
 
-  std::vector<Term> registers_;
-  /// Per step: a scan's index key (template copy) or a negated literal's
-  /// built tuple; empty for the other steps.
-  std::vector<Tuple> keys_;
+  const CompiledRule* rule_;
+  ValueStore* store_;
+  std::vector<Value> registers_;
+  /// Per step: a scan's index key or a negated literal's built row; empty
+  /// for the other steps.
+  std::vector<std::vector<Value>> keys_;
+  std::vector<StepIndex> indexes_;  ///< per step
+  std::vector<Value> head_;         ///< the row EmitHead builds
 };
 
 /// Fires a compiled rule bottom-up through `state`: enumerates all register

@@ -266,6 +266,17 @@ Optimizer::Subplan Optimizer::OptimizePredicate(const AdornedPredicate& ap) {
     }
     search_stats_.memo_misses++;
   }
+  if (descent_ >= kMaxDescent) {
+    aborted_status_ = Status::ResourceExhausted(
+        StrCat("rule base chains derived predicates deeper than ",
+               kMaxDescent, " levels (at ", ap.ToString(), ")"));
+    return AbortedSubplan();
+  }
+  ++descent_;
+  struct Ascend {
+    size_t* depth;
+    ~Ascend() { --*depth; }
+  } ascend{&descent_};
   search_stats_.subplans_optimized++;
   SearchTracer* const st = Tracing();
   const std::string trace_key = st == nullptr ? std::string() : ap.ToString();

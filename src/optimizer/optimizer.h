@@ -279,6 +279,13 @@ class Optimizer {
   bool Aborted();
   Subplan AbortedSubplan() const;
 
+  /// How deep NR-OPT may descend through derived literals: each level is
+  /// one OptimizePredicate → OptimizeRule/MakeItem → OptimizePredicate
+  /// cycle, i.e. one link of a chain of predicates. A deeper rule base is
+  /// refused with kResourceExhausted (latched like an abort) instead of
+  /// overflowing the stack; the parser bounds term nesting the same way.
+  static constexpr size_t kMaxDescent = 1024;
+
   /// Estimated footprint of one memo entry, charged to trace.accountant.
   uint64_t ApproxSubplanBytes(const Subplan& sub) const;
   /// The shallow placeholder subplan returned for pruned-unreachable
@@ -311,6 +318,7 @@ class Optimizer {
   /// First cancel/deadline/budget violation seen during the current
   /// Optimize call (sticky until the next call starts).
   Status aborted_status_;
+  size_t descent_ = 0;  ///< OptimizePredicate calls in progress
   /// Bytes charged to trace.accountant for memo_ entries so far.
   uint64_t memo_charged_bytes_ = 0;
 };

@@ -54,60 +54,75 @@ Result<ProjectedProgram> PushProjections(const Program& program,
     needed[goal.predicate()] = all;
   }
 
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const Rule& rule : program.rules()) {
-      const PredicateId head_pred = rule.head().predicate();
-      const std::set<size_t>& head_needed = needed[head_pred];
+  // A worklist of rules: every rule once, then again whenever the needed
+  // positions of its head grow. The needed sets only grow, so the fixpoint
+  // is the one a round-robin sweep reaches, and a chain of n predicates
+  // costs O(n) rule visits instead of a sweep of every rule per link.
+  std::vector<size_t> work(program.rules().size());
+  for (size_t i = 0; i < work.size(); ++i) work[i] = work.size() - 1 - i;
+  std::vector<bool> queued(work.size(), true);
+  while (!work.empty()) {
+    const size_t rule_index = work.back();
+    work.pop_back();
+    queued[rule_index] = false;
+    const Rule& rule = program.rules()[rule_index];
+    const PredicateId head_pred = rule.head().predicate();
+    const std::set<size_t>& head_needed = needed[head_pred];
 
-      // Variables "consumed" inside this rule: variables of needed head
-      // positions, of builtins, of negated literals.
-      std::map<std::string, size_t> external;
-      for (size_t i = 0; i < rule.head().arity(); ++i) {
-        if (head_needed.count(i)) CountVars(rule.head().args()[i], &external);
+    // Variables "consumed" inside this rule: variables of needed head
+    // positions, of builtins, of negated literals.
+    std::map<std::string, size_t> external;
+    for (size_t i = 0; i < rule.head().arity(); ++i) {
+      if (head_needed.count(i)) CountVars(rule.head().args()[i], &external);
+    }
+    for (const Literal& lit : rule.body()) {
+      if (lit.IsBuiltin() || lit.negated()) {
+        for (const Term& a : lit.args()) CountVars(a, &external);
       }
-      for (const Literal& lit : rule.body()) {
-        if (lit.IsBuiltin() || lit.negated()) {
-          for (const Term& a : lit.args()) CountVars(a, &external);
-        }
-      }
-      // Total occurrence counts across positive body literals.
-      std::map<std::string, size_t> body_counts;
-      for (const Literal& lit : rule.body()) {
-        if (lit.IsBuiltin() || lit.negated()) continue;
-        for (const Term& a : lit.args()) CountVars(a, &body_counts);
-      }
+    }
+    // Total occurrence counts across positive body literals.
+    std::map<std::string, size_t> body_counts;
+    for (const Literal& lit : rule.body()) {
+      if (lit.IsBuiltin() || lit.negated()) continue;
+      for (const Term& a : lit.args()) CountVars(a, &body_counts);
+    }
 
-      for (const Literal& lit : rule.body()) {
-        if (lit.IsBuiltin()) continue;
-        const PredicateId pred = lit.predicate();
-        if (!program.IsDerived(pred)) continue;
-        std::set<size_t>& pred_needed = needed[pred];
-        for (size_t k = 0; k < lit.arity(); ++k) {
-          if (pred_needed.count(k)) continue;
-          const Term& t = lit.args()[k];
-          bool is_needed = false;
-          if (lit.negated()) {
-            // Dropping a position under negation changes its meaning.
-            is_needed = true;
-          } else if (t.kind() != TermKind::kVariable) {
-            // Constants select; function terms pattern-match.
-            is_needed = true;
-          } else {
-            const std::string& v = t.text();
-            size_t in_this_literal = 0;
-            for (const Term& a : lit.args()) {
-              if (a.kind() == TermKind::kVariable && a.text() == v) {
-                ++in_this_literal;
-              }
-            }
-            if (external.count(v) || in_this_literal > 1 ||
-                body_counts[v] > in_this_literal) {
-              is_needed = true;
+    for (const Literal& lit : rule.body()) {
+      if (lit.IsBuiltin()) continue;
+      const PredicateId pred = lit.predicate();
+      if (!program.IsDerived(pred)) continue;
+      std::set<size_t>& pred_needed = needed[pred];
+      bool grew = false;
+      for (size_t k = 0; k < lit.arity(); ++k) {
+        if (pred_needed.count(k)) continue;
+        const Term& t = lit.args()[k];
+        bool is_needed = false;
+        if (lit.negated()) {
+          // Dropping a position under negation changes its meaning.
+          is_needed = true;
+        } else if (t.kind() != TermKind::kVariable) {
+          // Constants select; function terms pattern-match.
+          is_needed = true;
+        } else {
+          const std::string& v = t.text();
+          size_t in_this_literal = 0;
+          for (const Term& a : lit.args()) {
+            if (a.kind() == TermKind::kVariable && a.text() == v) {
+              ++in_this_literal;
             }
           }
-          if (is_needed && pred_needed.insert(k).second) changed = true;
+          if (external.count(v) || in_this_literal > 1 ||
+              body_counts[v] > in_this_literal) {
+            is_needed = true;
+          }
+        }
+        if (is_needed && pred_needed.insert(k).second) grew = true;
+      }
+      if (!grew) continue;
+      for (size_t dependent : program.RulesFor(pred)) {
+        if (!queued[dependent]) {
+          queued[dependent] = true;
+          work.push_back(dependent);
         }
       }
     }

@@ -7,16 +7,27 @@
 
 namespace ldl {
 
+namespace {
+// Facts up to this arity are interned into a buffer on the stack.
+constexpr size_t kMaxInlineArity = 16;
+}  // namespace
+
 Relation* Database::GetOrCreate(const PredicateId& pred) {
   auto it = relations_.find(pred);
   if (it == relations_.end()) {
     it = relations_
-             .emplace(pred,
-                      std::make_unique<Relation>(pred.name, pred.arity))
+             .emplace(pred, std::make_unique<Relation>(pred.name, pred.arity,
+                                                       store_))
              .first;
     if (accountant_ != nullptr) it->second->set_accountant(accountant_);
   }
   return it->second.get();
+}
+
+void Database::UseStore(std::shared_ptr<ValueStore> store) {
+  if (store == store_) return;
+  store_ = std::move(store);
+  for (auto& [_, rel] : relations_) rel->UseStore(store_);
 }
 
 void Database::set_accountant(ResourceAccountant* accountant) {
@@ -50,7 +61,20 @@ Status Database::CheckFact(const Literal& fact) {
 
 Status Database::AddFact(const Literal& fact) {
   LDL_RETURN_NOT_OK(CheckFact(fact));
-  GetOrCreate(fact.predicate())->Insert(Tuple(fact.args()));
+  // Interned straight from the literal: no row of terms is built.
+  Relation* rel = GetOrCreate(fact.predicate());
+  ValueStore* values = rel->store();
+  Value row[kMaxInlineArity];
+  std::vector<Value> wide;
+  Value* out = row;
+  if (fact.arity() > kMaxInlineArity) {
+    wide.resize(fact.arity());
+    out = wide.data();
+  }
+  for (size_t i = 0; i < fact.arity(); ++i) {
+    out[i] = values->Intern(fact.args()[i]);
+  }
+  rel->InsertRow({out, fact.arity()});
   return Status::OK();
 }
 

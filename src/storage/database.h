@@ -14,10 +14,17 @@ namespace ldl {
 
 /// The fact base: named relations keyed by predicate name/arity.
 /// Relations are owned by the database; engine components hold raw pointers
-/// whose lifetime is bounded by the database's.
+/// whose lifetime is bounded by the database's. Every relation it creates
+/// shares the database's ValueStore (DESIGN.md §25); a per-run scratch
+/// database is made on its base's store, so rows move between them as
+/// values.
 class Database {
  public:
-  Database() = default;
+  /// A database with a store of its own.
+  Database() : store_(std::make_shared<ValueStore>()) {}
+  /// A database whose relations share `store` (a scratch database).
+  explicit Database(std::shared_ptr<ValueStore> store)
+      : store_(std::move(store)) {}
 
   // Movable, not copyable (relations can be large).
   Database(Database&&) = default;
@@ -27,6 +34,13 @@ class Database {
 
   /// Returns the relation for `pred`, creating an empty one if absent.
   Relation* GetOrCreate(const PredicateId& pred);
+
+  ValueStore* store() const { return store_.get(); }
+  const std::shared_ptr<ValueStore>& shared_store() const { return store_; }
+  /// Moves every relation into `store` (Relation::UseStore), and creates
+  /// later ones there: how a run makes a scratch database share its base's
+  /// store.
+  void UseStore(std::shared_ptr<ValueStore> store);
 
   /// Attaches a resource accountant to every current relation and to
   /// relations created later; nullptr detaches. Used on per-query scratch
@@ -55,6 +69,7 @@ class Database {
   std::string ToString() const;
 
  private:
+  std::shared_ptr<ValueStore> store_;
   std::unordered_map<PredicateId, std::unique_ptr<Relation>, PredicateIdHash>
       relations_;
   ResourceAccountant* accountant_ = nullptr;

@@ -1,6 +1,7 @@
 #include "storage/relation.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <sstream>
 #include <utility>
@@ -20,66 +21,15 @@ std::string TupleToString(const Tuple& t) {
   return os.str();
 }
 
-size_t ApproxTermBytes(const Term& t) {
-  // Recurses into all but the last argument and loops down the last, so a
-  // long list costs no stack.
-  size_t n = 0;
-  for (const Term* cur = &t;; cur = &cur->args().back()) {
-    n += sizeof(Term) + cur->text().size();
-    const std::vector<Term>& args = cur->args();
-    if (args.empty()) return n;
-    for (size_t i = 0; i + 1 < args.size(); ++i) n += ApproxTermBytes(args[i]);
-  }
-}
-
-size_t ApproxTupleBytes(const Tuple& t) {
-  size_t n = sizeof(Tuple);
-  for (const Term& v : t) n += ApproxTermBytes(v);
-  return n;
-}
-
 namespace {
 
-// An unused RowTable slot (row and group ids are below 2^32 - 1).
-constexpr uint32_t kEmptySlot = ~uint32_t{0};
-
-// Smallest RowTable; tables double when half full.
-constexpr size_t kMinSlots = 16;
-
-// Probes `slots` (non-empty, with a free slot) from `hash`'s home to the
-// slot holding an id `same` accepts, or to the empty slot ending the run.
-// The hashes of integers are cheap combines of the value, so multiply to
-// spread the low bits linear probing uses.
-template <typename Same>
-size_t Probe(const std::vector<uint32_t>& slots, size_t hash,
-             const Same& same) {
-  const size_t mask = slots.size() - 1;
-  size_t i = (hash * 0x9e3779b97f4a7c15ULL >> 32) & mask;
-  while (slots[i] != kEmptySlot && !same(slots[i])) i = (i + 1) & mask;
-  return i;
-}
-
-bool Never(uint32_t) { return false; }
-
-// The id `slots` holds for the probed value, or kEmptySlot.
-template <typename Same>
-uint32_t Find(const std::vector<uint32_t>& slots, size_t hash,
-              const Same& same) {
-  return slots.empty() ? kEmptySlot : slots[Probe(slots, hash, same)];
-}
-
-// TupleHash of `row` projected on `cols`, without building the projection.
-size_t KeyHash(const Tuple& row, const std::vector<int>& cols) {
+// RowHash of `row` projected on `cols`, without building the projection.
+size_t KeyHash(const Value* row, const std::vector<int>& cols) {
   size_t seed = cols.size();
-  for (int c : cols) HashCombine(&seed, row[c].Hash());
+  for (int c : cols) {
+    seed ^= row[c].bits() + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2);
+  }
   return seed;
-}
-
-// Shared "no match" posting list that Lookup returns by reference. Leaked
-// on purpose so the reference stays valid through static destruction.
-const std::vector<uint32_t>& EmptyPostings() {
-  static const auto* empty = new std::vector<uint32_t>();
-  return *empty;
 }
 
 }  // namespace
@@ -89,7 +39,9 @@ Relation& Relation::operator=(const Relation& other) {
   ChargeDelta(0, charged_bytes_);
   name_ = other.name_;
   arity_ = other.arity_;
-  tuples_ = other.tuples_;
+  rows_ = other.rows_;
+  values_ = other.values_;
+  store_ = other.store_;
   dedup_ = other.dedup_;
   indexes_ = other.indexes_;
   distinct_ = other.distinct_;
@@ -104,7 +56,9 @@ Relation& Relation::operator=(Relation&& other) noexcept {
   ChargeDelta(0, charged_bytes_);
   name_ = std::move(other.name_);
   arity_ = other.arity_;
-  tuples_ = std::exchange(other.tuples_, {});
+  rows_ = std::exchange(other.rows_, 0);
+  values_ = std::exchange(other.values_, {});
+  store_ = other.store_;
   dedup_ = std::exchange(other.dedup_, {});
   indexes_ = std::exchange(other.indexes_, {});
   distinct_ = std::exchange(other.distinct_, {});
@@ -113,16 +67,36 @@ Relation& Relation::operator=(Relation&& other) noexcept {
   return *this;
 }
 
-uint64_t Relation::EstimateBytes() const {
-  // An index holds one posting per row it has seen.
-  uint64_t ids = dedup_.slots.size();
-  for (const auto& [cols, index] : indexes_) {
-    ids += index.keys.slots.size() + index.keys.built_upto;
+const std::shared_ptr<ValueStore>& Relation::shared_store() const {
+  if (store_ == nullptr) store_ = std::make_shared<ValueStore>();
+  return store_;
+}
+
+void Relation::UseStore(std::shared_ptr<ValueStore> store) {
+  if (store == store_) return;
+  if (rows_ == 0) {
+    store_ = std::move(store);
+    return;
   }
-  for (const RowTable& table : distinct_) ids += table.slots.size();
-  uint64_t n = ids * sizeof(uint32_t);
-  for (const Tuple& t : tuples_) n += ApproxTupleBytes(t);
-  return n;
+  // Rare (a relation filled before it joined a database): re-intern.
+  std::vector<Tuple> rows;
+  rows.reserve(rows_);
+  for (size_t i = 0; i < rows_; ++i) rows.push_back(tuple(i));
+  Clear();
+  store_ = std::move(store);
+  for (const Tuple& t : rows) Insert(t);
+}
+
+uint64_t Relation::EstimateBytes() const {
+  uint64_t ids = dedup_.ids.slot_count();
+  uint64_t groups = 0;
+  for (const Index& index : indexes_) {
+    ids += index.keys.ids.slot_count() + index.ids.size();
+    groups += index.groups.size();
+  }
+  for (const RowTable& table : distinct_) ids += table.ids.slot_count();
+  return ids * sizeof(uint32_t) + groups * sizeof(Index::Group) +
+         values_.size() * sizeof(Value);
 }
 
 void Relation::set_accountant(ResourceAccountant* accountant) {
@@ -141,137 +115,269 @@ void Relation::set_accountant(ResourceAccountant* accountant) {
   }
 }
 
-template <typename Same, typename HashOf>
-uint32_t Relation::FindOrAdd(RowTable* table, size_t hash, const Same& same,
-                             const HashOf& hash_of, uint32_t id) const {
-  std::vector<uint32_t>& slots = table->slots;
-  size_t i = slots.empty() ? 0 : Probe(slots, hash, same);
-  if (!slots.empty() && slots[i] != kEmptySlot) return slots[i];
-  // Keep the load factor at or below one half so probes stay short.
-  if (2 * (table->count + 1) > slots.size()) {
-    std::vector<uint32_t> old = std::exchange(slots, {});
-    slots.assign(std::max(kMinSlots, 2 * old.size()), kEmptySlot);
-    for (uint32_t stored : old) {
-      if (stored == kEmptySlot) continue;
-      slots[Probe(slots, hash_of(stored), Never)] = stored;
-    }
-    ChargeDelta((slots.size() - old.size()) * sizeof(uint32_t), 0);
-    i = Probe(slots, hash, Never);
-  }
-  slots[i] = id;
-  ++table->count;
-  return id;
-}
-
-bool Relation::Insert(Tuple t) {
-  assert(t.size() == arity_ && "tuple arity mismatch");
-  if (t.size() != arity_) return false;
-  const auto row = static_cast<uint32_t>(tuples_.size());
-  auto same = [&](uint32_t id) { return tuples_[id] == t; };
-  auto hash_of = [&](uint32_t id) { return TupleHash{}(tuples_[id]); };
-  if (FindOrAdd(&dedup_, TupleHash{}(t), same, hash_of, row) != row) {
+bool Relation::InsertRow(std::span<const Value> row) {
+  assert(row.size() == arity_ && "tuple arity mismatch");
+  if (row.size() != arity_) return false;
+  const auto id = static_cast<uint32_t>(rows_);
+  auto same = [&](uint32_t r) {
+    return std::equal(row.begin(), row.end(), values_.begin() + r * arity_);
+  };
+  auto hash_of = [&](uint32_t r) { return RowHash(this->row(r)); };
+  const size_t slots = dedup_.ids.slot_count();
+  if (dedup_.ids.FindOrAdd(RowHash(row), same, hash_of, id) != id) {
     return false;
   }
-  if (accountant_ != nullptr) ChargeDelta(ApproxTupleBytes(t), 0);
-  tuples_.push_back(std::move(t));
+  ChargeSlots(dedup_.ids, slots);
+  if (!row.empty() && row.data() >= values_.data() &&
+      row.data() < values_.data() + values_.size()) {
+    // One of this relation's own rows (a NaN row is never a duplicate):
+    // copy it out before the buffer may move.
+    const std::vector<Value> copy(row.begin(), row.end());
+    values_.insert(values_.end(), copy.begin(), copy.end());
+  } else {
+    values_.insert(values_.end(), row.begin(), row.end());
+  }
+  ++rows_;
+  ChargeDelta(arity_ * sizeof(Value), 0);
   return true;
+}
+
+bool Relation::ContainsRow(std::span<const Value> row) const {
+  auto same = [&](uint32_t r) {
+    return std::equal(row.begin(), row.end(), values_.begin() + r * arity_);
+  };
+  return dedup_.ids.Find(RowHash(row), same) != IdTable::kEmpty;
+}
+
+bool Relation::Insert(const Tuple& t) {
+  assert(t.size() == arity_ && "tuple arity mismatch");
+  if (t.size() != arity_) return false;
+  ValueStore* values = store();
+  const size_t before = accountant_ != nullptr ? values->bytes() : 0;
+  std::vector<Value> row;
+  row.reserve(t.size());
+  for (const Term& v : t) row.push_back(values->Intern(v));
+  if (accountant_ != nullptr) ChargeDelta(values->bytes() - before, 0);
+  return InsertRow(row);
+}
+
+bool Relation::Contains(const Tuple& t) const {
+  if (t.size() != arity_ || store_ == nullptr) return false;
+  std::vector<Value> row;
+  row.reserve(t.size());
+  for (const Term& v : t) row.push_back(store_->Intern(v));
+  return ContainsRow(row);
+}
+
+Tuple Relation::tuple(size_t i) const {
+  Tuple t;
+  t.reserve(arity_);
+  for (Value v : row(i)) t.push_back(store_->ToTerm(v));
+  return t;
+}
+
+std::vector<Tuple> Relation::tuples() const {
+  std::vector<Tuple> out;
+  out.reserve(rows_);
+  ValueStore::TermMemo memo;
+  for (size_t i = 0; i < rows_; ++i) {
+    Tuple t;
+    t.reserve(arity_);
+    for (Value v : row(i)) t.push_back(store_->ToTerm(v, &memo));
+    out.push_back(std::move(t));
+  }
+  return out;
 }
 
 size_t Relation::InsertAll(const Relation& other) {
   size_t added = 0;
-  for (const Tuple& t : other.tuples()) {
-    if (Insert(t)) ++added;
+  if (other.store_ == store_) {
+    for (size_t i = 0; i < other.size(); ++i) {
+      if (InsertRow(other.row(i))) ++added;
+    }
+    return added;
+  }
+  for (size_t i = 0; i < other.size(); ++i) {
+    if (Insert(other.tuple(i))) ++added;
   }
   return added;
 }
 
-bool Relation::Contains(const Tuple& t) const {
-  auto same = [&](uint32_t id) { return tuples_[id] == t; };
-  return Find(dedup_.slots, TupleHash{}(t), same) != kEmptySlot;
-}
-
 void Relation::Clear() {
   ChargeDelta(0, charged_bytes_);
-  tuples_.clear();
+  rows_ = 0;
+  values_.clear();
   dedup_ = {};
-  indexes_.clear();
+  for (Index& index : indexes_) {
+    index.keys = {};
+    index.groups.clear();
+    index.ids.clear();
+    index.free.clear();
+  }
   distinct_.clear();
 }
 
-const std::vector<uint32_t>& Relation::Lookup(const std::vector<int>& cols,
-                                              const Tuple& key,
-                                              size_t* rows_indexed) {
-  assert(key.size() == cols.size() && "key arity mismatch");
-  Index& index = indexes_[cols];
-  if (index.keys.built_upto < tuples_.size()) {
-    if (rows_indexed != nullptr) {
-      *rows_indexed += tuples_.size() - index.keys.built_upto;
-    }
-    ExtendIndex(cols, &index);
+Relation::IndexId Relation::IndexFor(const std::vector<int>& cols) {
+  for (size_t i = 0; i < indexes_.size(); ++i) {
+    if (indexes_[i].cols == cols) return static_cast<IndexId>(i);
   }
+  indexes_.push_back(Index{cols, {}, {}, {}, {}});
+  return static_cast<IndexId>(indexes_.size() - 1);
+}
+
+Relation::Postings Relation::Lookup(IndexId id, std::span<const Value> key,
+                                   size_t* rows_indexed) {
+  Index& index = indexes_[id];
+  assert(key.size() == index.cols.size() && "key arity mismatch");
+  if (index.keys.built_upto < rows_) ExtendIndex(&index, rows_indexed);
   auto same = [&](uint32_t group) {
-    const Tuple& row = tuples_[index.postings[group].front()];
-    for (size_t i = 0; i < cols.size(); ++i) {
-      if (!(row[cols[i]] == key[i])) return false;
+    const Value* row =
+        values_.data() + index.ids[index.groups[group].offset] * arity_;
+    for (size_t i = 0; i < key.size(); ++i) {
+      if (!(row[index.cols[i]] == key[i])) return false;
     }
     return true;
   };
-  const uint32_t group = Find(index.keys.slots, TupleHash{}(key), same);
-  return group == kEmptySlot ? EmptyPostings() : index.postings[group];
+  const uint32_t group = index.keys.ids.Find(RowHash(key), same);
+  return group == IdTable::kEmpty ? Postings() : Postings(&index, group);
 }
 
-void Relation::ExtendIndex(const std::vector<int>& cols, Index* index) {
-  auto first_row = [&](uint32_t group) -> const Tuple& {
-    return tuples_[index->postings[group].front()];
+Relation::Postings Relation::Lookup(const std::vector<int>& cols,
+                                    const Tuple& key, size_t* rows_indexed) {
+  assert(key.size() == cols.size() && "key arity mismatch");
+  const IndexId index = IndexFor(cols);
+  std::vector<Value> values;
+  values.reserve(key.size());
+  for (const Term& v : key) values.push_back(store()->Intern(v));
+  return Lookup(index, values, rows_indexed);
+}
+
+size_t Relation::Index::Append(uint32_t g, uint32_t row) {
+  Group& group = groups[g];
+  size_t grown = 0;
+  if (group.size == group.capacity) {
+    const uint32_t capacity = std::max<uint32_t>(1, 2 * group.capacity);
+    const auto log2 = static_cast<size_t>(std::countr_zero(capacity));
+    if (group.capacity != 0 && group.offset + group.capacity == ids.size()) {
+      // The last slice of the array: grow it where it is.
+      ids.resize(group.offset + capacity);
+      grown = (capacity - group.capacity) * sizeof(uint32_t);
+    } else {
+      uint32_t offset;
+      if (log2 < free.size() && !free[log2].empty()) {
+        offset = free[log2].back();
+        free[log2].pop_back();
+      } else {
+        offset = static_cast<uint32_t>(ids.size());
+        ids.resize(ids.size() + capacity);
+        grown = capacity * sizeof(uint32_t);
+      }
+      std::copy_n(ids.begin() + group.offset, group.size,
+                  ids.begin() + offset);
+      if (group.capacity != 0) {
+        const size_t old_log2 = log2 - 1;
+        if (free.size() <= old_log2) free.resize(old_log2 + 1);
+        free[old_log2].push_back(group.offset);
+      }
+      group.offset = offset;
+    }
+    group.capacity = capacity;
+  }
+  ids[group.offset + group.size++] = row;
+  return grown;
+}
+
+void Relation::ExtendIndex(Index* index, size_t* rows_indexed) {
+  if (index->keys.built_upto == rows_) return;
+  if (rows_indexed != nullptr) *rows_indexed += rows_ - index->keys.built_upto;
+  const std::vector<int>& cols = index->cols;
+  auto first_row = [&](uint32_t group) {
+    return values_.data() + index->ids[index->groups[group].offset] * arity_;
   };
   auto hash_of = [&](uint32_t group) {
     return KeyHash(first_row(group), cols);
   };
-  const size_t from = index->keys.built_upto;
-  for (size_t row = from; row < tuples_.size(); ++row) {
-    const Tuple& t = tuples_[row];
+  const size_t slots = index->keys.ids.slot_count();
+  size_t grown = 0;
+  for (size_t row = index->keys.built_upto; row < rows_; ++row) {
+    const Value* t = values_.data() + row * arity_;
     auto same = [&](uint32_t group) {
-      const Tuple& other = first_row(group);
+      const Value* other = first_row(group);
       for (int c : cols) {
         if (!(other[c] == t[c])) return false;
       }
       return true;
     };
-    const auto fresh = static_cast<uint32_t>(index->postings.size());
+    const auto fresh = static_cast<uint32_t>(index->groups.size());
     const uint32_t group =
-        FindOrAdd(&index->keys, KeyHash(t, cols), same, hash_of, fresh);
-    if (group == fresh) index->postings.emplace_back();
-    index->postings[group].push_back(static_cast<uint32_t>(row));
+        index->keys.ids.FindOrAdd(KeyHash(t, cols), same, hash_of, fresh);
+    if (group == fresh) {
+      index->groups.emplace_back();
+      grown += sizeof(Index::Group);
+    }
+    grown += index->Append(group, static_cast<uint32_t>(row));
   }
-  index->keys.built_upto = tuples_.size();
-  ChargeDelta((tuples_.size() - from) * sizeof(uint32_t), 0);
+  index->keys.built_upto = rows_;
+  ChargeSlots(index->keys.ids, slots);
+  ChargeDelta(grown, 0);
+}
+
+size_t Relation::Postings::LowerBound(size_t id) const {
+  size_t lo = 0;
+  size_t hi = size();
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if ((*this)[mid] < id) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+std::vector<uint32_t> Relation::Postings::ToVector() const {
+  std::vector<uint32_t> out;
+  out.reserve(size());
+  for (uint32_t id : *this) out.push_back(id);
+  return out;
+}
+
+std::ostream& operator<<(std::ostream& os, const Relation::Postings& p) {
+  os << '{';
+  for (size_t i = 0; i < p.size(); ++i) os << (i ? ", " : "") << p[i];
+  return os << '}';
 }
 
 size_t Relation::DistinctCount(size_t col) const {
   assert(col < arity_ && "column out of range");
   if (distinct_.empty()) distinct_.resize(arity_);
   RowTable& table = distinct_[col];
-  auto hash_of = [&](uint32_t row) { return tuples_[row][col].Hash(); };
-  for (size_t row = table.built_upto; row < tuples_.size(); ++row) {
-    const Term& value = tuples_[row][col];
-    auto same = [&](uint32_t id) { return tuples_[id][col] == value; };
-    FindOrAdd(&table, value.Hash(), same, hash_of,
-              static_cast<uint32_t>(row));
+  auto at = [&](size_t row) { return values_[row * arity_ + col]; };
+  auto hash_of = [&](uint32_t row) {
+    return RowHash({&values_[row * arity_ + col], 1});
+  };
+  const size_t slots = table.ids.slot_count();
+  for (size_t row = table.built_upto; row < rows_; ++row) {
+    const Value value = at(row);
+    auto same = [&](uint32_t id) { return at(id) == value; };
+    table.ids.FindOrAdd(RowHash({&value, 1}), same, hash_of,
+                        static_cast<uint32_t>(row));
   }
-  table.built_upto = tuples_.size();
-  return table.count;
+  table.built_upto = rows_;
+  ChargeSlots(table.ids, slots);
+  return table.ids.count();
 }
 
 std::string Relation::ToString(size_t max_tuples) const {
   std::ostringstream os;
   os << name_ << '/' << arity_ << " [" << size() << " tuples]";
-  size_t shown = 0;
-  for (const Tuple& t : tuples_) {
-    if (shown++ >= max_tuples) {
+  for (size_t i = 0; i < rows_; ++i) {
+    if (i >= max_tuples) {
       os << "\n  ...";
       break;
     }
-    os << "\n  " << TupleToString(t);
+    os << "\n  " << TupleToString(tuple(i));
   }
   return os.str();
 }

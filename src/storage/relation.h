@@ -3,40 +3,55 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
+#include <memory>
+#include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "ast/value.h"
+#include "base/id_table.h"
 #include "base/status.h"
 #include "obs/resource.h"
 #include "storage/tuple.h"
 
 namespace ldl {
 
-/// A set-semantics relation: duplicate-free bag of ground tuples with
-/// lazily built, incrementally maintained hash indexes on column subsets.
-/// Dedup, index keys and distinct counts share one table type, RowTable,
-/// which stores row ids and compares through the rows they name.
+/// A set-semantics relation: duplicate-free bag of ground rows with lazily
+/// built, incrementally maintained hash indexes on column subsets.
+///
+/// Rows are flat: one vector of Values with stride arity() (DESIGN.md
+/// §25), whose ids name terms in the relation's ValueStore. Dedup, index
+/// keys and distinct counts share one table type, an IdTable of row ids
+/// compared through the rows they name, so a duplicate insert copies and
+/// allocates nothing. The store is shared: a Database hands its store to
+/// every relation it creates, and a relation built on its own makes a
+/// private one on first use.
 ///
 /// Indexes survive inserts (they are extended on next access), which matters
 /// because fixpoint evaluation keeps inserting into the relations it reads.
 ///
-/// Relations can carry an optional (non-owning) ResourceAccountant: tuple
-/// and index storage is charged as it grows and released when the relation
-/// clears or dies, which is how per-query peak-bytes accounting reaches
-/// scratch databases and memo tables. The exact amount charged so far is
-/// tracked internally so release always balances charge even if the
-/// estimation formula evolves.
+/// Relations can carry an optional (non-owning) ResourceAccountant: row,
+/// table and posting storage is charged as it grows and released when the
+/// relation clears or dies, which is how per-query peak-bytes accounting
+/// reaches scratch databases and memo tables. The exact amount charged so
+/// far is tracked internally so release always balances charge.
 class Relation {
  public:
+  /// An index, by its position among the relation's indexes: stable until
+  /// the relation is destroyed or moved from (Clear empties it, keeps it).
+  using IndexId = uint32_t;
+
   Relation() = default;
-  Relation(std::string name, size_t arity)
-      : name_(std::move(name)), arity_(arity) {}
+  Relation(std::string name, size_t arity,
+           std::shared_ptr<ValueStore> store = nullptr)
+      : name_(std::move(name)), arity_(arity), store_(std::move(store)) {}
 
   ~Relation() { ChargeDelta(0, charged_bytes_); }
 
   Relation(const Relation& other) { *this = other; }
   Relation(Relation&& other) noexcept { *this = std::move(other); }
+  /// A copy shares the source's store.
   Relation& operator=(const Relation& other);
   /// The charge moves with the data: the source is left empty, owing
   /// nothing, with its arity kept.
@@ -48,39 +63,62 @@ class Relation {
   void set_accountant(ResourceAccountant* accountant);
   ResourceAccountant* accountant() const { return accountant_; }
 
-  /// Estimated bytes currently charged for tuple + index storage.
+  /// Estimated bytes currently charged for row, table and posting storage
+  /// (plus the store growth its Term inserts caused).
   uint64_t charged_bytes() const { return charged_bytes_; }
 
   const std::string& name() const { return name_; }
   size_t arity() const { return arity_; }
-  size_t size() const { return tuples_.size(); }
-  bool empty() const { return tuples_.empty(); }
+  size_t size() const { return rows_; }
+  bool empty() const { return rows_ == 0; }
 
-  const std::vector<Tuple>& tuples() const { return tuples_; }
-  const Tuple& tuple(size_t i) const { return tuples_[i]; }
+  /// The store the rows' values belong to, made on first use.
+  ValueStore* store() const { return shared_store().get(); }
+  const std::shared_ptr<ValueStore>& shared_store() const;
+  /// Moves the rows into `store` (by their terms) unless they are there.
+  void UseStore(std::shared_ptr<ValueStore> store);
 
-  /// Inserts `t`; returns true iff the tuple was new. CHECK-fails on arity
-  /// mismatch in debug builds; silently rejects in release.
-  bool Insert(Tuple t);
+  /// Row `i`: arity() values of store().
+  std::span<const Value> row(size_t i) const {
+    return {values_.data() + i * arity_, arity_};
+  }
 
-  /// Inserts every tuple of `other` (arity must match); returns the number
-  /// of new tuples.
+  /// Inserts a row of store() values; returns true iff it was new. The
+  /// dedup table is probed first, so a duplicate copies nothing. Asserts
+  /// the arity in debug builds; rejects a wrong one in release.
+  bool InsertRow(std::span<const Value> row);
+  bool ContainsRow(std::span<const Value> row) const;
+
+  /// The index on `cols` (strictly increasing), registered on first call;
+  /// its rows are indexed by the first Lookup that needs them.
+  IndexId IndexFor(const std::vector<int>& cols);
+
+  class Postings;
+
+  /// The posting list of the rows whose values at the index's columns
+  /// equal `key` (same order). Builds/extends the index on demand. When
+  /// `rows_indexed` is given, the rows this call added to the index are
+  /// added to it.
+  Postings Lookup(IndexId index, std::span<const Value> key,
+                  size_t* rows_indexed = nullptr);
+
+  /// The Term boundary: the same operations on rows as terms, interned
+  /// into store().
+  bool Insert(const Tuple& t);
+  bool Contains(const Tuple& t) const;
+  Postings Lookup(const std::vector<int>& cols, const Tuple& key,
+                  size_t* rows_indexed = nullptr);
+  /// Row `i` as terms.
+  Tuple tuple(size_t i) const;
+  /// Every row as terms, in row order, built on each call (bind it to a
+  /// `const std::vector<Tuple>&` to keep it).
+  std::vector<Tuple> tuples() const;
+
+  /// Inserts every row of `other` (arity must match); returns the number
+  /// of new rows.
   size_t InsertAll(const Relation& other);
 
-  bool Contains(const Tuple& t) const;
-
   void Clear();
-
-  /// Posting list of tuple ids whose values at `cols` equal `key` (same
-  /// order). `cols` must be strictly increasing. Builds/extends the index
-  /// on demand. Ids ascend. The list is an element of a deque that only
-  /// grows at its end, so the reference survives later inserts and lookups
-  /// (which only append to the list) until Clear; walk it by position, as
-  /// its buffer may move. When `rows_indexed` is given, the rows this call
-  /// added to the index are added to it.
-  const std::vector<uint32_t>& Lookup(const std::vector<int>& cols,
-                                      const Tuple& key,
-                                      size_t* rows_indexed = nullptr);
 
   /// Number of distinct values in column `col` (over current contents).
   /// Exact and incremental: each column keeps a table of one representative
@@ -92,36 +130,49 @@ class Relation {
   std::string ToString(size_t max_tuples = 20) const;
 
  private:
-  /// An open-addressing table of row ids (linear probing, load at most one
-  /// half, doubling). It holds no values: each use hashes and compares
-  /// through the rows its ids name, so no Term is ever copied into it.
+  /// An IdTable and, for an index or a distinct table, the rows it covers:
+  /// rows only append until Clear, so it is extended from there. Dedup sees
+  /// each row at Insert and leaves built_upto 0.
   struct RowTable {
-    std::vector<uint32_t> slots;  // an id or kEmptySlot; size 0 or 2^k
-    size_t count = 0;             // occupied slots
-    // Rows only append until Clear, so an index or distinct table is
-    // extended from here; dedup sees each row at Insert and leaves it 0.
+    IdTable ids;
     size_t built_upto = 0;
   };
 
-  /// Adds `id` to `table` unless an id that `same` accepts is there, and
-  /// returns the id the table holds for the probed value. `hash` is that
-  /// value's hash, and `hash_of(id)` re-hashes stored ids when the table
-  /// doubles. Charges the slots it adds.
-  template <typename Same, typename HashOf>
-  uint32_t FindOrAdd(RowTable* table, size_t hash, const Same& same,
-                     const HashOf& hash_of, uint32_t id) const;
-
-  /// One index: `keys` holds group ids, each compared through the first
-  /// row of its posting list at the index's columns. A posting list is a
-  /// deque element so a reference to it survives new groups (see Lookup).
+  /// One index. `keys` holds group ids, each compared through the first
+  /// row of its posting list at the index's columns. Every group's posting
+  /// list is a slice of the one `ids` array, with a power-of-two capacity:
+  /// a full slice grows in place at the end of the array, or moves to a
+  /// freed slice or to the end with twice the room, leaving its old slice
+  /// free for the next group of that capacity.
   struct Index {
+    struct Group {
+      uint32_t offset = 0;  ///< first id in `ids`
+      uint32_t size = 0;
+      uint32_t capacity = 0;
+    };
+    std::vector<int> cols;
     RowTable keys;
-    std::deque<std::vector<uint32_t>> postings;  // per group: ascending ids
+    std::vector<Group> groups;
+    std::vector<uint32_t> ids;  // per group: ascending row ids
+    /// Offsets of unused slices in `ids`, by log2 of their capacity.
+    std::vector<std::vector<uint32_t>> free;
+
+    /// Appends `row` to group `g`; returns the bytes `ids` grew by.
+    size_t Append(uint32_t g, uint32_t row);
   };
 
-  void ExtendIndex(const std::vector<int>& cols, Index* index);
+  /// Indexes the rows `index` has not seen, adding their number to
+  /// `*rows_indexed` when given.
+  void ExtendIndex(Index* index, size_t* rows_indexed);
 
-  /// Fresh estimate of tuple, table-slot and posting storage from current
+  /// Charges the slots `table` gained since it had `slots_before`.
+  void ChargeSlots(const IdTable& table, size_t slots_before) const {
+    if (table.slot_count() != slots_before) {
+      ChargeDelta((table.slot_count() - slots_before) * sizeof(uint32_t), 0);
+    }
+  }
+
+  /// Fresh estimate of row, table-slot and posting storage from current
   /// contents, by the formula the charges use.
   uint64_t EstimateBytes() const;
 
@@ -138,11 +189,15 @@ class Relation {
 
   std::string name_;
   size_t arity_ = 0;
-  std::vector<Tuple> tuples_;
+  size_t rows_ = 0;
+  std::vector<Value> values_;  // rows_ * arity_, row after row
+  // Made on first use when the relation was built without one.
+  mutable std::shared_ptr<ValueStore> store_;
   // Row ids keyed on all columns.
   RowTable dedup_;
-  // Secondary indexes keyed by the (sorted) column list.
-  std::map<std::vector<int>, Index> indexes_;
+  // Secondary indexes by IndexId; a deque so a posting list's address
+  // survives new indexes.
+  std::deque<Index> indexes_;
   // Per-column tables of one row id per distinct value, built by the first
   // DistinctCount. Mutable (with charged_bytes_, which charges them)
   // because counting is a const read that caches, the way
@@ -151,6 +206,57 @@ class Relation {
   ResourceAccountant* accountant_ = nullptr;
   mutable uint64_t charged_bytes_ = 0;
 };
+
+/// A posting list: the ascending ids of the rows in one index group. It
+/// reads through the index, so it sees ids appended after the Lookup that
+/// returned it, and it stays valid across inserts, lookups and moves of
+/// the group's slice until Clear. Read it by position.
+class Relation::Postings {
+ public:
+  Postings() = default;
+
+  size_t size() const {
+    return index_ == nullptr ? 0 : index_->groups[group_].size;
+  }
+  bool empty() const { return size() == 0; }
+  uint32_t operator[](size_t i) const {
+    return index_->ids[index_->groups[group_].offset + i];
+  }
+  /// The first position whose id is at least `id` (size() if none).
+  size_t LowerBound(size_t id) const;
+  std::vector<uint32_t> ToVector() const;
+  bool operator==(const std::vector<uint32_t>& ids) const {
+    return ToVector() == ids;
+  }
+
+  /// Iteration by position, for range-for over the current ids.
+  class Iterator {
+   public:
+    Iterator(const Postings* p, size_t i) : p_(p), i_(i) {}
+    uint32_t operator*() const { return (*p_)[i_]; }
+    Iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    bool operator!=(const Iterator& o) const { return i_ != o.i_; }
+
+   private:
+    const Postings* p_;
+    size_t i_;
+  };
+  Iterator begin() const { return Iterator(this, 0); }
+  Iterator end() const { return Iterator(this, size()); }
+
+ private:
+  friend class Relation;
+  Postings(const Index* index, uint32_t group)
+      : index_(index), group_(group) {}
+
+  const Index* index_ = nullptr;
+  uint32_t group_ = 0;
+};
+
+std::ostream& operator<<(std::ostream& os, const Relation::Postings& p);
 
 }  // namespace ldl
 

@@ -5,32 +5,16 @@
 #include <vector>
 
 #include "ast/term.h"
-#include "base/hash.h"
 
 namespace ldl {
 
-/// A stored tuple: a fixed-arity vector of ground terms. Complex terms are
-/// first-class column values (the paper's "complex objects").
+/// A row as terms: the boundary type in which rows enter and leave a
+/// Relation (tests, answer printing, CanonicalAnswers). Relations store
+/// rows as Values (DESIGN.md §25); nothing on the engine's path builds one.
 using Tuple = std::vector<Term>;
-
-/// Hash over all columns.
-struct TupleHash {
-  size_t operator()(const Tuple& t) const {
-    size_t seed = t.size();
-    for (const Term& v : t) HashCombine(&seed, v.Hash());
-    return seed;
-  }
-};
 
 /// "(a, 1, f(b))".
 std::string TupleToString(const Tuple& t);
-
-/// Rough in-memory footprint of a term / tuple, used by resource
-/// accounting. Deliberately cheap (no heap introspection): object size plus
-/// string payload plus recursive function arguments. Consistency matters
-/// more than precision — charge and release use the same formula.
-size_t ApproxTermBytes(const Term& t);
-size_t ApproxTupleBytes(const Tuple& t);
 
 }  // namespace ldl
 

@@ -327,6 +327,40 @@ TEST(LdlSystemTest, StatisticsAfterWritesMatchFreshCollect) {
 // Two fully independent LdlSystem instances evaluated from two OS threads:
 // the TSan pin for the reentrancy contract in engine/builtins.h (no mutable
 // static state anywhere on the evaluation path).
+/// The chain b(1). p0(X) <- b(X). pi(X) <- p{i-1}(X). of `links`
+/// predicates.
+std::string PredicateChain(size_t links) {
+  std::ostringstream text;
+  text << "b(1).\np0(X) <- b(X).\n";
+  for (size_t i = 1; i < links; ++i) {
+    text << "p" << i << "(X) <- p" << i - 1 << "(X).\n";
+  }
+  return text.str();
+}
+
+// NR-OPT descends once per link of a chain of derived predicates; past
+// Optimizer::kMaxDescent links the query gets a typed error instead of a
+// stack overflow.
+TEST(LdlSystemTest, DeepPredicateChainIsATypedError) {
+  LdlSystem sys;
+  ASSERT_TRUE(sys.LoadProgram(PredicateChain(5000)).ok());
+  auto answer = sys.Query("p4999(X)");
+  ASSERT_FALSE(answer.ok());
+  EXPECT_EQ(answer.status().code(), StatusCode::kResourceExhausted)
+      << answer.status();
+  EXPECT_NE(answer.status().message().find("deeper than 1024"),
+            std::string::npos)
+      << answer.status();
+}
+
+TEST(LdlSystemTest, ChainOf500PredicatesAnswers) {
+  LdlSystem sys;
+  ASSERT_TRUE(sys.LoadProgram(PredicateChain(500)).ok());
+  auto answer = sys.Query("p499(X)");
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  EXPECT_EQ(Sorted(answer->answers), std::vector<Tuple>{{Term::MakeInt(1)}});
+}
+
 TEST(LdlSystemTest, ConcurrentIndependentSystems) {
   constexpr const char* kSg = R"(
     sg(X, Y) <- flat(X, Y).

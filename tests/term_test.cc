@@ -40,8 +40,9 @@ TEST(TermTest, EqualityAndHash) {
 }
 
 // Hash values are part of the storage contract: answer fingerprints are
-// sums of TupleHash values, so these values (recorded from the recursive
-// definition, on a 64-bit libstdc++) must not move.
+// sums of row hashes built from them (ValueStore::Hash equals Term::Hash),
+// so these values (recorded from the recursive definition, on a 64-bit
+// libstdc++) must not move.
 TEST(TermTest, HashValuesArePinned) {
   EXPECT_EQ(Term::MakeInt(42).Hash(), 11400714819323198590u);
   EXPECT_EQ(Term::MakeInt(-7).Hash(), 11400714819323198543u);

@@ -16,18 +16,23 @@ Term T(const char* text) {
   return *r;
 }
 
-/// A pattern compiled against an empty scope, with its register file.
+/// A pattern compiled against an empty scope, with its register file and
+/// the store its values live in.
 struct Pattern {
+  ValueStore store;
   RegisterScope scope;
   TermCode code;
-  std::vector<Term> regs;
+  std::vector<Value> regs;
 
   explicit Pattern(const char* text) : code(scope.CompileMatch(T(text))) {
     regs.resize(scope.size());
+    scope.LoadConstants(&store, regs.data());
   }
-  bool Match(const char* value) { return code.Match(T(value), regs.data()); }
-  const Term& operator[](const char* var) {
-    return regs[scope.RegisterOf(var)];
+  bool Match(const char* value) {
+    return code.Match(store.Intern(T(value)), regs.data(), store);
+  }
+  Term operator[](const char* var) {
+    return store.ToTerm(regs[scope.RegisterOf(var)]);
   }
 };
 
@@ -66,10 +71,11 @@ TEST(UnifyTest, SharedVariableAcrossCalls) {
   TermCode later = scope.CompileMatch(T("X"));
   EXPECT_EQ(first.op, TermCode::Op::kWrite);
   EXPECT_EQ(later.op, TermCode::Op::kRead);
-  std::vector<Term> regs(scope.size());
-  EXPECT_TRUE(first.Match(T("7"), regs.data()));
-  EXPECT_FALSE(later.Match(T("8"), regs.data()));
-  EXPECT_TRUE(later.Match(T("7"), regs.data()));
+  ValueStore store;
+  std::vector<Value> regs(scope.size());
+  EXPECT_TRUE(first.Match(store.Intern(T("7")), regs.data(), store));
+  EXPECT_FALSE(later.Match(store.Intern(T("8")), regs.data(), store));
+  EXPECT_TRUE(later.Match(store.Intern(T("7")), regs.data(), store));
 }
 
 TEST(UnifyTest, ListPatterns) {
@@ -138,7 +144,7 @@ std::string FireOnce(const char* text) {
   if (!compiled.ok()) return compiled.status().ToString();
   Relation out("out", program->rules()[0].head().arity());
   EvalCounters counters;
-  RuleState state(*compiled, {});
+  RuleState state(*compiled, {}, out.store());
   std::vector<RelationView> views(program->rules()[0].body().size());
   auto fired = EvaluateRule(*compiled, &state, views.data(), &out, &counters);
   if (!fired.ok()) return fired.status().ToString();
