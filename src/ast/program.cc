@@ -51,38 +51,59 @@ std::vector<PredicateId> Program::BasePredicates() const {
   return out;
 }
 
-Status Program::Validate() const {
-  std::map<std::string, size_t> arity_of;
-  auto check = [&arity_of](const Literal& l) -> Status {
-    if (l.IsBuiltin()) {
-      if (l.negated()) {
-        return Status::InvalidArgument(
-            StrCat("negation applied to builtin: ", l.ToString()));
-      }
-      return Status::OK();
-    }
-    auto [it, inserted] = arity_of.emplace(l.predicate_name(), l.arity());
-    if (!inserted && it->second != l.arity()) {
+namespace {
+
+/// Checks `l` against the arities in `known` and in `added`, recording its
+/// predicate in `added` when `known` lacks it.
+Status CheckLiteral(const Literal& l, const Program::Arities& known,
+                    Program::Arities* added) {
+  if (l.IsBuiltin()) {
+    if (l.negated()) {
       return Status::InvalidArgument(
-          StrCat("predicate ", l.predicate_name(), " used with arities ",
-                 it->second, " and ", l.arity()));
+          StrCat("negation applied to builtin: ", l.ToString()));
     }
     return Status::OK();
-  };
+  }
+  auto it = known.find(l.predicate_name());
+  const size_t arity =
+      it != known.end()
+          ? it->second
+          : added->emplace(l.predicate_name(), l.arity()).first->second;
+  if (arity != l.arity()) {
+    return Status::InvalidArgument(StrCat("predicate ", l.predicate_name(),
+                                          " used with arities ", arity,
+                                          " and ", l.arity()));
+  }
+  return Status::OK();
+}
+
+Status CheckRule(const Rule& r, const Program::Arities& known,
+                 Program::Arities* added) {
+  if (r.head().IsBuiltin()) {
+    return Status::InvalidArgument(
+        StrCat("builtin as rule head: ", r.head().ToString()));
+  }
+  if (r.head().negated()) {
+    return Status::InvalidArgument(
+        StrCat("negated rule head: ", r.head().ToString()));
+  }
+  LDL_RETURN_NOT_OK(CheckLiteral(r.head(), known, added));
+  for (const Literal& l : r.body()) {
+    LDL_RETURN_NOT_OK(CheckLiteral(l, known, added));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status Program::Validate() const {
+  const Arities none;
+  Arities arity_of;
   for (const Rule& r : rules_) {
-    if (r.head().IsBuiltin()) {
-      return Status::InvalidArgument(
-          StrCat("builtin as rule head: ", r.head().ToString()));
-    }
-    if (r.head().negated()) {
-      return Status::InvalidArgument(
-          StrCat("negated rule head: ", r.head().ToString()));
-    }
-    LDL_RETURN_NOT_OK(check(r.head()));
-    for (const Literal& l : r.body()) LDL_RETURN_NOT_OK(check(l));
+    LDL_RETURN_NOT_OK(CheckRule(r, none, &arity_of));
   }
   for (const Literal& f : facts_) {
-    LDL_RETURN_NOT_OK(check(f));
+    LDL_RETURN_NOT_OK(CheckLiteral(f, none, &arity_of));
     bool ground = true;
     for (const Term& t : f.args()) ground = ground && t.IsGround();
     if (!ground) {
@@ -90,7 +111,21 @@ Status Program::Validate() const {
           StrCat("non-ground fact: ", f.ToString()));
     }
   }
-  for (const QueryForm& q : queries_) LDL_RETURN_NOT_OK(check(q.goal));
+  for (const QueryForm& q : queries_) {
+    LDL_RETURN_NOT_OK(CheckLiteral(q.goal, none, &arity_of));
+  }
+  return Status::OK();
+}
+
+Status Program::ValidateAdditions(Arities* arities) const {
+  Arities added;
+  for (const Rule& r : rules_) {
+    LDL_RETURN_NOT_OK(CheckRule(r, *arities, &added));
+  }
+  for (const QueryForm& q : queries_) {
+    LDL_RETURN_NOT_OK(CheckLiteral(q.goal, *arities, &added));
+  }
+  arities->merge(added);
   return Status::OK();
 }
 

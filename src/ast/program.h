@@ -55,6 +55,15 @@ class Program {
   /// head that is a builtin, negation not applied to builtins.
   Status Validate() const;
 
+  /// Predicate name -> the arity a program uses it with.
+  using Arities = std::unordered_map<std::string, size_t>;
+  /// Validate's checks on the rules and queries alone, as clauses joining
+  /// a valid program that uses the predicates in `arities`: each
+  /// predicate's arity must also agree with `arities`. On success the
+  /// predicates they use are added to `arities`; on failure it is left
+  /// unchanged. Costs O(size of these clauses), not of the joined program.
+  Status ValidateAdditions(Arities* arities) const;
+
   std::string ToString() const;
 
  private:

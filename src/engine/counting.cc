@@ -37,8 +37,8 @@ std::set<std::string> VarsOfTerms(const std::vector<Term>& terms) {
   return out;
 }
 
-}  // namespace
-
+/// ans.p(0, the free-argument terms of `query_goal`): the goal that selects
+/// the query's answers from ans.p, as CountingProgram::ToString shows it.
 Literal CountingAnswerGoal(const Literal& query_goal) {
   std::vector<Term> args;
   args.push_back(Term::MakeInt(0));
@@ -48,6 +48,8 @@ Literal CountingAnswerGoal(const Literal& query_goal) {
   return Literal::Make(StrCat("ans.", query_goal.predicate_name()),
                        std::move(args));
 }
+
+}  // namespace
 
 Result<CountingProgram> CountingRewrite(const Program& program,
                                         const Literal& query_goal) {

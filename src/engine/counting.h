@@ -24,10 +24,6 @@ struct CountingProgram {
   std::string ToString() const;
 };
 
-/// ans.p(0, the free-argument terms of `query_goal`): the goal that selects
-/// the query's answers from the counting rewrite's ans.p.
-Literal CountingAnswerGoal(const Literal& query_goal);
-
 /// Tests whether the counting method applies to `query_goal` over `program`
 /// and, if so, produces the counting-rewritten program:
 ///

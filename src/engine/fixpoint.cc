@@ -180,14 +180,9 @@ class FixpointSchedule::RunState {
     for (const PredicateId& pred : schedule.derived_) {
       derived_.push_back(scratch->GetOrCreate(pred));
     }
-    std::vector<Value> params;
-    params.reserve(options.params.size());
-    for (const Term& param : options.params) {
-      params.push_back(store_->Intern(param));
-    }
     rules_.reserve(schedule.rules_.size());
     for (const ScheduledRule& rule : schedule.rules_) {
-      rules_.emplace_back(rule.compiled, params, store_);
+      rules_.emplace_back(rule.compiled, options.params, store_);
       for (size_t pos = 0; pos < rule.body.size(); ++pos) {
         views_[pos] = RelationView{SourceRelation(rule.body[pos])};
       }

@@ -40,10 +40,11 @@ struct FixpointOptions {
   /// permutations); missing entries use textual order. Read when a
   /// schedule is built (EvaluateProgram, PrepareQuery), not by a run.
   std::unordered_map<size_t, std::vector<size_t>> rule_orders;
-  /// Values of the program's parameters for one run: `$i`
-  /// (ParameterVariable) in any rule reads params[i]. A prepared query
-  /// binds its seed fact's parameters to the goal's constants this way.
-  std::vector<Term> params;
+  /// Values of the program's parameters for one run, values of the base
+  /// database's store: `$i` (ParameterVariable) in any rule reads
+  /// params[i]. A prepared query binds its seed fact's parameters to the
+  /// goal's constants this way.
+  std::vector<Value> params;
   /// Observability handle: spans per clique fixpoint, per-round counters
   /// and delta-size histograms. Inert by default.
   TraceContext trace;

@@ -1,6 +1,7 @@
 #include "engine/query_eval.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
 #include <set>
 
@@ -45,29 +46,121 @@ Program ReachableSubprogram(const Program& program, const Literal& goal,
   return out;
 }
 
+namespace {
+
+/// The values of `goal`'s bound (ground) arguments in order, interned into
+/// `store`: the parameters of its seed and of its answer selector.
+std::vector<Value> BoundValues(const Literal& goal, ValueStore* store) {
+  std::vector<Value> out;
+  for (const Term& arg : goal.args()) {
+    if (arg.IsGround()) out.push_back(store->Intern(arg));
+  }
+  return out;
+}
+
+/// The pattern a selector matches: `lead` first, then `goal`'s arguments,
+/// the ground ones replaced by the parameters $0, $1, ... or, when
+/// `skip_bound` is set, left out.
+Literal SelectorPattern(const Literal& goal, std::vector<Term> lead,
+                        bool skip_bound) {
+  size_t param = 0;
+  for (const Term& arg : goal.args()) {
+    if (!arg.IsGround()) {
+      lead.push_back(arg);
+    } else if (skip_bound) {
+      ++param;
+    } else {
+      lead.push_back(ParameterVariable(param++));
+    }
+  }
+  return goal.WithArgs(std::move(lead));
+}
+
+}  // namespace
+
+AnswerSelector AnswerSelector::Compile(const Literal& goal) {
+  AnswerSelector s;
+  s.pattern_ =
+      LiteralPattern::Compile(SelectorPattern(goal, {}, false), &s.scope_);
+  return s;
+}
+
+AnswerSelector AnswerSelector::CompileCounting(const Literal& goal) {
+  AnswerSelector s;
+  s.pattern_ = LiteralPattern::Compile(
+      SelectorPattern(goal, {Term::MakeInt(0)}, true), &s.scope_);
+  uint32_t bound = 0;
+  uint32_t free_col = 1;  // column 0 is the level
+  for (const Term& arg : goal.args()) {
+    s.project_.push_back(arg.IsGround() ? Column{true, bound++}
+                                        : Column{false, free_col++});
+  }
+  return s;
+}
+
+void AnswerSelector::Select(Relation* rel, std::span<const Value> params,
+                            bool build_index, Relation* out) const {
+  if (rel == nullptr || rel->empty()) return;
+  ValueStore* store = rel->store();
+  const size_t num_regs = scope_.size();
+  const size_t num_key = pattern_.key_cols.size();
+  // Registers, key and answer row in one buffer, on the stack unless the
+  // goal is very wide.
+  constexpr size_t kInline = 32;
+  Value inline_values[kInline];
+  std::vector<Value> wide;
+  Value* regs = inline_values;
+  if (num_regs + num_key + project_.size() > kInline) {
+    wide.resize(num_regs + num_key + project_.size());
+    regs = wide.data();
+  }
+  Value* key = regs + num_regs;
+  Value* answer = key + num_key;
+  scope_.LoadConstants(store, regs);
+  for (const auto& [param, reg] : scope_.parameters()) {
+    assert(param < params.size() && "goal binds fewer arguments");
+    regs[reg] = params[param];
+  }
+  pattern_.BuildKey(regs, store, key);
+  for (size_t i = 0; i < project_.size(); ++i) {
+    if (project_[i].param) answer[i] = params[project_[i].index];
+  }
+  // `rel` is never `out`, so its rows stay put while `out` grows.
+  auto emit = [&](size_t id) {
+    const std::span<const Value> row = rel->row(id);
+    if (!pattern_.Match(row.data(), regs, *store)) return;
+    if (project_.empty()) {
+      out->InsertRow(row);
+      return;
+    }
+    for (size_t i = 0; i < project_.size(); ++i) {
+      if (!project_[i].param) answer[i] = row[project_[i].index];
+    }
+    out->InsertRow({answer, project_.size()});
+  };
+  if (num_key != 0) {
+    const std::optional<Relation::IndexId> index =
+        build_index ? rel->IndexFor(pattern_.key_cols)
+                    : rel->BuiltIndex(pattern_.key_cols);
+    if (index.has_value()) {
+      for (uint32_t id : rel->Lookup(*index, {key, num_key})) emit(id);
+      return;
+    }
+  }
+  // The scan filters the bound columns by Value ==, as an index key would.
+  for (size_t id = 0; id < rel->size(); ++id) {
+    const Value* row = rel->row(id).data();
+    size_t k = 0;
+    while (k < num_key && row[pattern_.key_cols[k]] == key[k]) ++k;
+    if (k == num_key) emit(id);
+  }
+}
+
 Relation SelectMatching(Relation* rel, const Literal& goal) {
   if (rel == nullptr) return Relation("answers", goal.arity());
   Relation out("answers", goal.arity(), rel->shared_store());
-  // The goal compiled as a one-literal pattern: its ground arguments are
-  // the index key, the rest match each candidate row.
-  ValueStore* store = rel->store();
-  RegisterScope scope;
-  const LiteralPattern pattern = LiteralPattern::Compile(goal, &scope);
-  std::vector<Value> regs(scope.size());
-  scope.LoadConstants(store, regs.data());
-  auto consider = [&](size_t id) {
-    const std::span<const Value> row = rel->row(id);
-    if (pattern.Match(row.data(), regs.data(), *store)) out.InsertRow(row);
-  };
-  if (!pattern.key_cols.empty()) {
-    std::vector<Value> key(pattern.key_cols.size());
-    pattern.BuildKey(regs.data(), store, key.data());
-    for (uint32_t id : rel->Lookup(rel->IndexFor(pattern.key_cols), key)) {
-      consider(id);
-    }
-  } else {
-    for (size_t id = 0; id < rel->size(); ++id) consider(id);
-  }
+  AnswerSelector::Compile(goal).Select(rel, BoundValues(goal, rel->store()),
+                                       /*build_index=*/true, &out);
   return out;
 }
 
@@ -98,24 +191,57 @@ std::string AnswerFingerprint(const Relation& answers) {
 
 namespace {
 
-/// True when every argument of `goal` is a variable and no variable
-/// repeats, so every tuple of the goal's relation is an answer.
-bool AllDistinctVariables(const Literal& goal) {
-  std::set<std::string> seen;
-  for (const Term& arg : goal.args()) {
-    if (!arg.IsVariable() || !seen.insert(arg.text()).second) return false;
+/// True when every free argument of `goal` is a variable and no variable
+/// repeats: the shape a prepared selector serves.
+bool FreeArgumentsDistinct(const Literal& goal) {
+  const std::vector<Term>& args = goal.args();
+  for (size_t i = 0; i < args.size(); ++i) {
+    if (args[i].IsGround()) continue;
+    if (!args[i].IsVariable()) return false;
+    for (size_t j = 0; j < i; ++j) {
+      if (args[j].IsVariable() && args[j].text() == args[i].text()) {
+        return false;
+      }
+    }
   }
   return true;
 }
 
-/// The goal's bound (ground) arguments in order: the values of a prepared
-/// seed's parameters.
-std::vector<Term> BoundArguments(const Literal& goal) {
-  std::vector<Term> out;
+/// True when every argument of `goal` is a variable and no variable
+/// repeats, so every tuple of the goal's relation is an answer.
+bool AllDistinctVariables(const Literal& goal) {
   for (const Term& arg : goal.args()) {
-    if (arg.IsGround()) out.push_back(arg);
+    if (arg.IsGround()) return false;
   }
-  return out;
+  return FreeArgumentsDistinct(goal);
+}
+
+/// `goal` with every free argument a distinct variable: the shape the
+/// prepared selector is compiled for.
+Literal SelectorShape(const Literal& goal) {
+  std::vector<Term> args;
+  for (size_t i = 0; i < goal.arity(); ++i) {
+    const Term& arg = goal.args()[i];
+    args.push_back(arg.IsGround() ? arg : Term::MakeVariable(StrCat("V", i)));
+  }
+  return goal.WithArgs(std::move(args));
+}
+
+/// Inserts `goal`'s answers in `rel` into `out`: through the prepared
+/// selector when the goal has its shape, else through one compiled now.
+/// Scratch relations are dropped after the run, so an index is probed only
+/// when the fixpoint built it.
+void SelectAnswers(const PreparedQuery& prepared, const Literal& goal,
+                   std::span<const Value> params, Relation* rel,
+                   Relation* out) {
+  if (FreeArgumentsDistinct(goal)) {
+    prepared.selector.Select(rel, params, /*build_index=*/false, out);
+    return;
+  }
+  const AnswerSelector own = prepared.method == RecursionMethod::kCounting
+                                 ? AnswerSelector::CompileCounting(goal)
+                                 : AnswerSelector::Compile(goal);
+  own.Select(rel, params, /*build_index=*/false, out);
 }
 
 /// The bodiless rule `seed` with its arguments from position `first` on
@@ -154,6 +280,7 @@ Status PrepareFull(const Program& program, const Literal& goal,
     auto it = orders.find(index_map[sub_index]);
     if (it != orders.end()) remapped[sub_index] = it->second;
   }
+  out->selector = AnswerSelector::Compile(SelectorShape(goal));
   return Schedule(std::move(sub), method, remapped, options, out);
 }
 
@@ -173,6 +300,7 @@ Status PrepareMagic(const Program& program, const Literal& goal,
   magic.rewritten.AddRule(ParameterizedSeed(magic.seed, 0));
   rewrite_span.Finish();
   out->answer_pred = magic.answer_pred;
+  out->selector = AnswerSelector::Compile(SelectorShape(goal));
   out->adorned = std::move(adorned.predicates);
   // Orders are baked into the rewritten bodies.
   return Schedule(std::move(magic.rewritten), RecursionMethod::kSemiNaive, {},
@@ -201,6 +329,7 @@ Status PrepareCounting(const Program& program, const Literal& goal,
   // constants.
   counting.rewritten.AddRule(ParameterizedSeed(counting.seed, 1));
   out->answer_pred = counting.answer_pred;
+  out->selector = AnswerSelector::CompileCounting(SelectorShape(goal));
   return Schedule(std::move(counting.rewritten), RecursionMethod::kSemiNaive,
                   {}, options, out);
 }
@@ -226,23 +355,25 @@ Result<QueryResult> RunFull(const PreparedQuery& prepared, Database* base,
   Relation* goal_rel = scratch.Find(goal.predicate());
   if (goal_rel != nullptr && AllDistinctVariables(goal)) {
     // Every row matches, in order, with no duplicate: the goal relation is
-    // the answer set SelectMatching would copy. Detach it from the
-    // per-query accountant (releasing its charge) before it outlives the
-    // query.
+    // the answer set a selector would copy. Detach it from the per-query
+    // accountant (releasing its charge) before it outlives the query.
     goal_rel->set_accountant(nullptr);
     result.answers = std::move(*goal_rel);
   } else {
-    result.answers = SelectMatching(goal_rel, goal);
+    result.answers = Relation("answers", goal.arity(), base->shared_store());
+    SelectAnswers(prepared, goal, BoundValues(goal, base->store()), goal_rel,
+                  &result.answers);
   }
   return result;
 }
 
-/// The options a rewritten program runs under: the seed bound to the
-/// goal's constants, and the rounds labelled by `method`.
+/// The options a rewritten program runs under: the seed's parameters bound
+/// to the goal's constants, and the rounds labelled by `method`.
 FixpointOptions RewrittenRunOptions(const QueryEvalOptions& options,
-                                    const Literal& goal, const char* method) {
+                                    const Literal& goal, Database* base,
+                                    const char* method) {
   FixpointOptions fixpoint = options.fixpoint;
-  fixpoint.params = BoundArguments(goal);
+  fixpoint.params = BoundValues(goal, base->store());
   fixpoint.method_label = method;
   return fixpoint;
 }
@@ -255,12 +386,13 @@ Result<QueryResult> RunMagic(const PreparedQuery& prepared, Database* base,
   result.note = prepared.note;
   Database scratch(base->shared_store());
   scratch.set_accountant(options.fixpoint.trace.accountant);
+  const FixpointOptions fixpoint =
+      RewrittenRunOptions(options, goal, base, "magic");
   LDL_RETURN_NOT_OK(
-      prepared.schedule.Run(base, &scratch, &result.stats,
-                            RewrittenRunOptions(options, goal, "magic")));
-  result.answers =
-      SelectMatching(scratch.Find(prepared.answer_pred),
-                     goal.WithPredicateName(prepared.answer_pred.name));
+      prepared.schedule.Run(base, &scratch, &result.stats, fixpoint));
+  result.answers = Relation("answers", goal.arity(), base->shared_store());
+  SelectAnswers(prepared, goal, fixpoint.params,
+                scratch.Find(prepared.answer_pred), &result.answers);
   // p.a holds the answers for every binding magic.p.a received, so their
   // ratio is p's rows per binding under adornment a.
   for (const AdornedPredicate& ap : prepared.adorned) {
@@ -283,7 +415,8 @@ Result<QueryResult> RunCounting(const PreparedQuery& prepared,
   result.method_used = RecursionMethod::kCounting;
   Database scratch(base->shared_store());
   scratch.set_accountant(options.fixpoint.trace.accountant);
-  FixpointOptions fixpoint = RewrittenRunOptions(options, goal, "counting");
+  FixpointOptions fixpoint =
+      RewrittenRunOptions(options, goal, base, "counting");
   // Divergence guard. On acyclic data the ascent gains at least one new
   // counter level per round and the longest level chain is bounded by the
   // number of base tuples, so |EDB| + a few settling rounds suffices for
@@ -312,27 +445,14 @@ Result<QueryResult> RunCounting(const PreparedQuery& prepared,
     }
     return st;
   }
-  // Answers: project the counter away; re-attach the goal's constants.
-  Relation matched = SelectMatching(scratch.Find(prepared.answer_pred),
-                                    CountingAnswerGoal(goal));
-  Relation answers("answers", goal.arity(), base->shared_store());
-  const Adornment adn = Adornment::FromGoal(goal);
-  std::vector<Value> full(goal.arity());
-  for (size_t i = 0; i < goal.arity(); ++i) {
-    if (adn.IsBound(i)) full[i] = base->store()->Intern(goal.args()[i]);
-  }
-  for (size_t r = 0; r < matched.size(); ++r) {
-    const std::span<const Value> t = matched.row(r);
-    size_t free_idx = 1;  // t[0] is the counter (= 0)
-    for (size_t i = 0; i < goal.arity(); ++i) {
-      if (!adn.IsBound(i)) full[i] = t[free_idx++];
-    }
-    answers.InsertRow(full);
-  }
-  result.answers = std::move(answers);
+  // Answers: ans.p's level-0 rows, the level dropped and the goal's
+  // constants put back.
+  result.answers = Relation("answers", goal.arity(), base->shared_store());
+  SelectAnswers(prepared, goal, fixpoint.params,
+                scratch.Find(prepared.answer_pred), &result.answers);
   // One binding (the goal's constants): its answers are the goal's entry.
   result.derived_sizes.emplace_back(
-      AdornedPredicate{goal.predicate(), adn},
+      AdornedPredicate{goal.predicate(), Adornment::FromGoal(goal)},
       static_cast<double>(result.answers.size()));
   return result;
 }

@@ -1,6 +1,7 @@
 #ifndef LDLOPT_ENGINE_QUERY_EVAL_H_
 #define LDLOPT_ENGINE_QUERY_EVAL_H_
 
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -9,6 +10,7 @@
 #include "ast/program.h"
 #include "base/status.h"
 #include "engine/fixpoint.h"
+#include "engine/rule_eval.h"
 #include "graph/adornment.h"
 #include "storage/database.h"
 
@@ -45,6 +47,47 @@ struct QueryEvalOptions {
   bool counting_fallback = true;
 };
 
+/// Reads a goal's answers off the relation that holds them (DESIGN.md §23):
+/// the goal's pattern over that relation, compiled with its bound (ground)
+/// arguments as the parameters `$0, $1, ...` in order, as a prepared seed
+/// binds them, so one selector serves every goal with the same free
+/// arguments. A counting selector reads counting's `ans.p` instead, whose
+/// rows are (level, free arguments): it matches level 0, drops the level
+/// and puts the bound arguments back in their positions.
+class AnswerSelector {
+ public:
+  /// The selector of `goal` over a relation of the goal's arity (a base
+  /// relation, the full methods' goal relation, magic's `p.a`).
+  static AnswerSelector Compile(const Literal& goal);
+  /// The selector of `goal` over counting's `ans.p`.
+  static AnswerSelector CompileCounting(const Literal& goal);
+
+  /// Inserts into `out` the answers in `rel` of the goal whose bound
+  /// arguments are `params` (values of rel's store, in argument order).
+  /// `out` must have the goal's arity and share rel's store; a null `rel`
+  /// holds no answers. The bound columns are probed through an index only
+  /// when `rel` already has one built on them (Relation::BuiltIndex), or
+  /// when `build_index` is set, for a relation that keeps its indexes (a
+  /// base relation); otherwise one filtered scan reads the rows, since a
+  /// full index build for a single probe costs more than the scan. Either
+  /// way the answers come in row order.
+  void Select(Relation* rel, std::span<const Value> params, bool build_index,
+              Relation* out) const;
+
+ private:
+  /// Where an answer column's value comes from: a row column, or (counting)
+  /// the goal's `index`-th bound argument.
+  struct Column {
+    bool param = false;
+    uint32_t index = 0;
+  };
+
+  RegisterScope scope_;
+  LiteralPattern pattern_;
+  /// Per answer column; empty when the answer is the matching row itself.
+  std::vector<Column> project_;
+};
+
 /// A query prepared for one goal shape: everything EvaluateQuery derives
 /// from the program, the goal's predicate and its adornment, and nothing
 /// from the goal's constants (DESIGN.md §22, §23). Prepare once, then run it
@@ -76,6 +119,12 @@ struct PreparedQuery {
   std::vector<AdornedPredicate> adorned;
   /// kMagic/kCounting: the predicate holding the answers (p.a / ans.p).
   PredicateId answer_pred;
+  /// The answer selector of the goals whose free arguments are distinct
+  /// variables (the shape the plan-cache key cannot tell from `p(1, Y, Y)`
+  /// or `p(1, f(Y))`; those compile their own per run), over the relation
+  /// holding the answers. Unused by an all-free full run, which hands over
+  /// its goal relation whole.
+  AnswerSelector selector;
   /// Why the method differs from the one requested, e.g. "counting
   /// inapplicable (...); fell back to magic".
   std::string note;
@@ -132,7 +181,9 @@ Program ReachableSubprogram(const Program& program, const Literal& goal,
                             std::vector<size_t>* index_map = nullptr);
 
 /// Selects from `rel` the tuples matching `goal`'s argument pattern and
-/// returns them as a relation of the same arity.
+/// returns them as a relation of the same arity: AnswerSelector::Compile,
+/// then Select with an index on the goal's bound columns, built if `rel`
+/// has none (meant for relations that keep their indexes).
 Relation SelectMatching(Relation* rel, const Literal& goal);
 
 /// Canonical form of an answer set: the tuples sorted by Term's total

@@ -82,11 +82,11 @@ Status LdlSystem::Ingest(Program parsed) {
     LDL_RETURN_NOT_OK(Database::CheckFact(fact));
   }
   if (!parsed.rules().empty() || !parsed.queries().empty()) {
-    Program next = program_;
-    for (const Rule& rule : parsed.rules()) next.AddRule(rule);
-    for (const QueryForm& query : parsed.queries()) next.AddQuery(query);
-    LDL_RETURN_NOT_OK(next.Validate());
-    program_ = std::move(next);
+    // Only the new clauses are checked, against the arities the program
+    // already uses, so loading a program clause by clause stays linear.
+    LDL_RETURN_NOT_OK(parsed.ValidateAdditions(&arities_));
+    for (const Rule& rule : parsed.rules()) program_.AddRule(rule);
+    for (const QueryForm& query : parsed.queries()) program_.AddQuery(query);
     if (!parsed.rules().empty()) plan_cache_.Clear();
   }
   for (const Literal& fact : parsed.facts()) {
@@ -353,6 +353,7 @@ Status LdlSystem::Serve(const Literal& goal, QueryAnswer* answer,
         answer->plan.goal = goal;
         answer->plan.safe = true;
         fresh->plan = answer->plan;
+        fresh->plan_fingerprint = fresh->plan.Fingerprint();
         served->prepared = std::move(fresh);
         served->have_plan = true;
         return Status::OK();
@@ -390,6 +391,7 @@ Status LdlSystem::Serve(const Literal& goal, QueryAnswer* answer,
       // per-query meter and token.
       fresh->ctx.options.trace = options_.trace;
       fresh->plan = answer->plan;
+      fresh->plan_fingerprint = fresh->plan.Fingerprint();
       fresh->plan_epoch = stats_.epoch();
       served->prepared = fresh;
       if (cacheable) {
@@ -450,7 +452,9 @@ Result<QueryAnswer> LdlSystem::Query(const Literal& goal) {
       rec.method = program_.IsDerived(goal.predicate())
                        ? RecursionMethodToString(answer.plan.top_method)
                        : "base";
-      rec.plan_fingerprint = answer.plan.Fingerprint();
+      rec.plan_fingerprint = served.prepared != nullptr
+                                 ? served.prepared->plan_fingerprint
+                                 : answer.plan.Fingerprint();
     }
     rec.stats_epoch = stats_.epoch();
     rec.plan_epoch = answer.plan_epoch;

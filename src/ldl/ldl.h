@@ -257,6 +257,9 @@ class LdlSystem {
   struct PreparedGoal {
     GoalContext ctx;
     QueryPlan plan;
+    /// plan.Fingerprint(), which hashes no constant: what every query the
+    /// entry serves logs.
+    std::string plan_fingerprint;
     PreparedQuery query;
     /// The statistics epoch the plan was costed under.
     uint64_t plan_epoch = 0;
@@ -342,6 +345,9 @@ class LdlSystem {
 
   OptimizerOptions options_;
   Program program_;
+  /// The arities program_'s rules and queries use, what a new clause is
+  /// validated against.
+  Program::Arities arities_;
   Database db_;
   // Written only by the driving thread, under stats_mu_; read without the
   // lock by that thread and under it by StatisticsSnapshot.

@@ -43,7 +43,11 @@ Relation& Relation::operator=(const Relation& other) {
   values_ = other.values_;
   store_ = other.store_;
   dedup_ = other.dedup_;
-  indexes_ = other.indexes_;
+  indexes_.clear();
+  indexes_.reserve(other.indexes_.size());
+  for (const std::unique_ptr<Index>& index : other.indexes_) {
+    indexes_.push_back(std::make_unique<Index>(*index));
+  }
   distinct_ = other.distinct_;
   accountant_ = other.accountant_;
   charged_bytes_ = 0;
@@ -90,9 +94,9 @@ void Relation::UseStore(std::shared_ptr<ValueStore> store) {
 uint64_t Relation::EstimateBytes() const {
   uint64_t ids = dedup_.ids.slot_count();
   uint64_t groups = 0;
-  for (const Index& index : indexes_) {
-    ids += index.keys.ids.slot_count() + index.ids.size();
-    groups += index.groups.size();
+  for (const std::unique_ptr<Index>& index : indexes_) {
+    ids += index->keys.ids.slot_count() + index->ids.size();
+    groups += index->groups.size();
   }
   for (const RowTable& table : distinct_) ids += table.ids.slot_count();
   return ids * sizeof(uint32_t) + groups * sizeof(Index::Group) +
@@ -208,26 +212,37 @@ void Relation::Clear() {
   rows_ = 0;
   values_.clear();
   dedup_ = {};
-  for (Index& index : indexes_) {
-    index.keys = {};
-    index.groups.clear();
-    index.ids.clear();
-    index.free.clear();
+  for (const std::unique_ptr<Index>& index : indexes_) {
+    index->keys = {};
+    index->groups.clear();
+    index->ids.clear();
+    index->free.clear();
   }
   distinct_.clear();
 }
 
 Relation::IndexId Relation::IndexFor(const std::vector<int>& cols) {
   for (size_t i = 0; i < indexes_.size(); ++i) {
-    if (indexes_[i].cols == cols) return static_cast<IndexId>(i);
+    if (indexes_[i]->cols == cols) return static_cast<IndexId>(i);
   }
-  indexes_.push_back(Index{cols, {}, {}, {}, {}});
+  indexes_.push_back(std::make_unique<Index>(Index{cols, {}, {}, {}, {}}));
   return static_cast<IndexId>(indexes_.size() - 1);
+}
+
+std::optional<Relation::IndexId> Relation::BuiltIndex(
+    const std::vector<int>& cols) const {
+  for (size_t i = 0; i < indexes_.size(); ++i) {
+    if (indexes_[i]->cols == cols) {
+      if (indexes_[i]->keys.built_upto == 0) break;
+      return static_cast<IndexId>(i);
+    }
+  }
+  return std::nullopt;
 }
 
 Relation::Postings Relation::Lookup(IndexId id, std::span<const Value> key,
                                    size_t* rows_indexed) {
-  Index& index = indexes_[id];
+  Index& index = *indexes_[id];
   assert(key.size() == index.cols.size() && "key arity mismatch");
   if (index.keys.built_upto < rows_) ExtendIndex(&index, rows_indexed);
   auto same = [&](uint32_t group) {

@@ -2,8 +2,8 @@
 #define LDLOPT_STORAGE_RELATION_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <span>
 #include <string>
@@ -92,6 +92,10 @@ class Relation {
   /// The index on `cols` (strictly increasing), registered on first call;
   /// its rows are indexed by the first Lookup that needs them.
   IndexId IndexFor(const std::vector<int>& cols);
+  /// The index on `cols` when one is registered and a Lookup has already
+  /// indexed rows into it (a later Lookup only extends it by the rows
+  /// added since); nullopt otherwise, when a Lookup would build it whole.
+  std::optional<IndexId> BuiltIndex(const std::vector<int>& cols) const;
 
   class Postings;
 
@@ -195,9 +199,11 @@ class Relation {
   mutable std::shared_ptr<ValueStore> store_;
   // Row ids keyed on all columns.
   RowTable dedup_;
-  // Secondary indexes by IndexId; a deque so a posting list's address
-  // survives new indexes.
-  std::deque<Index> indexes_;
+  // Secondary indexes by IndexId, each on the heap so a posting list's
+  // index survives new indexes. Unlike a deque, an empty vector allocates
+  // nothing, and most relations (scratch, answers) are made, moved and
+  // dropped without ever being indexed.
+  std::vector<std::unique_ptr<Index>> indexes_;
   // Per-column tables of one row id per distinct value, built by the first
   // DistinctCount. Mutable (with charged_bytes_, which charges them)
   // because counting is a const read that caches, the way

@@ -270,6 +270,12 @@ TEST(LdlSystemTest, RejectedClauseChangesNothing) {
   EXPECT_FALSE(sys.AddClause("q(e). p(X, Y)?").ok());  // bad query form
   EXPECT_EQ(sys.pending_queries().size(), 0u);
   EXPECT_EQ(sys.database()->Find(Pred("q(X)"))->size(), 2u);
+  // A clause checked only against the arities already in use: its new
+  // predicate r/1 is not remembered when the clause is rejected.
+  EXPECT_FALSE(sys.AddClause("r(X) <- q(X, X).").ok());
+  ASSERT_TRUE(sys.AddClause("r(X, Y) <- q(X), q(Y).").ok());
+  EXPECT_FALSE(sys.AddClause("s(X) <- r(X).").ok());
+  EXPECT_EQ(sys.program().rules().size(), rules + 1);
 
   ASSERT_TRUE(sys.AddClause("q(d).").ok());
   const Relation* q = sys.database()->Find(Pred("q(X)"));
@@ -906,13 +912,19 @@ TEST(LdlSystemTest, QueryLogRecordsPlanCacheHits) {
   LdlSystem sys;
   ASSERT_TRUE(sys.LoadProgram(kAncestor).ok());
   sys.set_query_log(&log);
-  ASSERT_TRUE(sys.Query("anc(a, Y)").ok());
-  ASSERT_TRUE(sys.Query("anc(b, Y)").ok());
+  auto miss = sys.Query("anc(a, Y)");
+  ASSERT_TRUE(miss.ok()) << miss.status();
+  auto hit = sys.Query("anc(b, Y)");
+  ASSERT_TRUE(hit.ok()) << hit.status();
   const std::vector<QueryLogRecord> records = log.snapshot();
   ASSERT_EQ(records.size(), 2u);
   EXPECT_FALSE(records[0].plan_cached);
   EXPECT_TRUE(records[1].plan_cached);
-  EXPECT_EQ(records[0].plan_fingerprint, records[1].plan_fingerprint);
+  // The hit logs the fingerprint its entry stored when the miss made it,
+  // which is the fingerprint of the plan it served.
+  EXPECT_EQ(records[0].plan_fingerprint, miss->plan.Fingerprint());
+  EXPECT_EQ(records[1].plan_fingerprint, records[0].plan_fingerprint);
+  EXPECT_EQ(records[1].plan_fingerprint, hit->plan.Fingerprint());
   EXPECT_EQ(records[0].stats_epoch, records[1].stats_epoch);
 }
 
