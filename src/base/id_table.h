@@ -2,6 +2,7 @@
 #define LDLOPT_BASE_ID_TABLE_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -45,6 +46,14 @@ class IdTable {
     slots_[i] = id;
     ++count_;
     return id;
+  }
+
+  /// Sizes an empty table for `n` ids: the slots adding them one by one
+  /// would grow it to, allocated now, so adding them never doubles it.
+  /// No-op when `n` is 0 or the table holds an id or has slots already.
+  void Reserve(size_t n) {
+    if (n == 0 || !slots_.empty()) return;
+    slots_.assign(std::max(kMinSlots, std::bit_ceil(2 * n)), kEmpty);
   }
 
   /// Occupied slots.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <span>
 #include <string_view>
 
 #include "base/strings.h"
@@ -158,7 +159,8 @@ class FixpointSchedule::RunState {
  public:
   RunState(const FixpointSchedule& schedule, Database* base,
            Database* scratch, FixpointStats* stats,
-           const FixpointOptions& options)
+           const FixpointOptions& options,
+           std::span<const size_t> slot_rows)
       : schedule_(schedule),
         stats_(stats),
         options_(options),
@@ -175,10 +177,11 @@ class FixpointSchedule::RunState {
       base_.push_back(base->Find(pred));
     }
     // Every derived relation up front, so each rule's index probes resolve
-    // once, here.
+    // once, here, and at the size the last run left it.
     derived_.reserve(schedule.derived_.size());
-    for (const PredicateId& pred : schedule.derived_) {
-      derived_.push_back(scratch->GetOrCreate(pred));
+    for (size_t slot = 0; slot < schedule.derived_.size(); ++slot) {
+      derived_.push_back(scratch->GetOrCreate(schedule.derived_[slot]));
+      if (!slot_rows.empty()) derived_.back()->Reserve(slot_rows[slot]);
     }
     rules_.reserve(schedule.rules_.size());
     for (const ScheduledRule& rule : schedule.rules_) {
@@ -194,6 +197,14 @@ class FixpointSchedule::RunState {
   ~RunState() {
     if (options_.trace.accountant != nullptr && arena_charged_ != 0) {
       options_.trace.accountant->ReleaseBytes(arena_charged_);
+    }
+  }
+
+  /// The rows each derived slot holds, in slot order.
+  void SlotRows(std::vector<size_t>* out) const {
+    out->resize(derived_.size());
+    for (size_t slot = 0; slot < derived_.size(); ++slot) {
+      (*out)[slot] = derived_[slot]->size();
     }
   }
 
@@ -488,14 +499,21 @@ class FixpointSchedule::RunState {
 
 Status FixpointSchedule::Run(Database* base, Database* scratch,
                              FixpointStats* stats,
-                             const FixpointOptions& options) const {
+                             const FixpointOptions& options,
+                             std::vector<size_t>* slot_rows) const {
   if (options.params.size() < num_params_) {
     return Status::InvalidArgument(
         StrCat("the program reads ", num_params_, " parameters, the run ",
                "binds ", options.params.size()));
   }
   FixpointStats local;
-  Status st = RunState(*this, base, scratch, &local, options).Run();
+  std::span<const size_t> reserve;
+  if (slot_rows != nullptr && slot_rows->size() == derived_.size()) {
+    reserve = *slot_rows;
+  }
+  RunState run(*this, base, scratch, &local, options, reserve);
+  Status st = run.Run();
+  if (st.ok() && slot_rows != nullptr) run.SlotRows(slot_rows);
   local.ExportTo(options.trace.metrics);
   if (stats != nullptr) {
     stats->iterations += local.iterations;

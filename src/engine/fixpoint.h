@@ -122,8 +122,16 @@ class FixpointSchedule {
   /// base. Strata are evaluated bottom-up, so negated literals always
   /// refer to completed relations. The run's per-rule register files and
   /// key buffers, relation slots and deltas live in a RunState of its own.
+  ///
+  /// `slot_rows`, when given, carries one row count per derived slot from
+  /// run to run (DESIGN.md §26): when it holds a count per slot, the
+  /// scratch relation of each slot is reserved (Relation::Reserve) for
+  /// its count before the rounds start, and a run that succeeds leaves its
+  /// own counts there. The counts change capacity only, never what a run
+  /// derives, in what order, or what it counts.
   Status Run(Database* base, Database* scratch, FixpointStats* stats,
-             const FixpointOptions& options = {}) const;
+             const FixpointOptions& options = {},
+             std::vector<size_t>* slot_rows = nullptr) const;
 
   /// The program it runs; only for a built schedule.
   const Program& program() const { return *program_; }

@@ -227,21 +227,26 @@ Literal SelectorShape(const Literal& goal) {
   return goal.WithArgs(std::move(args));
 }
 
-/// Inserts `goal`'s answers in `rel` into `out`: through the prepared
+/// `goal`'s answers in `rel`, in a relation of base's store sized for the
+/// answers of the prepared query's last run: selected through the prepared
 /// selector when the goal has its shape, else through one compiled now.
 /// Scratch relations are dropped after the run, so an index is probed only
 /// when the fixpoint built it.
-void SelectAnswers(const PreparedQuery& prepared, const Literal& goal,
-                   std::span<const Value> params, Relation* rel,
-                   Relation* out) {
+Relation SelectAnswers(const PreparedQuery& prepared, const Literal& goal,
+                       std::span<const Value> params, Relation* rel,
+                       Database* base) {
+  Relation out("answers", goal.arity(), base->shared_store());
+  out.Reserve(prepared.answer_rows);
   if (FreeArgumentsDistinct(goal)) {
-    prepared.selector.Select(rel, params, /*build_index=*/false, out);
-    return;
+    prepared.selector.Select(rel, params, /*build_index=*/false, &out);
+  } else {
+    const AnswerSelector own = prepared.method == RecursionMethod::kCounting
+                                   ? AnswerSelector::CompileCounting(goal)
+                                   : AnswerSelector::Compile(goal);
+    own.Select(rel, params, /*build_index=*/false, &out);
   }
-  const AnswerSelector own = prepared.method == RecursionMethod::kCounting
-                                 ? AnswerSelector::CompileCounting(goal)
-                                 : AnswerSelector::Compile(goal);
-  own.Select(rel, params, /*build_index=*/false, out);
+  prepared.answer_rows = out.size();
+  return out;
 }
 
 /// The bodiless rule `seed` with its arguments from position `first` on
@@ -343,8 +348,8 @@ Result<QueryResult> RunFull(const PreparedQuery& prepared, Database* base,
   fixpoint.method_label = RecursionMethodToString(prepared.method);
   Database scratch(base->shared_store());
   scratch.set_accountant(fixpoint.trace.accountant);
-  LDL_RETURN_NOT_OK(
-      prepared.schedule.Run(base, &scratch, &result.stats, fixpoint));
+  LDL_RETURN_NOT_OK(prepared.schedule.Run(base, &scratch, &result.stats,
+                                          fixpoint, &prepared.slot_rows));
   // The full bottom-up methods compute every reachable derived predicate in
   // its entirety: the scratch sizes are all-free cardinalities.
   for (const PredicateId& pred : scratch.Predicates()) {
@@ -360,9 +365,8 @@ Result<QueryResult> RunFull(const PreparedQuery& prepared, Database* base,
     goal_rel->set_accountant(nullptr);
     result.answers = std::move(*goal_rel);
   } else {
-    result.answers = Relation("answers", goal.arity(), base->shared_store());
-    SelectAnswers(prepared, goal, BoundValues(goal, base->store()), goal_rel,
-                  &result.answers);
+    result.answers = SelectAnswers(
+        prepared, goal, BoundValues(goal, base->store()), goal_rel, base);
   }
   return result;
 }
@@ -388,11 +392,10 @@ Result<QueryResult> RunMagic(const PreparedQuery& prepared, Database* base,
   scratch.set_accountant(options.fixpoint.trace.accountant);
   const FixpointOptions fixpoint =
       RewrittenRunOptions(options, goal, base, "magic");
-  LDL_RETURN_NOT_OK(
-      prepared.schedule.Run(base, &scratch, &result.stats, fixpoint));
-  result.answers = Relation("answers", goal.arity(), base->shared_store());
-  SelectAnswers(prepared, goal, fixpoint.params,
-                scratch.Find(prepared.answer_pred), &result.answers);
+  LDL_RETURN_NOT_OK(prepared.schedule.Run(base, &scratch, &result.stats,
+                                          fixpoint, &prepared.slot_rows));
+  result.answers = SelectAnswers(prepared, goal, fixpoint.params,
+                                 scratch.Find(prepared.answer_pred), base);
   // p.a holds the answers for every binding magic.p.a received, so their
   // ratio is p's rows per binding under adornment a.
   for (const AdornedPredicate& ap : prepared.adorned) {
@@ -427,7 +430,8 @@ Result<QueryResult> RunCounting(const PreparedQuery& prepared,
       std::min(fixpoint.max_iterations,
                base->TotalTuples() +
                    prepared.schedule.program().rules().size() + 8);
-  Status st = prepared.schedule.Run(base, &scratch, &result.stats, fixpoint);
+  Status st = prepared.schedule.Run(base, &scratch, &result.stats, fixpoint,
+                                    &prepared.slot_rows);
   if (!st.ok()) {
     if (options.counting_fallback &&
         st.code() == StatusCode::kResourceExhausted) {
@@ -447,9 +451,8 @@ Result<QueryResult> RunCounting(const PreparedQuery& prepared,
   }
   // Answers: ans.p's level-0 rows, the level dropped and the goal's
   // constants put back.
-  result.answers = Relation("answers", goal.arity(), base->shared_store());
-  SelectAnswers(prepared, goal, fixpoint.params,
-                scratch.Find(prepared.answer_pred), &result.answers);
+  result.answers = SelectAnswers(prepared, goal, fixpoint.params,
+                                 scratch.Find(prepared.answer_pred), base);
   // One binding (the goal's constants): its answers are the goal's entry.
   result.derived_sizes.emplace_back(
       AdornedPredicate{goal.predicate(), Adornment::FromGoal(goal)},

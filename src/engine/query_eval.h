@@ -128,6 +128,14 @@ struct PreparedQuery {
   /// Why the method differs from the one requested, e.g. "counting
   /// inapplicable (...); fell back to magic".
   std::string note;
+  /// What the last successful run left (DESIGN.md §26), empty before the
+  /// first: the rows of each derived slot of `schedule`, and the answers.
+  /// The next run reserves its scratch and answer relations at these
+  /// sizes, so it allocates each once. They change capacity only, never
+  /// answers, row order or a counter. Runs write them, so one prepared
+  /// query runs on one thread at a time.
+  mutable std::vector<size_t> slot_rows;
+  mutable size_t answer_rows = 0;
 };
 
 /// Prepares `goal`'s shape over `program` for `method`, ending with the
@@ -147,7 +155,8 @@ Result<PreparedQuery> PrepareQuery(const Program& program,
 
 /// Runs a prepared query for `goal`, which must have the predicate and
 /// adornment it was prepared for: binds the seed to `goal`'s constants,
-/// evaluates to a fixpoint over `base`, and selects `goal`'s answers.
+/// evaluates to a fixpoint over `base`, and selects `goal`'s answers, into
+/// relations sized by the last run (PreparedQuery::slot_rows).
 /// options.fixpoint applies as in EvaluateQuery (its rule_orders were
 /// consumed by PrepareQuery and are ignored here). Compiles nothing: the
 /// result's rules_compiled is 0, except that a counting run that trips its

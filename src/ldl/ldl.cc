@@ -47,6 +47,15 @@ MeasuredStatistics RunMeasurements(
   return measured;
 }
 
+/// The plan of a goal whose every rule dead-rule elimination removed.
+QueryPlan NoRulePlan(const Literal& goal) {
+  QueryPlan plan;
+  plan.goal = goal;
+  plan.adornment = Adornment::FromGoal(goal);
+  plan.safe = true;
+  return plan;
+}
+
 /// "ResourceExhausted" -> "resource_exhausted": the query log's outcome tag.
 std::string OutcomeName(StatusCode code) {
   std::string out;
@@ -181,11 +190,23 @@ Result<LdlSystem::GoalContext> LdlSystem::PrepareGoal(const Literal& goal) {
   return ctx;
 }
 
+bool LdlSystem::AllRulesDead(const GoalContext& ctx,
+                             const Literal& goal) const {
+  return program_.IsDerived(goal.predicate()) &&
+         !ctx.working.IsDerived(goal.predicate());
+}
+
+Result<QueryPlan> LdlSystem::OptimizeIn(const GoalContext& ctx,
+                                        const Literal& goal) {
+  if (AllRulesDead(ctx, goal)) return NoRulePlan(goal);
+  Optimizer optimizer(ctx.working, stats_, ctx.options);
+  return optimizer.Optimize(goal);
+}
+
 Result<QueryPlan> LdlSystem::Plan(const Literal& goal) {
   if (stats_dirty_) RefreshStatistics();
   LDL_ASSIGN_OR_RETURN(GoalContext ctx, PrepareGoal(goal));
-  Optimizer optimizer(ctx.working, stats_, ctx.options);
-  return optimizer.Optimize(goal);
+  return OptimizeIn(ctx, goal);
 }
 
 Result<QueryAnswer> LdlSystem::Query(std::string_view goal_text) {
@@ -345,13 +366,10 @@ Status LdlSystem::Serve(const Literal& goal, QueryAnswer* answer,
       if (cacheable) trace.Count("ldl.plan_cache.misses");
       fresh = std::make_shared<PreparedGoal>();
       LDL_ASSIGN_OR_RETURN(fresh->ctx, PrepareGoal(goal));
-      if (!fresh->ctx.working.IsDerived(goal.predicate())) {
-        // Dead-rule elimination removed every rule of the goal's
-        // predicate: no rule can derive a row, so the answer is empty, and
-        // safely so. Nothing is planned, run or cached.
+      if (AllRulesDead(fresh->ctx, goal)) {
+        // Nothing is planned, run or cached.
         answer->answers = Relation("answers", goal.arity());
-        answer->plan.goal = goal;
-        answer->plan.safe = true;
+        answer->plan = NoRulePlan(goal);
         fresh->plan = answer->plan;
         fresh->plan_fingerprint = fresh->plan.Fingerprint();
         served->prepared = std::move(fresh);
@@ -518,8 +536,7 @@ Result<std::string> LdlSystem::Explain(std::string_view goal_text) {
   LDL_ASSIGN_OR_RETURN(Literal goal, ParseLiteral(goal_text));
   if (stats_dirty_) RefreshStatistics();
   LDL_ASSIGN_OR_RETURN(GoalContext ctx, PrepareGoal(goal));
-  Optimizer optimizer(ctx.working, stats_, ctx.options);
-  LDL_ASSIGN_OR_RETURN(QueryPlan plan, optimizer.Optimize(goal));
+  LDL_ASSIGN_OR_RETURN(QueryPlan plan, OptimizeIn(ctx, goal));
   return plan.Explain(ctx.working);
 }
 
@@ -529,8 +546,7 @@ Result<std::string> LdlSystem::ExplainOptimize(std::string_view goal_text) {
   LDL_ASSIGN_OR_RETURN(GoalContext ctx, PrepareGoal(goal));
   SearchTracer local;
   if (ctx.options.trace.search == nullptr) ctx.options.trace.search = &local;
-  Optimizer optimizer(ctx.working, stats_, ctx.options);
-  LDL_ASSIGN_OR_RETURN(QueryPlan plan, optimizer.Optimize(goal));
+  LDL_ASSIGN_OR_RETURN(QueryPlan plan, OptimizeIn(ctx, goal));
   std::string out = plan.Explain(ctx.working);
   StrAppend(&out, "\n", RenderExplainOptimize(*ctx.options.trace.search));
   return out;

@@ -249,6 +249,14 @@ class LdlSystem {
     OptimizerOptions options;
   };
   Result<GoalContext> PrepareGoal(const Literal& goal);
+  /// Dead-rule elimination removed every rule of `goal`'s predicate from
+  /// ctx.working: no rule can derive a row, so the goal answers empty, and
+  /// safely so.
+  bool AllRulesDead(const GoalContext& ctx, const Literal& goal) const;
+  /// The plan of `goal` over ctx.working under ctx.options: the
+  /// optimizer's, or the empty, safe plan Query serves when every rule of
+  /// the goal is dead (Plan, Explain, ExplainOptimize).
+  Result<QueryPlan> OptimizeIn(const GoalContext& ctx, const Literal& goal);
 
   /// A goal shape prepared for serving (DESIGN.md §22): its context, the
   /// plan chosen for it and the engine query prepared from that plan, with

@@ -306,6 +306,12 @@ RegretAnalysis ComputePlanRegret(const Program& program,
     out.note = "chosen plan is unsafe";
     return out;
   }
+  if (!program.IsDerived(goal.predicate())) {
+    // No rule defines the goal (dead-rule elimination removed them all):
+    // its one plan derives nothing, in hindsight too.
+    out.computed = true;
+    return out;
+  }
   if (measured.empty()) {
     out.note = "no measured statistics (nothing executed)";
     return out;

@@ -150,6 +150,8 @@ void AddScanSizes(const PlanNode& tree, const Database& db,
 /// its decisions (PlanConstraints), and reports both costs plus the
 /// decision diff. `options` should be the options the chosen plan was
 /// produced with; its measured/pinned fields are overridden internally.
+/// A goal no rule of `program` defines has one plan, which derives
+/// nothing: its regret is computed as zero.
 RegretAnalysis ComputePlanRegret(const Program& program,
                                  const Statistics& stats,
                                  const OptimizerOptions& options,

@@ -119,6 +119,14 @@ void Relation::set_accountant(ResourceAccountant* accountant) {
   }
 }
 
+void Relation::Reserve(size_t rows) {
+  if (rows == 0 || rows_ != 0) return;
+  values_.reserve(rows * arity_);
+  const size_t slots = dedup_.ids.slot_count();
+  dedup_.ids.Reserve(rows);
+  ChargeSlots(dedup_.ids, slots);
+}
+
 bool Relation::InsertRow(std::span<const Value> row) {
   assert(row.size() == arity_ && "tuple arity mismatch");
   if (row.size() != arity_) return false;

@@ -83,6 +83,13 @@ class Relation {
     return {values_.data() + i * arity_, arity_};
   }
 
+  /// Sizes an empty relation for `rows` rows: the row storage and the
+  /// dedup table they would grow to, allocated once, with the table's
+  /// slots charged as growth would charge them. Capacity only: filling it
+  /// gives the same rows, row ids and charged bytes as growing does. No-op
+  /// for 0 rows or a relation that holds a row.
+  void Reserve(size_t rows);
+
   /// Inserts a row of store() values; returns true iff it was new. The
   /// dedup table is probed first, so a duplicate copies nothing. Asserts
   /// the arity in debug builds; rejects a wrong one in release.

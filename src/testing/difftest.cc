@@ -110,8 +110,36 @@ Result<QueryResult> EvalCached(LdlSystem* sys, const Literal& goal) {
   }
   QueryResult result;
   result.answers = std::move(answer.answers);
+  result.stats = std::move(answer.exec_stats);
   result.note = std::move(answer.note);
   return result;
+}
+
+/// Marks the last recorded configuration a mismatch when `again` did other
+/// work than `first`, a run of the same goal on the same plan-cache entry:
+/// a prepared run must leave nothing behind that changes the next one's
+/// work. Index building is left out, since base relations keep the indexes
+/// a run in between may have built.
+void CheckSameWork(const Result<QueryResult>& first,
+                   const Result<QueryResult>& again, DiffOutcome* out) {
+  if (!first.ok() || !again.ok() || out->configs.empty()) return;
+  const EvalCounters& a = first->stats.counters;
+  const EvalCounters& b = again->stats.counters;
+  std::string diff;
+  auto compare = [&](const char* name, size_t was, size_t is) {
+    if (was != is) StrAppend(&diff, " ", name, " ", was, " -> ", is);
+  };
+  compare("tuples_examined", a.tuples_examined, b.tuples_examined);
+  compare("derivations", a.derivations, b.derivations);
+  compare("inserts", a.inserts, b.inserts);
+  compare("dedup_probes", a.dedup_probes, b.dedup_probes);
+  compare("index_probes", a.index_probes, b.index_probes);
+  if (diff.empty()) return;
+  ConfigResult& cr = out->configs.back();
+  cr.agrees = false;
+  cr.detail = StrCat("work differs from the first run:", diff);
+  out->mismatch = true;
+  StrAppend(&out->detail, cr.config, ": ", cr.detail, "\n");
 }
 
 /// The prepared-plan configurations: the goal asked twice on one system,
@@ -120,7 +148,8 @@ Result<QueryResult> EvalCached(LdlSystem* sys, const Literal& goal) {
 /// cache too ("opt:prepared:sibling") and checked against its own
 /// reference evaluation, then the goal once more on the same entry
 /// ("opt:prepared:again"), which shows any state one run of a prepared
-/// schedule leaves behind for the next. Last, CycleClosingFacts are added
+/// schedule leaves behind for the next: its answers and its work must be
+/// those of "opt:prepared" (CheckSameWork). Last, CycleClosingFacts are added
 /// and the goal is asked once more ("opt:prepared:after_insert"): the
 /// statistics stay within the keep factor, so the plan must be kept across
 /// the refresh, and the answers must be those of a fresh reference over the
@@ -129,7 +158,8 @@ void RecordPrepared(Harness* h, LdlSystem* sys, DiffOutcome* out) {
   const Literal& goal = h->prog.query;
   sys->set_options(OptimizerOptions{});
   (void)sys->Query(goal);
-  RecordAnswers(h, out, "opt:prepared", EvalCached(sys, goal));
+  const Result<QueryResult> first = EvalCached(sys, goal);
+  RecordAnswers(h, out, "opt:prepared", first);
   std::set<Term> domain;
   for (const Literal& fact : h->prog.facts) {
     domain.insert(fact.args().begin(), fact.args().end());
@@ -144,7 +174,9 @@ void RecordPrepared(Harness* h, LdlSystem* sys, DiffOutcome* out) {
                     "opt:prepared:sibling", EvalCached(sys, sibling));
     }
   }
-  RecordAnswers(h, out, "opt:prepared:again", EvalCached(sys, goal));
+  const Result<QueryResult> again = EvalCached(sys, goal);
+  RecordAnswers(h, out, "opt:prepared:again", again);
+  CheckSameWork(first, again, out);
 
   const std::vector<Literal> inserts = CycleClosingFacts(h->prog);
   if (inserts.empty()) return;

@@ -41,10 +41,11 @@ GeneratedProgram ApplyFault(const GeneratedProgram& prog, Fault fault);
 ///  - prepared plans: the goal asked again on the same system, served from
 ///    the plan cache, and a goal of the same shape with other constants
 ///    from the active domain (checked against its own semi-naive
-///    reference), served from the cache too; then, after inserts that keep
-///    the statistics within the plan cache's keep factor, the goal once
-///    more, served by the kept plan and checked against a reference over
-///    the grown fact base.
+///    reference), served from the cache too, then the goal again, whose
+///    answers and work must match its first cached run; then, after
+///    inserts that keep the statistics within the plan cache's keep
+///    factor, the goal once more, served by the kept plan and checked
+///    against a reference over the grown fact base.
 /// Metamorphic checks ride on top: growing the EDB never shrinks a
 /// positive query's answers, and a bound query equals the filtered free
 /// query.

@@ -139,7 +139,7 @@ TEST(DiffTestTest, CleanProgramsProduceNoMismatch) {
 
 // The prepared-plan axis serves the goal from the plan cache, and a goal of
 // the same shape with other constants too, then the goal once more, each
-// matching its reference.
+// matching its reference; the last run also does the first run's work.
 TEST(DiffTestTest, PreparedPlansRunAgainstTheReference) {
   Rng rng(404);
   DiffTestOptions options;

@@ -905,6 +905,26 @@ TEST(LdlSystemTest, GoalWhoseRulesAreAllDeadAnswersEmpty) {
   EXPECT_EQ(answer->answers.arity(), 1u);
   EXPECT_TRUE(answer->plan.safe);
   EXPECT_FALSE(answer->plan_cached);
+  // Plan, Explain, EXPLAIN OPTIMIZE and EXPLAIN ANALYZE serve the same
+  // empty, safe plan.
+  auto plan = sys.Plan("t(X)");
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_TRUE(plan->safe);
+  EXPECT_EQ(plan->Fingerprint(), answer->plan.Fingerprint());
+  auto text = sys.Explain("t(X)");
+  ASSERT_TRUE(text.ok()) << text.status();
+  EXPECT_NE(text->find("QUERY   t(X)?"), std::string::npos) << *text;
+  EXPECT_EQ(text->find("UNSAFE"), std::string::npos) << *text;
+  auto search = sys.ExplainOptimize("t(X)");
+  ASSERT_TRUE(search.ok()) << search.status();
+  EXPECT_EQ(search->rfind(*text, 0), 0u) << *search;
+  auto analyzed = sys.AnalyzeCalibrated("t(X)");
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status();
+  EXPECT_TRUE(analyzed->answer.answers.empty());
+  EXPECT_TRUE(analyzed->report.regret().computed);
+  EXPECT_EQ(analyzed->report.regret().regret(), 0.0);
+  EXPECT_EQ(analyzed->text.find("not computed"), std::string::npos)
+      << analyzed->text;
 }
 
 TEST(LdlSystemTest, QueryLogRecordsPlanCacheHits) {

@@ -297,6 +297,87 @@ TEST(RelationTest, DistinctTablesAreChargedAndReleased) {
   EXPECT_EQ(accountant.current_bytes(), 0u);
 }
 
+// The rows of `r` in row order.
+std::vector<Tuple> Rows(const Relation& r) { return r.tuples(); }
+
+// A relation reserved for its rows and then filled is the relation that
+// growing row by row makes: the same rows under the same ids, the same
+// membership and postings, the same byte estimate (what attaching an
+// accountant charges) and, attached while filled, the same charge.
+TEST(RelationTest, ReservedRelationMatchesGrownOne) {
+  for (size_t n : {1, 7, 8, 9, 100, 1000}) {
+    SCOPED_TRACE(n);
+    ResourceAccountant grown_bytes;
+    ResourceAccountant reserved_bytes;
+    Relation grown("edge", 2);
+    Relation reserved("edge", 2);
+    grown.set_accountant(&grown_bytes);
+    reserved.set_accountant(&reserved_bytes);
+    reserved.Reserve(n);
+    EXPECT_EQ(reserved.size(), 0u);
+    const uint64_t slot_bytes = reserved_bytes.current_bytes();
+    EXPECT_GT(slot_bytes, 0u);
+    // Each row twice, the second time a duplicate.
+    for (size_t pass = 0; pass < 2; ++pass) {
+      for (size_t i = 0; i < n; ++i) {
+        const Tuple t = Pair(static_cast<int64_t>(i % 5),
+                             static_cast<int64_t>(i));
+        EXPECT_EQ(grown.Insert(t), pass == 0);
+        EXPECT_EQ(reserved.Insert(t), pass == 0);
+      }
+    }
+    EXPECT_EQ(Rows(reserved), Rows(grown));
+    // Filling it charged its rows and no further slot: the table never
+    // grew.
+    EXPECT_EQ(reserved_bytes.current_bytes(),
+              slot_bytes + n * 2 * sizeof(Value));
+    EXPECT_EQ(reserved.charged_bytes(), grown.charged_bytes());
+    EXPECT_EQ(reserved_bytes.current_bytes(), grown_bytes.current_bytes());
+    for (int64_t i = -1; i <= static_cast<int64_t>(n); ++i) {
+      EXPECT_EQ(reserved.Contains(Pair(i % 5, i)),
+                grown.Contains(Pair(i % 5, i)));
+    }
+    for (int64_t key = 0; key < 6; ++key) {
+      EXPECT_EQ(reserved.Lookup({0}, {Term::MakeInt(key)}).ToVector(),
+                grown.Lookup({0}, {Term::MakeInt(key)}).ToVector());
+    }
+    EXPECT_EQ(reserved.charged_bytes(), grown.charged_bytes());
+    // Re-attaching charges a fresh estimate of the contents.
+    reserved.set_accountant(nullptr);
+    grown.set_accountant(nullptr);
+    reserved.set_accountant(&reserved_bytes);
+    grown.set_accountant(&grown_bytes);
+    EXPECT_EQ(reserved.charged_bytes(), grown.charged_bytes());
+  }
+}
+
+// Reserve(0) sizes nothing, and reserving a relation that holds a row
+// changes nothing: its charge, and what filling it further gives.
+TEST(RelationTest, ReserveOfNothingOrOfAFilledRelationIsANoOp) {
+  ResourceAccountant accountant;
+  Relation none("edge", 2);
+  none.set_accountant(&accountant);
+  none.Reserve(0);
+  EXPECT_EQ(none.charged_bytes(), 0u);
+  EXPECT_EQ(accountant.current_bytes(), 0u);
+
+  Relation grown("edge", 2);
+  Relation reserved("edge", 2);
+  grown.set_accountant(&accountant);
+  reserved.set_accountant(&accountant);
+  grown.Insert(Pair(0, 0));
+  reserved.Insert(Pair(0, 0));
+  const uint64_t charged = reserved.charged_bytes();
+  reserved.Reserve(1000);
+  EXPECT_EQ(reserved.charged_bytes(), charged);
+  for (int64_t i = 1; i < 100; ++i) {
+    grown.Insert(Pair(i, i));
+    reserved.Insert(Pair(i, i));
+  }
+  EXPECT_EQ(Rows(reserved), Rows(grown));
+  EXPECT_EQ(reserved.charged_bytes(), grown.charged_bytes());
+}
+
 TEST(DatabaseTest, GetOrCreateAndFacts) {
   Database db;
   EXPECT_EQ(db.Find({"edge", 2}), nullptr);
