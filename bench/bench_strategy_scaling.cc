@@ -90,6 +90,7 @@ void BM_Strategy(benchmark::State& state) {
   Rng rng(n * 31);
   auto q = MakeRandomConjunct(QueryShape::kRandom, n, &rng);
   StrategyOptions options;
+  options.dp_limit = 14;  // so the n = 14 DP case runs DP, not annealing
   CostModel model;
   auto s = MakeStrategy(strategy, options);
   BoundVars none;

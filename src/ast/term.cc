@@ -1,5 +1,6 @@
 #include "ast/term.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "base/hash.h"
@@ -108,44 +109,70 @@ bool Term::IsGround() const {
   return !t->IsVariable();
 }
 
+// The walks below loop down the last argument and recurse only into the
+// others, so a long list (a chain of '.'/2 cells) cannot overflow the stack.
+
 void Term::CollectVariables(std::vector<std::string>* out) const {
-  if (kind_ == TermKind::kVariable) {
-    out->push_back(text_);
-  } else if (kind_ == TermKind::kFunction) {
-    for (const Term& a : args()) a.CollectVariables(out);
+  const Term* t = this;
+  while (t->IsFunction() && !t->args().empty()) {
+    const auto& args = t->args();
+    for (size_t i = 0; i + 1 < args.size(); ++i) args[i].CollectVariables(out);
+    t = &args.back();
   }
+  if (t->IsVariable()) out->push_back(t->text_);
 }
 
 bool Term::ContainsVariable(const std::string& name) const {
-  if (kind_ == TermKind::kVariable) return text_ == name;
-  if (kind_ == TermKind::kFunction) {
-    for (const Term& a : args()) {
-      if (a.ContainsVariable(name)) return true;
+  const Term* t = this;
+  while (t->IsFunction() && !t->args().empty()) {
+    const auto& args = t->args();
+    for (size_t i = 0; i + 1 < args.size(); ++i) {
+      if (args[i].ContainsVariable(name)) return true;
     }
+    t = &args.back();
   }
-  return false;
+  return t->IsVariable() && t->text_ == name;
 }
 
 bool Term::HasStrictSubterm(const Term& other) const {
-  if (kind_ != TermKind::kFunction) return false;
-  for (const Term& a : args()) {
-    if (a == other || a.HasStrictSubterm(other)) return true;
+  const Term* t = this;
+  while (t->IsFunction() && !t->args().empty()) {
+    const auto& args = t->args();
+    for (size_t i = 0; i + 1 < args.size(); ++i) {
+      if (args[i] == other || args[i].HasStrictSubterm(other)) return true;
+    }
+    t = &args.back();
+    if (*t == other) return true;
   }
   return false;
 }
 
 size_t Term::Size() const {
-  if (kind_ != TermKind::kFunction) return 1;
-  size_t n = 1;
-  for (const Term& a : args()) n += a.Size();
+  size_t n = 1;  // the leaf the loop ends on
+  const Term* t = this;
+  while (t->IsFunction() && !t->args().empty()) {
+    const auto& args = t->args();
+    ++n;
+    for (size_t i = 0; i + 1 < args.size(); ++i) n += args[i].Size();
+    t = &args.back();
+  }
   return n;
 }
 
 size_t Term::Depth() const {
-  if (kind_ != TermKind::kFunction) return 1;
-  size_t d = 0;
-  for (const Term& a : args()) d = std::max(d, a.Depth());
-  return d + 1;
+  // `level` counts the function terms above `t` on the last-argument spine.
+  size_t level = 0;
+  size_t depth = 1;
+  const Term* t = this;
+  while (t->IsFunction() && !t->args().empty()) {
+    const auto& args = t->args();
+    ++level;
+    for (size_t i = 0; i + 1 < args.size(); ++i) {
+      depth = std::max(depth, level + args[i].Depth());
+    }
+    t = &args.back();
+  }
+  return std::max(depth, level + 1);
 }
 
 bool Term::operator==(const Term& other) const {

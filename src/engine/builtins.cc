@@ -16,10 +16,15 @@ bool IsArithFunctor(const std::string& f, size_t arity) {
 }  // namespace
 
 bool ContainsArithmetic(const Term& t) {
-  if (t.kind() != TermKind::kFunction) return false;
-  if (IsArithFunctor(t.text(), t.arity())) return true;
-  for (const Term& a : t.args()) {
-    if (ContainsArithmetic(a)) return true;
+  // Loops down the last argument, so a long list cannot overflow the stack.
+  const Term* s = &t;
+  for (; s->kind() == TermKind::kFunction && !s->args().empty();
+       s = &s->args().back()) {
+    if (IsArithFunctor(s->text(), s->arity())) return true;
+    const std::vector<Term>& a = s->args();
+    for (size_t i = 0; i + 1 < a.size(); ++i) {
+      if (ContainsArithmetic(a[i])) return true;
+    }
   }
   return false;
 }

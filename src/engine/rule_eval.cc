@@ -41,39 +41,87 @@ void EvalCounters::ExportTo(MetricsRegistry* metrics) const {
   metrics->counter("engine.index_rows_built")->Increment(index_rows_built);
 }
 
+TermCode::~TermCode() {
+  // Unlink the last-argument chain one link at a time: each vector freed
+  // here holds no further chain, so destruction cannot recurse down it.
+  while (!args.empty() && !args.back().args.empty()) {
+    std::vector<TermCode> next = std::move(args.back().args);
+    args = std::move(next);
+  }
+}
+
+const TermCode* TermCode::Spine(std::vector<const TermCode*>* spine) const {
+  const TermCode* code = this;
+  for (; code->op == Op::kFunction; code = &code->args.back()) {
+    spine->push_back(code);
+  }
+  return code;
+}
+
 bool TermCode::MatchFunction(Value value, Value* regs,
                              const ValueStore& store) const {
-  if (!value.IsFunction() || store.Functor(value) != regs[reg].id() ||
-      store.Arity(value) != args.size()) {
-    return false;
+  const TermCode* code = this;
+  while (code->op == Op::kFunction) {
+    const std::vector<TermCode>& a = code->args;
+    if (!value.IsFunction() || store.Functor(value) != regs[code->reg].id() ||
+        store.Arity(value) != a.size()) {
+      return false;
+    }
+    for (size_t i = 0; i + 1 < a.size(); ++i) {
+      if (!a[i].Match(store.Arg(value, i), regs, store)) return false;
+    }
+    value = store.Arg(value, a.size() - 1);
+    code = &a.back();
   }
-  for (size_t i = 0; i < args.size(); ++i) {
-    if (!args[i].Match(store.Arg(value, i), regs, store)) return false;
-  }
-  return true;
+  return code->Match(value, regs, store);
 }
 
 Value TermCode::BuildFunction(const Value* regs, ValueStore* store) const {
-  constexpr size_t kInline = 8;
-  Value inline_args[kInline];
-  std::vector<Value> wide;
-  Value* built = inline_args;
-  if (args.size() > kInline) {
-    wide.resize(args.size());
-    built = wide.data();
+  if (args.back().op != Op::kFunction) {
+    // One level, built without allocating for up to kInline arguments.
+    constexpr size_t kInline = 8;
+    Value inline_args[kInline];
+    std::vector<Value> wide;
+    Value* built = inline_args;
+    if (args.size() > kInline) {
+      wide.resize(args.size());
+      built = wide.data();
+    }
+    for (size_t i = 0; i < args.size(); ++i) {
+      built[i] = args[i].Build(regs, store);
+    }
+    return store->Function(static_cast<uint32_t>(regs[reg].id()),
+                           {built, args.size()});
   }
-  for (size_t i = 0; i < args.size(); ++i) {
-    built[i] = args[i].Build(regs, store);
+  // A chain of function codes: build every other argument top-down and
+  // left to right, then intern the chain's nodes bottom-up, the order a
+  // recursive build interns in.
+  std::vector<const TermCode*> spine;
+  const TermCode* leaf = Spine(&spine);
+  std::vector<Value> built;
+  for (const TermCode* code : spine) {
+    for (size_t i = 0; i + 1 < code->args.size(); ++i) {
+      built.push_back(code->args[i].Build(regs, store));
+    }
   }
-  return store->Function(static_cast<uint32_t>(regs[reg].id()),
-                         {built, args.size()});
+  Value value = leaf->Build(regs, store);
+  for (auto it = spine.rbegin(); it != spine.rend(); ++it) {
+    const size_t n = (*it)->args.size();
+    built.push_back(value);
+    value = store->Function(static_cast<uint32_t>(regs[(*it)->reg].id()),
+                            {built.data() + built.size() - n, n});
+    built.resize(built.size() - n);
+  }
+  return value;
 }
 
 std::optional<Value> TermCode::Fold(const Value* regs,
                                     ValueStore* store) const {
   if (op != Op::kFunction) return FoldArithmetic(regs[reg], store);
   const auto functor = static_cast<uint32_t>(regs[reg].id());
-  if (ValueStore::IsArithmetic(functor, args.size())) {
+  if (args.back().op != Op::kFunction &&
+      ValueStore::IsArithmetic(functor, args.size())) {
+    // X + 1 and the like, folded without allocating.
     const std::optional<Value> lhs = args[0].Fold(regs, store);
     if (!lhs) return std::nullopt;
     const std::optional<Value> rhs = args[1].Fold(regs, store);
@@ -84,40 +132,78 @@ std::optional<Value> TermCode::Fold(const Value* regs,
     const Value pair[2] = {*lhs, *rhs};
     return store->Function(functor, pair);
   }
-  std::vector<Value> folded(args.size());
-  for (size_t i = 0; i < args.size(); ++i) {
-    const std::optional<Value> arg = args[i].Fold(regs, store);
-    if (!arg) return std::nullopt;
-    folded[i] = *arg;
+  // Fold in BuildFunction's order: every argument off the last-argument
+  // chain top-down and left to right, then the chain's nodes bottom-up.
+  std::vector<const TermCode*> spine;
+  const TermCode* leaf = Spine(&spine);
+  std::vector<Value> folded;
+  for (const TermCode* code : spine) {
+    for (size_t i = 0; i + 1 < code->args.size(); ++i) {
+      const std::optional<Value> arg = code->args[i].Fold(regs, store);
+      if (!arg) return std::nullopt;
+      folded.push_back(*arg);
+    }
   }
-  return store->Function(functor, folded);
+  std::optional<Value> value = leaf->Fold(regs, store);
+  for (auto it = spine.rbegin(); it != spine.rend(); ++it) {
+    if (!value) return std::nullopt;
+    const size_t n = (*it)->args.size();
+    const auto f = static_cast<uint32_t>(regs[(*it)->reg].id());
+    folded.push_back(*value);
+    const Value* a = folded.data() + folded.size() - n;
+    if (ValueStore::IsArithmetic(f, n) && a[0].IsNumeric() &&
+        a[1].IsNumeric()) {
+      value = ApplyArithmetic(f, a[0], a[1], store);
+    } else {
+      value = store->Function(f, {a, n});
+    }
+    folded.resize(folded.size() - n);
+  }
+  return value;
 }
 
 Term TermCode::Show(const Value* regs, const ValueStore& store) const {
-  switch (op) {
-    case Op::kRead:
-      return store.ToTerm(regs[reg]);
-    case Op::kFunction: {
-      std::vector<Term> shown;
-      shown.reserve(args.size());
-      for (const TermCode& a : args) shown.push_back(a.Show(regs, store));
-      return Term::MakeFunction(term.text(), std::move(shown));
+  std::vector<const TermCode*> spine;
+  const TermCode* leaf = Spine(&spine);
+  Term shown =
+      leaf->op == Op::kRead ? store.ToTerm(regs[leaf->reg]) : leaf->term;
+  for (auto it = spine.rbegin(); it != spine.rend(); ++it) {
+    const std::vector<TermCode>& a = (*it)->args;
+    std::vector<Term> parts;
+    parts.reserve(a.size());
+    for (size_t i = 0; i + 1 < a.size(); ++i) {
+      parts.push_back(a[i].Show(regs, store));
     }
-    case Op::kConst:
-    case Op::kWrite:
-    case Op::kUnbound:
-      return term;
+    parts.push_back(std::move(shown));
+    shown = Term::MakeFunction((*it)->term.text(), std::move(parts));
   }
-  return term;
+  return shown;
 }
 
 bool TermCode::ReadsArithmetic(const Value* regs) const {
-  if (op == Op::kRead) return regs[reg].HoldsArithmetic();
-  for (const TermCode& a : args) {
-    if (a.ReadsArithmetic(regs)) return true;
+  const TermCode* code = this;
+  for (; code->op == Op::kFunction; code = &code->args.back()) {
+    for (size_t i = 0; i + 1 < code->args.size(); ++i) {
+      if (code->args[i].ReadsArithmetic(regs)) return true;
+    }
   }
-  return false;
+  return code->op == Op::kRead && regs[code->reg].HoldsArithmetic();
 }
+
+namespace {
+
+/// True iff `code` or some code below it reads a register.
+bool ReadsRegister(const TermCode& code) {
+  const TermCode* c = &code;
+  for (; c->op == TermCode::Op::kFunction; c = &c->args.back()) {
+    for (size_t i = 0; i + 1 < c->args.size(); ++i) {
+      if (ReadsRegister(c->args[i])) return true;
+    }
+  }
+  return c->op == TermCode::Op::kRead;
+}
+
+}  // namespace
 
 bool TermCode::MayHoldArithmetic() const {
   switch (op) {
@@ -126,11 +212,9 @@ bool TermCode::MayHoldArithmetic() const {
     case Op::kConst:
       return ContainsArithmetic(term);
     case Op::kFunction:
-      if (ContainsArithmetic(term)) return true;
-      for (const TermCode& a : args) {
-        if (a.MayHoldArithmetic()) return true;
-      }
-      return false;
+      // `term` holds every constant and functor below this code, so past
+      // it only a register read can bring arithmetic in.
+      return ContainsArithmetic(term) || ReadsRegister(*this);
     case Op::kWrite:
     case Op::kUnbound:
       return false;
@@ -173,11 +257,14 @@ bool RegisterScope::IsBound(const std::string& var) const {
 }
 
 bool RegisterScope::AllBound(const Term& t) const {
-  if (t.IsVariable()) return IsBound(t.text());
-  for (const Term& a : t.args()) {
-    if (!AllBound(a)) return false;
+  const Term* s = &t;
+  for (; s->IsFunction() && !s->args().empty(); s = &s->args().back()) {
+    const std::vector<Term>& a = s->args();
+    for (size_t i = 0; i + 1 < a.size(); ++i) {
+      if (!AllBound(a[i])) return false;
+    }
   }
-  return true;
+  return !s->IsVariable() || IsBound(s->text());
 }
 
 uint32_t RegisterScope::ConstantRegister(Term t) {
@@ -191,44 +278,54 @@ void RegisterScope::LoadConstants(ValueStore* store, Value* regs) const {
   for (const auto& [reg, term] : constants_) regs[reg] = store->Intern(term);
 }
 
-TermCode RegisterScope::CompileMatch(const Term& t) {
-  TermCode code;
-  if (t.IsVariable()) {
-    code.reg = RegisterOf(t.text());
-    code.op = bound_[code.reg] ? TermCode::Op::kRead : TermCode::Op::kWrite;
-    bound_[code.reg] = true;
-  } else if (t.IsGround()) {
-    code.term = t;
-    code.reg = ConstantRegister(t);
-  } else {
-    code.op = TermCode::Op::kFunction;
-    code.term = t;
-    code.reg = ConstantRegister(Term::MakeSymbol(t.text()));
-    for (const Term& a : t.args()) code.args.push_back(CompileMatch(a));
+TermCode RegisterScope::Compile(const Term& t, bool match) {
+  // The function terms down t's last argument, and whether each one's
+  // subterm is ground, found bottom-up so the walk stays linear.
+  std::vector<const Term*> spine;
+  const Term* leaf = &t;
+  for (; leaf->IsFunction() && !leaf->args().empty();
+       leaf = &leaf->args().back()) {
+    spine.push_back(leaf);
   }
-  return code;
-}
-
-TermCode RegisterScope::CompileBuild(const Term& t) {
-  TermCode code;
-  if (t.IsVariable()) {
-    if (IsBound(t.text())) {
-      code.op = TermCode::Op::kRead;
-      code.reg = RegisterOf(t.text());
-    } else {
-      code.op = TermCode::Op::kUnbound;
-      code.term = t;  // shown as the variable itself
+  std::vector<bool> ground(spine.size());
+  bool below = leaf->IsGround();
+  for (size_t k = spine.size(); k-- > 0;) {
+    const std::vector<Term>& a = spine[k]->args();
+    for (size_t i = 0; below && i + 1 < a.size(); ++i) below = a[i].IsGround();
+    ground[k] = below;
+  }
+  // Top-down, in the order a recursive compile allocates registers: a
+  // function's functor, its other arguments left to right, then its last.
+  TermCode root;
+  TermCode* code = &root;
+  size_t k = 0;
+  for (; k < spine.size() && !ground[k]; ++k) {
+    const Term& s = *spine[k];
+    code->op = TermCode::Op::kFunction;
+    code->term = s;
+    code->reg = ConstantRegister(Term::MakeSymbol(s.text()));
+    code->args.resize(s.args().size());
+    for (size_t i = 0; i + 1 < s.args().size(); ++i) {
+      code->args[i] = Compile(s.args()[i], match);
     }
-  } else if (t.IsGround()) {
-    code.term = t;
-    code.reg = ConstantRegister(t);
-  } else {
-    code.op = TermCode::Op::kFunction;
-    code.term = t;
-    code.reg = ConstantRegister(Term::MakeSymbol(t.text()));
-    for (const Term& a : t.args()) code.args.push_back(CompileBuild(a));
+    code = &code->args.back();
   }
-  return code;
+  const Term& rest = k < spine.size() ? *spine[k] : *leaf;
+  if (!rest.IsVariable()) {
+    code->term = rest;
+    code->reg = ConstantRegister(rest);
+  } else if (match) {
+    code->reg = RegisterOf(rest.text());
+    code->op = bound_[code->reg] ? TermCode::Op::kRead : TermCode::Op::kWrite;
+    bound_[code->reg] = true;
+  } else if (IsBound(rest.text())) {
+    code->op = TermCode::Op::kRead;
+    code->reg = RegisterOf(rest.text());
+  } else {
+    code->op = TermCode::Op::kUnbound;
+    code->term = rest;  // shown as the variable itself
+  }
+  return root;
 }
 
 LiteralPattern LiteralPattern::Compile(const Literal& lit,

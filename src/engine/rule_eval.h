@@ -82,6 +82,10 @@ struct RuleEvalOptions {
 /// functor names are registers too, loaded once per run from the run's
 /// ValueStore (RegisterScope::LoadConstants), so compiled code holds no
 /// store's ids and any number of stores' runs may share it.
+///
+/// Every walk over a code loops down its last argument and recurses only
+/// into the others, so a long list pattern cannot overflow the stack. A
+/// code can be moved but not copied: a copy would recurse.
 struct TermCode {
   enum class Op : uint8_t {
     kConst,     ///< a variable-free subterm `term`, in register `reg`
@@ -96,6 +100,13 @@ struct TermCode {
   uint32_t reg = 0;
   Term term;  ///< kConst, kFunction, kUnbound: the source term
   std::vector<TermCode> args;
+
+  TermCode() = default;
+  TermCode(const TermCode&) = delete;
+  TermCode(TermCode&&) noexcept = default;
+  TermCode& operator=(const TermCode&) = delete;
+  TermCode& operator=(TermCode&&) noexcept = default;
+  ~TermCode();
 
   /// One-way match against the ground `value`, left to right, depth first:
   /// writes store into `regs`; reads and constants compare by
@@ -137,6 +148,9 @@ struct TermCode {
  private:
   bool MatchFunction(Value value, Value* regs, const ValueStore& store) const;
   Value BuildFunction(const Value* regs, ValueStore* store) const;
+  /// The function codes from this one down the last argument, top first,
+  /// and the non-function code that ends the chain.
+  const TermCode* Spine(std::vector<const TermCode*>* spine) const;
 };
 
 /// The parameter `$i`: a variable no parsed program can contain, standing
@@ -161,11 +175,11 @@ class RegisterScope {
   /// Compiles `t` as a match pattern: a bound variable reads its register,
   /// the first occurrence of an unbound one writes it (and binds it for
   /// everything compiled later), and a variable-free subterm is a constant.
-  TermCode CompileMatch(const Term& t);
+  TermCode CompileMatch(const Term& t) { return Compile(t, true); }
   /// Compiles `t` as a builder: bound variables read their registers and
   /// unbound ones stay variables (kUnbound), so Show yields `t` as far as
   /// it is bound (the text error messages show).
-  TermCode CompileBuild(const Term& t);
+  TermCode CompileBuild(const Term& t) { return Compile(t, false); }
 
   /// Registers allocated so far.
   size_t size() const { return bound_.size(); }
@@ -180,6 +194,8 @@ class RegisterScope {
  private:
   bool IsBound(const std::string& var) const;
   uint32_t ConstantRegister(Term t);
+  /// CompileMatch (`match`) or CompileBuild.
+  TermCode Compile(const Term& t, bool match);
 
   std::unordered_map<std::string, uint32_t> registers_;
   std::vector<bool> bound_;

@@ -110,18 +110,10 @@ void LdlSystem::RefreshStatistics() {
   // so a logged plan can be traced to the catalog state that shaped it.
   Statistics fresh = Statistics::Collect(db_);
   fresh.set_epoch(stats_.epoch() + 1);
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_ = std::move(fresh);
-  }
+  stats_ = std::move(fresh);
   stats_dirty_ = false;
   const size_t dropped = plan_cache_.DropMoved(stats_);
   if (dropped > 0) options_.trace.Count("ldl.plan_cache.dropped", dropped);
-}
-
-Statistics LdlSystem::StatisticsSnapshot() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return stats_;
 }
 
 const Statistics& LdlSystem::statistics() {
@@ -518,9 +510,6 @@ void LdlSystem::ObserveFeedback(const MeasuredStatistics& measured) {
   feedback_catalog_->ObserveMeasured(measured, stats_.epoch());
   size_t tripped = 0;
   if (drift_detector_ != nullptr) {
-    // Check may bump the epoch in place: a write that StatisticsSnapshot
-    // readers must not see half done.
-    std::lock_guard<std::mutex> lock(stats_mu_);
     tripped = drift_detector_->Check(*feedback_catalog_, &stats_,
                                      options_.trace.metrics);
   }
@@ -600,6 +589,13 @@ Result<LdlSystem::AnalyzeResult> LdlSystem::AnalyzeCalibrated(
                        BuildProcessingTree(ctx.working, goal));
   Optimizer annotator(ctx.working, stats_, options);
   LDL_RETURN_NOT_OK(annotator.AnnotateTree(tree.get()));
+  if (AllRulesDead(ctx, goal)) {
+    // The pruned program has no rule for the goal, so the tree is a scan
+    // of a relation no fact fills: price it as the plan that was served.
+    const QueryPlan none = NoRulePlan(goal);
+    tree->est_cost = none.TotalCost();
+    tree->est_cardinality = none.estimate.card;
+  }
   MeasuredStatistics actuals =
       RunMeasurements(goal, answer, served.derived_sizes);
   AddScanSizes(*tree, db_, &actuals);

@@ -3,7 +3,6 @@
 
 #include <list>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -121,13 +120,10 @@ class LdlSystem {
   /// costed under their older epoch.
   void RefreshStatistics();
   /// The live statistics, refreshed first if a write dirtied them. Like
-  /// every other member, for the thread that drives the system only.
+  /// every other member, for the thread that drives the system only. From
+  /// another thread, only the session token in OptimizerOptions::trace.cancel
+  /// may be cancelled.
   const Statistics& statistics();
-
-  /// A copy of the current statistics, consistent (never a refresh or an
-  /// epoch bump half done) and safe to take from any thread while another
-  /// thread drives the system: what the stats server renders.
-  Statistics StatisticsSnapshot() const;
 
   /// Installs a structured query log: every Query() call appends one
   /// QueryLogRecord (on success AND on typed failure). Also engages
@@ -357,9 +353,6 @@ class LdlSystem {
   /// validated against.
   Program::Arities arities_;
   Database db_;
-  // Written only by the driving thread, under stats_mu_; read without the
-  // lock by that thread and under it by StatisticsSnapshot.
-  mutable std::mutex stats_mu_;
   Statistics stats_;
   bool stats_dirty_ = true;
   QueryLog* query_log_ = nullptr;

@@ -329,98 +329,4 @@ std::vector<DriftEvent> DriftDetector::history() const {
   return history_;
 }
 
-std::string RenderStatsJson(const StatisticsCatalog* catalog,
-                            const DriftDetector* drift,
-                            const Statistics* stats) {
-  std::string out = "{";
-  if (stats != nullptr) {
-    json::AppendField(&out, "stats_epoch", stats->epoch());
-  }
-  if (drift != nullptr) {
-    json::AppendField(&out, "drift_events", drift->drift_events());
-    json::AppendField(&out, "last_max_q_error", drift->last_max_q_error());
-  }
-  if (catalog != nullptr) {
-    StrAppend(&out, "\"catalog\":{");
-    json::AppendField(&out, "entries", static_cast<uint64_t>(catalog->size()));
-    json::AppendField(&out, "observations", catalog->total_observations());
-    json::AppendField(&out, "dropped_observations",
-                catalog->dropped_observations());
-    json::AppendField(&out, "decay", catalog->options().decay);
-    json::AppendField(&out, "drift_q_threshold",
-                catalog->options().drift_q_threshold);
-    out.back() = '}';
-    StrAppend(&out, ",\"entries\":[");
-    bool first = true;
-    for (const auto& [key, e] : catalog->Entries()) {
-      if (!first) out.push_back(',');
-      first = false;
-      std::string obj = "{";
-      json::AppendField(&obj, "predicate", key.pred.name);
-      json::AppendField(&obj, "arity", static_cast<uint64_t>(key.pred.arity));
-      json::AppendField(&obj, "adornment", key.adornment.ToString());
-      json::AppendField(&obj, "card", e.card);
-      json::AppendField(&obj, "weight", e.weight);
-      json::AppendField(&obj, "observations", e.observations);
-      json::AppendField(&obj, "first_epoch", e.first_epoch);
-      json::AppendField(&obj, "last_epoch", e.last_epoch);
-      if (stats != nullptr && key.adornment.AllArgsFree() &&
-          stats->Has(key.pred)) {
-        const double est = stats->Get(key.pred).cardinality;
-        json::AppendField(&obj, "estimate", est);
-        json::AppendField(&obj, "q_error", QError(est, e.card));
-      }
-      obj.back() = '}';
-      StrAppend(&out, obj);
-    }
-    StrAppend(&out, "],");
-    if (stats != nullptr) {
-      // Coverage gaps: predicates the statistics know that no query has
-      // measured yet — the operator's "what is still flying blind" list.
-      StrAppend(&out, "\"unobserved\":[");
-      first = true;
-      for (const PredicateId& pred : stats->Predicates()) {
-        CatalogEntry ignored;
-        if (catalog->Lookup(pred, Adornment::AllFree(pred.arity), &ignored)) {
-          continue;
-        }
-        if (!first) out.push_back(',');
-        first = false;
-        std::string obj = "{";
-        json::AppendField(&obj, "predicate", pred.name);
-        json::AppendField(&obj, "arity", static_cast<uint64_t>(pred.arity));
-        json::AppendField(&obj, "cardinality", stats->Get(pred).cardinality);
-        obj.back() = '}';
-        StrAppend(&out, obj);
-      }
-      StrAppend(&out, "],");
-    }
-  }
-  if (drift != nullptr) {
-    StrAppend(&out, "\"drift_history\":[");
-    bool first = true;
-    for (const DriftEvent& event : drift->history()) {
-      if (!first) out.push_back(',');
-      first = false;
-      std::string obj = "{";
-      json::AppendField(&obj, "predicate", event.key.pred.name);
-      json::AppendField(&obj, "arity",
-                  static_cast<uint64_t>(event.key.pred.arity));
-      json::AppendField(&obj, "adornment", event.key.adornment.ToString());
-      json::AppendField(&obj, "measured", event.measured);
-      json::AppendField(&obj, "estimated", event.estimated);
-      json::AppendField(&obj, "q_error", event.q_error);
-      json::AppendField(&obj, "old_epoch", event.old_epoch);
-      json::AppendField(&obj, "new_epoch", event.new_epoch);
-      obj.back() = '}';
-      StrAppend(&out, obj);
-    }
-    StrAppend(&out, "],");
-  }
-  if (out.back() == ',') out.pop_back();
-  StrAppend(&out, "}");
-  if (out == "{}") return "{}";
-  return out;
-}
-
 }  // namespace ldl

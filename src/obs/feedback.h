@@ -69,10 +69,11 @@ struct CatalogEntry {
 };
 
 /// Accumulates measured per-(predicate, adornment) cardinalities across
-/// queries. Thread-safe: the serving thread renders /stats while the query
-/// thread observes. Cardinalities follow MeasuredStatistics semantics —
-/// per binding instance, so the all-free entry is the predicate's total
-/// size.
+/// queries. Thread-safe: one catalog may be shared by systems driven from
+/// several threads (LdlSystem::set_feedback), and exports or drift checks
+/// may run while a query observes. Cardinalities follow MeasuredStatistics
+/// semantics — per binding instance, so the all-free entry is the
+/// predicate's total size.
 class StatisticsCatalog {
  public:
   explicit StatisticsCatalog(FeedbackOptions options = {})
@@ -196,14 +197,6 @@ class DriftDetector {
   std::map<AdornedPredicate, uint64_t> tripped_epoch_;
   std::vector<DriftEvent> history_;
 };
-
-/// JSON body of the stats server's /stats route: the current statistics
-/// epoch, catalog entries with their live estimate and q-error, predicates
-/// the statistics know but the catalog has never observed (coverage gaps),
-/// and the drift-event history. Any of the pointers may be null.
-std::string RenderStatsJson(const StatisticsCatalog* catalog,
-                            const DriftDetector* drift,
-                            const Statistics* stats);
 
 }  // namespace ldl
 

@@ -172,33 +172,6 @@ const Histogram* MetricsRegistry::find_histogram(std::string_view name) const {
   return it == histograms_.end() ? nullptr : it->second.get();
 }
 
-std::vector<std::pair<std::string, uint64_t>> MetricsRegistry::CounterValues()
-    const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<std::string, uint64_t>> out;
-  out.reserve(counters_.size());
-  for (const auto& [name, c] : counters_) out.emplace_back(name, c->value());
-  return out;
-}
-
-std::vector<std::pair<std::string, double>> MetricsRegistry::GaugeValues()
-    const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<std::string, double>> out;
-  out.reserve(gauges_.size());
-  for (const auto& [name, g] : gauges_) out.emplace_back(name, g->value());
-  return out;
-}
-
-std::vector<std::pair<std::string, const Histogram*>>
-MetricsRegistry::HistogramEntries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<std::string, const Histogram*>> out;
-  out.reserve(histograms_.size());
-  for (const auto& [name, h] : histograms_) out.emplace_back(name, h.get());
-  return out;
-}
-
 void MetricsRegistry::WriteJson(std::ostream& os) const {
   std::lock_guard<std::mutex> lock(mu_);
   os << "{\"counters\":{";

@@ -10,16 +10,14 @@
 #include <ostream>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 namespace ldl {
 
 /// True when `name` is already in the registry's canonical form:
 /// `[a-zA-Z_:.][a-zA-Z0-9_:.]*` — the Prometheus identifier grammar plus
 /// '.', the separator this codebase uses for metric namespaces
-/// ("engine.tuples_examined"). The Prometheus encoder maps '.' to '_' at
-/// exposition time.
+/// ("engine.tuples_examined"), so a dumped name is a valid identifier in
+/// the common metrics formats once '.' maps to '_'.
 bool IsCanonicalMetricName(std::string_view name);
 
 /// Canonicalizes an arbitrary string into a valid metric name: every
@@ -54,12 +52,13 @@ class Gauge {
 /// power-of-two buckets, enough to see the shape of per-round delta sizes
 /// or per-call optimization times without storing samples.
 ///
-/// Record() is lock-free: it sits on per-round engine paths, while the
-/// time-series sampler and stats-server threads read the same histogram
-/// concurrently, and a mutex would make every recording pay for those
-/// readers. Each field is an independent atomic updated with CAS loops, so
-/// concurrent readers see each field exactly but the fields only mutually
-/// consistent once writers quiesce — the right trade for monitoring data.
+/// Record() is lock-free: it sits on per-round engine paths, and systems
+/// driven from several threads may share one registry (one
+/// OptimizerOptions::trace.metrics), so a mutex would make every recording
+/// pay for the others. Each field is an independent atomic updated with CAS
+/// loops, so concurrent readers see each field exactly but the fields only
+/// mutually consistent once writers quiesce — the right trade for
+/// monitoring data.
 class Histogram {
  public:
   static constexpr size_t kBuckets = 32;  ///< bucket i holds v in [2^i-1, 2^i)
@@ -104,9 +103,9 @@ class Histogram {
 ///
 /// Names are sanitized on every create/lookup path (SanitizeMetricName), so
 /// an arbitrary caller-supplied string can never produce a metric that the
-/// JSON dump or the Prometheus exposition would misrender: "delta size"
-/// and "delta_size" are the same instrument, and every rendered surface
-/// shows the canonical spelling.
+/// JSON or text dump would misrender: "delta size" and "delta_size" are the
+/// same instrument, and every rendered surface shows the canonical
+/// spelling.
 class MetricsRegistry {
  public:
   Counter* counter(std::string_view name);
@@ -119,14 +118,6 @@ class MetricsRegistry {
   double gauge_value(std::string_view name) const;
   /// The histogram, or nullptr when absent.
   const Histogram* find_histogram(std::string_view name) const;
-
-  /// Point-in-time copies for encoders and samplers, sorted by name.
-  /// Histogram pointers stay valid for the registry's lifetime and are safe
-  /// to read concurrently with Record (all fields are atomics).
-  std::vector<std::pair<std::string, uint64_t>> CounterValues() const;
-  std::vector<std::pair<std::string, double>> GaugeValues() const;
-  std::vector<std::pair<std::string, const Histogram*>> HistogramEntries()
-      const;
 
   /// Flat JSON object: {"counters":{...},"gauges":{...},"histograms":{...}}.
   void WriteJson(std::ostream& os) const;

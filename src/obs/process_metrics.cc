@@ -4,52 +4,7 @@
 #include <cstring>
 #include <ctime>
 
-#include "base/strings.h"
-
 namespace ldl {
-
-namespace {
-
-std::string CompilerVersion() {
-#if defined(__clang__)
-  return StrCat("clang ", __clang_major__, ".", __clang_minor__, ".",
-                __clang_patchlevel__);
-#elif defined(__GNUC__)
-  return StrCat("gcc ", __GNUC__, ".", __GNUC_MINOR__, ".",
-                __GNUC_PATCHLEVEL__);
-#else
-  return "unknown";
-#endif
-}
-
-BuildInfo MakeBuildInfo() {
-  BuildInfo info;
-  info.compiler = CompilerVersion();
-  info.standard = StrCat("c++", static_cast<long>(__cplusplus / 100 % 10000));
-#ifdef LDLOPT_BUILD_TYPE
-  info.build_type = LDLOPT_BUILD_TYPE;
-#else
-  info.build_type = "unknown";
-#endif
-#ifdef LDLOPT_GIT_DESCRIBE
-  info.git = LDLOPT_GIT_DESCRIBE;
-#else
-  info.git = "unknown";
-#endif
-#ifdef LDLOPT_SANITIZE_TAG
-  info.sanitizer = LDLOPT_SANITIZE_TAG;
-#endif
-  if (info.build_type.empty()) info.build_type = "unknown";
-  if (info.git.empty()) info.git = "unknown";
-  return info;
-}
-
-}  // namespace
-
-const BuildInfo& CurrentBuildInfo() {
-  static const BuildInfo info = MakeBuildInfo();
-  return info;
-}
 
 uint64_t ReadPeakRssBytes() {
 #if defined(__linux__)

@@ -3,42 +3,28 @@
 
 #include <chrono>
 #include <cstdint>
-#include <string>
 
 #include "obs/metrics.h"
 
 namespace ldl {
 
-/// Compile/configure-time facts about this binary. Rendered as the
-/// `ldlopt_build_info` labeled gauge in the Prometheus exposition and as
-/// the "build" object in /statusz.
-struct BuildInfo {
-  std::string compiler;    ///< e.g. "gcc 13.2.0" (__VERSION__)
-  std::string standard;    ///< e.g. "c++202002" (__cplusplus)
-  std::string build_type;  ///< CMAKE_BUILD_TYPE at configure time
-  std::string git;         ///< `git describe --always --dirty`, or "unknown"
-  std::string sanitizer;   ///< LDLOPT_SANITIZE value, or ""
-};
-
-/// The BuildInfo for the running binary (values baked in at build time).
-const BuildInfo& CurrentBuildInfo();
-
 /// Peak resident set size of this process in bytes (VmHWM from
 /// /proc/self/status). 0 when the platform does not expose it.
 uint64_t ReadPeakRssBytes();
 
-/// Process-level built-in gauges, refreshed on demand (before a scrape or a
-/// metrics dump) rather than continuously:
+/// Process-level built-in gauges, refreshed on demand (before a metrics
+/// dump) rather than continuously:
 ///
 ///   process.uptime_seconds   wall seconds since this source was created
 ///                            (process start, for the tools that create it
 ///                            in main)
 ///   process.peak_rss_bytes   peak resident set size
 ///   process.start_unix_seconds
-///                            wall-clock anchor for the uptime series
+///                            wall-clock time the source was created
 ///
-/// The gauges live in the supplied registry, so every exposition surface
-/// (/metrics, /statusz, --metrics-json) sees the same values.
+/// The gauges live in the supplied registry, so its dumps (`ldl_profile
+/// --metrics`, `--metrics-json`) carry them. perfbench reads
+/// ReadPeakRssBytes directly for its `peak_rss_mb` metric.
 class ProcessMetricsSource {
  public:
   explicit ProcessMetricsSource(MetricsRegistry* registry);
@@ -47,7 +33,6 @@ class ProcessMetricsSource {
   void Refresh();
 
   double uptime_seconds() const;
-  const BuildInfo& build_info() const { return CurrentBuildInfo(); }
 
  private:
   MetricsRegistry* registry_;

@@ -42,11 +42,10 @@ struct QueryLimits {
 /// serving layer needs (one tenant's budget, the process's budget, or the
 /// query's own budget can each be the binding constraint).
 ///
-/// All mutators are relaxed atomics: the time-series sampler and the stats
-/// server read these meters from their own threads while a query charges
-/// them, and a session-level parent may be charged by queries running on
-/// several threads. Totals are exact under any interleaving — no charge is
-/// lost or double-counted. peak_bytes is maintained with a CAS loop and is
+/// All mutators are relaxed atomics: a session-level parent may be charged
+/// by queries running on several threads, each driving its own system, and
+/// a caller may read the session's meters while they run. Totals are exact
+/// under any interleaving — no charge is lost or double-counted. peak_bytes is maintained with a CAS loop and is
 /// exact up to check-point granularity (the evaluator flushes locally
 /// accumulated work at check-points). Configuration (set_budget, the parent
 /// link) must be fixed before evaluation starts and not changed while a

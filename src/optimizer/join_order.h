@@ -31,7 +31,10 @@ struct StrategyOptions {
   /// Exhaustive enumeration refuses conjuncts larger than this (the paper's
   /// "10-15 join" practicality bound); callers fall back to DP/annealing.
   size_t exhaustive_limit = 10;
-  size_t dp_limit = 20;
+  /// DP refuses conjuncts larger than this and falls back to annealing. DP
+  /// costs about n 2^n evaluations: 13 literals plan in about 70 ms, 16 in
+  /// about 0.8 s (EXPERIMENTS.md E30).
+  size_t dp_limit = 13;
 
   /// Simulated annealing schedule.
   uint64_t anneal_seed = 0x1d10f7;

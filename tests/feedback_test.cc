@@ -354,33 +354,6 @@ TEST(DriftDetectorTest, IgnoresColdAdornedAndStatlessEntries) {
   EXPECT_EQ(stats.epoch(), 2u);
 }
 
-TEST(RenderStatsJsonTest, RendersCatalogDriftAndCoverage) {
-  Statistics stats;
-  stats.Set(Pred("par(X, Y)"), RelationStats{10, {10, 10}});
-  stats.Set(Pred("unseen(X)"), RelationStats{5, {5}});
-  stats.set_epoch(1);
-
-  StatisticsCatalog catalog;
-  catalog.Observe(Pred("par(X, Y)"), Adornment::AllFree(2), 1000, 1);
-  DriftDetector detector;
-  detector.Check(catalog, &stats, nullptr);
-
-  const std::string json = RenderStatsJson(&catalog, &detector, &stats);
-  EXPECT_NE(json.find("\"stats_epoch\":2"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"drift_events\":1"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"predicate\":\"par\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"q_error\":100"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"unobserved\":[{\"predicate\":\"unseen\""),
-            std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"drift_history\":["), std::string::npos) << json;
-
-  // Null pointers degrade gracefully to an empty-ish document.
-  const std::string empty = RenderStatsJson(nullptr, nullptr, nullptr);
-  EXPECT_EQ(empty.front(), '{');
-  EXPECT_EQ(empty.back(), '}');
-}
-
 // End-to-end: a query under an attached catalog harvests the goal's answer
 // count and (for full bottom-up evaluation) derived fixpoint sizes, and
 // feedback-mode planning returns the same answers.

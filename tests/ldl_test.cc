@@ -11,6 +11,9 @@
 #include <thread>
 #include <utility>
 
+#include "analysis/analyzer.h"
+#include "analysis/diagnostic.h"
+#include "analysis/linter.h"
 #include "base/rng.h"
 #include "base/strings.h"
 #include "obs/feedback.h"
@@ -357,6 +360,40 @@ TEST(LdlSystemTest, DeepPredicateChainIsATypedError) {
   EXPECT_NE(answer.status().message().find("deeper than 1024"),
             std::string::npos)
       << answer.status();
+}
+
+// A rule whose patterns hold a 400k-element list: every walk of a rule
+// term (variable collection, linting, analysis, planning, the compiled
+// match and build codes) loops down the list instead of recursing.
+TEST(LdlSystemTest, LongListInARuleLoadsLintsAndAnswers) {
+  std::string items;
+  std::vector<Term> values;
+  for (int i = 0; i < 400000; ++i) {
+    StrAppend(&items, i > 0 ? "," : "", i);
+    values.push_back(Term::MakeInt(i));
+  }
+  const std::string program =
+      StrCat("p([", items, ",7]).\n", "q(X) <- p([", items, "|X]).\n",
+             "s(1).\n", "r([", items, "|X]) <- s(X).\n");
+  auto parsed = ParseProgram(program);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  DiagnosticSink sink;
+  ProgramLinter(*parsed).Lint(&sink);
+  ProgramAnalyzer(*parsed).Lint(&sink);
+  EXPECT_FALSE(sink.HasErrors());
+
+  LdlSystem sys;
+  ASSERT_TRUE(sys.LoadProgram(program).ok());
+  auto matched = sys.Query("q(X)");
+  ASSERT_TRUE(matched.ok()) << matched.status();
+  EXPECT_EQ(Sorted(matched->answers),
+            std::vector<Tuple>{{Term::MakeList({Term::MakeInt(7)})}});
+  auto built = sys.Query("r(L)");
+  ASSERT_TRUE(built.ok()) << built.status();
+  ASSERT_EQ(built->answers.size(), 1u);
+  // Compared without printing: a failure would render 400k elements.
+  EXPECT_TRUE(Sorted(built->answers)[0][0] ==
+              Term::MakeList(values, Term::MakeInt(1)));
 }
 
 TEST(LdlSystemTest, ChainOf500PredicatesAnswers) {
@@ -925,6 +962,31 @@ TEST(LdlSystemTest, GoalWhoseRulesAreAllDeadAnswersEmpty) {
   EXPECT_EQ(analyzed->report.regret().regret(), 0.0);
   EXPECT_EQ(analyzed->text.find("not computed"), std::string::npos)
       << analyzed->text;
+  // EXPLAIN ANALYZE prices the goal as the served plan does, not as a base
+  // relation of the default size: its estimate matches the empty run.
+  const QueryPlan& served = analyzed->answer.plan;
+  ASSERT_EQ(analyzed->report.nodes().size(), 1u) << analyzed->text;
+  EXPECT_EQ(analyzed->report.nodes()[0].est_rows, served.estimate.card);
+  EXPECT_EQ(analyzed->report.max_q_error(), 1.0) << analyzed->text;
+}
+
+// The default search hands a conjunct too long for DP to annealing, whose
+// effort grows with n^2: DP over the 2^20 subsets of a 20-literal body
+// costs about 10^7 evaluations and many seconds.
+TEST(LdlSystemTest, LongChainBodyPlansWithinBoundedSearch) {
+  std::string program = "e(0, 1).\nq(X0) <- ";
+  for (int i = 0; i < 20; ++i) {
+    if (i > 0) program += ", ";
+    program += StrCat("e(X", i, ", X", i + 1, ")");
+  }
+  program += ".\n";
+  LdlSystem sys;
+  ASSERT_TRUE(sys.LoadProgram(program).ok());
+  auto plan = sys.Plan("q(X0)");
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_TRUE(plan->safe);
+  EXPECT_GT(plan->search_stats.cost_evaluations, 0u);
+  EXPECT_LT(plan->search_stats.cost_evaluations, 20000u);
 }
 
 TEST(LdlSystemTest, QueryLogRecordsPlanCacheHits) {

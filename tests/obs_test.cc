@@ -1,6 +1,6 @@
 // Tests for the observability layer (src/obs/): span lifecycle and nesting,
-// the zero-allocation disabled path, the metrics registry, and the Chrome
-// trace / metrics JSON exports.
+// the zero-allocation disabled path, the metrics registry and its name
+// sanitizing, and the Chrome trace / metrics JSON exports.
 
 #include <gtest/gtest.h>
 
@@ -250,6 +250,47 @@ TEST(MetricsTest, WriteJsonShape) {
   EXPECT_NE(json.find("\"gauges\""), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
   EXPECT_NE(json.find("\"count\":1"), std::string::npos);
+}
+
+TEST(MetricNameTest, CanonicalCharset) {
+  EXPECT_TRUE(IsCanonicalMetricName("engine.tuples_examined"));
+  EXPECT_TRUE(IsCanonicalMetricName("a:b_c.d9"));
+  EXPECT_TRUE(IsCanonicalMetricName("_"));
+  EXPECT_FALSE(IsCanonicalMetricName(""));
+  EXPECT_FALSE(IsCanonicalMetricName("7leading_digit"));
+  EXPECT_FALSE(IsCanonicalMetricName("has space"));
+  EXPECT_FALSE(IsCanonicalMetricName("tab\there"));
+}
+
+TEST(MetricNameTest, SanitizeRewritesAndIsIdempotent) {
+  EXPECT_EQ(SanitizeMetricName("delta size (tuples)"),
+            "delta_size__tuples_");
+  EXPECT_EQ(SanitizeMetricName("7invalid"), "_7invalid");
+  EXPECT_EQ(SanitizeMetricName(""), "_");
+  EXPECT_EQ(SanitizeMetricName("engine.ok"), "engine.ok");
+  const std::string once = SanitizeMetricName("a b\nc\"d");
+  EXPECT_EQ(SanitizeMetricName(once), once);
+  EXPECT_TRUE(IsCanonicalMetricName(once));
+}
+
+// Regression: a name with spaces used to land in the registry verbatim and
+// render as an invalid identifier in the dumps. The registry canonicalizes
+// on every path, so the hostile and canonical spellings are one instrument
+// and every dump shows the canonical name.
+TEST(MetricNameTest, RegistrySanitizesOnEveryPath) {
+  MetricsRegistry metrics;
+  metrics.counter("delta size (tuples)")->Increment(5);
+  EXPECT_EQ(metrics.counter("delta_size__tuples_")->value(), 5u);
+  EXPECT_EQ(metrics.counter_value("delta size (tuples)"), 5u);
+
+  std::ostringstream json;
+  metrics.WriteJson(json);
+  EXPECT_NE(json.str().find("\"delta_size__tuples_\":5"), std::string::npos);
+  EXPECT_EQ(json.str().find("delta size"), std::string::npos);
+
+  const std::string text = metrics.ToString();
+  EXPECT_NE(text.find("delta_size__tuples_ = 5"), std::string::npos);
+  EXPECT_EQ(text.find("delta size"), std::string::npos);
 }
 
 TEST(ContextTest, ActiveAndInert) {

@@ -40,12 +40,6 @@
 //   --query-log FILE     execute each query through the instrumented
 //                        lifecycle path and append one structured JSONL
 //                        record per query (replayable with ldl_replay).
-//   --stats-port N       serve GET /metrics (Prometheus text exposition),
-//                        /healthz, /statusz, and /stats on 127.0.0.1:N for
-//                        the lifetime of the run; N=0 binds an ephemeral
-//                        port. The bound port is printed on stdout. Starts
-//                        the time-series sampler feeding /statusz
-//                        sparklines.
 //   --feedback           plan in feedback mode: execute each query, fold
 //                        its measured cardinalities into a statistics
 //                        catalog, and let the cost model consult the
@@ -58,10 +52,8 @@
 //   --stats-import FILE  seed the feedback statistics catalog from a
 //                        previously exported JSON file before the run
 //                        (decay-merged into anything already harvested).
-//   --sample-ms N        time-series sampling period (default 200).
 //   --repeat K           execute the query set K times (EXPLAIN output is
-//                        printed once); keeps a --stats-port run alive and
-//                        busy long enough to scrape.
+//                        printed once); gives a profiler a steady workload.
 //
 // Exit status: 0 success, 1 any query failed (parse, optimize, unsafe plan,
 // or execution error — details on stderr), 2 usage error (including a
@@ -75,13 +67,11 @@
 
 #include "base/strings.h"
 #include "ldl/ldl.h"
-#include "net/stats_server.h"
 #include "obs/context.h"
 #include "obs/feedback.h"
 #include "obs/metrics.h"
 #include "obs/process_metrics.h"
 #include "obs/search_trace.h"
-#include "obs/timeseries.h"
 #include "obs/trace.h"
 
 namespace {
@@ -94,8 +84,6 @@ struct CliOptions {
   uint64_t budget_bytes = 0;
   uint64_t budget_tuples = 0;
   double deadline_ms = 0;
-  int stats_port = -1;  ///< -1 = no server; 0 = ephemeral
-  uint64_t sample_ms = 200;
   uint64_t repeat = 1;
   bool feedback = false;
   std::string stats_export;
@@ -118,9 +106,8 @@ int Usage() {
                "[--calibration-json FILE] [--search-json FILE] "
                "[--fixpoint-json FILE] [--dot FILE] [--prune] "
                "[--budget-bytes N] [--budget-tuples N] [--deadline-ms X] "
-               "[--query-log FILE] [--stats-port N] [--sample-ms N] "
-               "[--repeat K] [--feedback] [--stats-export FILE] "
-               "[--stats-import FILE] file.ldl | -\n";
+               "[--query-log FILE] [--repeat K] [--feedback] "
+               "[--stats-export FILE] [--stats-import FILE] file.ldl | -\n";
   return 2;
 }
 
@@ -188,16 +175,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--query-log" && i + 1 < argc) {
       cli.query_log = argv[++i];
-    } else if (arg == "--stats-port" && i + 1 < argc) {
-      uint64_t port = 0;
-      if (!ldl::ParseUnsigned(argv[++i], &port) || port > 65535) {
-        return BadValue(arg, argv[i]);
-      }
-      cli.stats_port = static_cast<int>(port);
-    } else if (arg == "--sample-ms" && i + 1 < argc) {
-      if (!ldl::ParseUnsigned(argv[++i], &cli.sample_ms)) {
-        return BadValue(arg, argv[i]);
-      }
     } else if (arg == "--repeat" && i + 1 < argc) {
       if (!ldl::ParseUnsigned(argv[++i], &cli.repeat)) {
         return BadValue(arg, argv[i]);
@@ -222,8 +199,8 @@ int main(int argc, char** argv) {
     }
   }
   if (cli.file.empty()) return Usage();
-  if (cli.repeat < 1 || cli.sample_ms < 1) {
-    std::cerr << "ldl_profile: --repeat and --sample-ms must be >= 1\n";
+  if (cli.repeat < 1) {
+    std::cerr << "ldl_profile: --repeat must be >= 1\n";
     return 2;
   }
   if (!cli.calibration_json.empty() && !cli.analyze) {
@@ -304,36 +281,6 @@ int main(int argc, char** argv) {
                              "or pass --query)\n";
   }
 
-  // Telemetry surfaces: the background sampler feeds /statusz sparklines,
-  // the stats server exposes /metrics, /healthz, /statusz until exit.
-  ldl::TimeSeriesOptions sampler_options;
-  sampler_options.period = std::chrono::milliseconds(cli.sample_ms);
-  sampler_options.metrics = &metrics;
-  ldl::TimeSeriesSampler sampler(sampler_options);
-  ldl::StatsServerOptions server_options;
-  server_options.port = cli.stats_port < 0 ? 0 : cli.stats_port;
-  server_options.metrics = &metrics;
-  server_options.sampler = &sampler;
-  server_options.process = &process_metrics;
-  server_options.refresh = [&process_metrics] { process_metrics.Refresh(); };
-  if (!cli.query_log.empty()) server_options.query_log = &query_log;
-  server_options.statistics = [&sys] { return sys.StatisticsSnapshot(); };
-  if (use_feedback) {
-    server_options.feedback = &catalog;
-    server_options.drift = &detector;
-  }
-  ldl::StatsServer server(server_options);
-  if (cli.stats_port >= 0) {
-    sampler.Start();
-    ldl::Status started = server.Start();
-    if (!started.ok()) {
-      std::cerr << "ldl_profile: " << started.ToString() << "\n";
-      return 1;
-    }
-    std::cout << "stats server listening on 127.0.0.1:" << server.port()
-              << std::endl;
-  }
-
   bool failed = false;
   std::vector<ldl::CalibrationReport> reports;
   std::vector<std::string> search_entries;  // one JSON object per goal
@@ -342,10 +289,9 @@ int main(int argc, char** argv) {
   const bool execute_queries = !cli.fixpoint_json.empty() ||
                                !cli.query_log.empty() ||
                                options.limits.any() || cli.repeat > 1 ||
-                               cli.stats_port >= 0 || use_feedback;
+                               use_feedback;
   for (uint64_t rep = 0; rep < cli.repeat; ++rep) {
-    // Only the first pass prints; later passes re-execute the queries so a
-    // --stats-port scrape sees a live, moving workload.
+    // Only the first pass prints; later passes re-execute the queries.
     const bool verbose = rep == 0;
     for (const std::string& goal : goals) {
     if (verbose) {
@@ -431,15 +377,6 @@ int main(int argc, char** argv) {
       std::cout << *rendered << "\n";
     }
     }
-  }
-
-  if (cli.stats_port >= 0) {
-    // Final sample + graceful teardown before the dumps below, so
-    // --metrics-json written after a server run reflects the whole
-    // workload (statsserver.* counters included).
-    sampler.SampleOnce();
-    server.Stop();
-    sampler.Stop();
   }
 
   if (use_feedback) {
